@@ -23,7 +23,7 @@ import numpy as np
 
 from .exactmat import RatMatrix
 from .fields import ScalarField, evaluate_on_entries
-from .invariants import basis_matrix
+from .invariants import basis_bracket, basis_matrix
 from .krylov import krylov_determinant
 
 
@@ -76,6 +76,11 @@ class FDConfig:
     delta: float = 0.1
 
     def __post_init__(self):
+        limits = (
+            self.h, self.tau_res, self.tau_sys, self.tau_lemma, self.tau_comb, self.delta
+        )
+        if not all(math.isfinite(v) for v in limits):
+            raise CalculusError("h, tau_* and delta must be finite")
         if self.h <= 0 or self.tau_res <= 0 or self.delta <= 0:
             raise CalculusError("h, tau_res and delta must be positive")
         if self.scheme != "central":
@@ -230,12 +235,10 @@ def adjoint_field_divergence(n: int, i: int, j: int) -> Fraction:
     of [E_ij, E_ab]; it vanishes identically, which is what licenses the
     single-integral weak derivative below.
     """
-    e_ij = basis_matrix(n, i, j)
     total = Fraction(0)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            bracket = e_ij * basis_matrix(n, a, b) - basis_matrix(n, a, b) * e_ij
-            total += bracket.entry(a, b)
+            total += basis_bracket(basis_matrix(n, a, b), i, j).entry(a, b)
     return total
 
 

@@ -25,13 +25,7 @@ from .exactmat import (
     matrix_to_json,
     min_poly,
 )
-from .krylov import (
-    NotRegular,
-    conjugate_into_omega,
-    in_omega,
-    is_regular,
-    krylov_determinant,
-)
+from .krylov import conjugate_into_omega, krylov_determinant
 from .exactmat import format_rational
 from .report import SuiteConfigError, run_suite_from_config
 from .sympoly import (
@@ -55,6 +49,7 @@ def _n_max() -> int:
     try:
         return int(raw)
     except ValueError:
+        print("error: AFFINV_NMAX must be an integer", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT)
 
 
@@ -87,23 +82,25 @@ def cmd_analyze(args) -> int:
     except MatrixJSONError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    d = krylov_determinant(x)
+    mp = min_poly(x)
+    regular = mp.degree == x.n
     conjugator = None
     if args.conjugate:
-        g = conjugate_into_omega(x, seed=args.seed)
-        if isinstance(g, NotRegular):
+        if not regular:
             print(
                 "error: matrix is not regular (minimal polynomial degree "
-                f"{g.min_poly.degree} < {x.n}); no conjugate has a nonzero "
+                f"{mp.degree} < {x.n}); no conjugate has a nonzero "
                 "Krylov determinant",
                 file=sys.stderr,
             )
             return EXIT_NOT_REGULAR
-        conjugator = matrix_to_json(g)
+        conjugator = matrix_to_json(conjugate_into_omega(x, seed=args.seed))
     result = {
-        "D": format_rational(krylov_determinant(x)),
-        "in_omega": in_omega(x),
-        "regular": is_regular(x),
-        "min_poly": min_poly(x).to_strings(),
+        "D": format_rational(d),
+        "in_omega": d != 0,
+        "regular": regular,
+        "min_poly": mp.to_strings(),
         "char_poly": char_poly(x).to_strings(),
         "conjugator": conjugator,
         "sign_convention": "(-1)^(n(n-1)/2)",

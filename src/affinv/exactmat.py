@@ -1,9 +1,14 @@
 """Exact dense linear algebra over the rationals.
 
-Everything in this module is computed with ``fractions.Fraction`` scalars,
-so equality tests (``determinant(x) != 0``, residual ``== 0``) are decisions,
-not tolerance checks.  Matrices and vectors are immutable; every operation
-returns a fresh value and is safe to call concurrently.
+Entries are stored integer-first: a Python ``int`` when the value is
+integral and a ``fractions.Fraction`` otherwise, so integer matrices run
+pure-int arithmetic and rational ones exactly the Fraction arithmetic.
+Every division goes through ``Fraction``, so no float can appear, and
+equality tests (``determinant(x) != 0``, residual ``== 0``) are decisions,
+not tolerance checks.  Public scalar results (``determinant``,
+``RatMatrix.trace``) are always ``Fraction``.  Matrices and vectors are
+immutable; every operation returns a fresh value and is safe to call
+concurrently.
 
 Index convention: documentation and all JSON interfaces are 1-based (entry
 ``(i, j)`` with ``1 <= i, j <= n``); internal storage is 0-based row-major.
@@ -15,6 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rat = Union[Fraction, int]
@@ -38,11 +44,15 @@ class MatrixJSONError(ExactmatError):
     """Matrix JSON input violates the wire schema."""
 
 
-def _as_fraction(value: Rat) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact_scalar(value: Rat) -> Rat:
+    """Normalise an exact scalar: ``int`` when integral (bool included),
+    ``Fraction`` otherwise."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -62,7 +72,7 @@ def parse_rational(text) -> Fraction:
     return Fraction(int(text))
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: Rat) -> str:
     """Render a rational in wire format: ``"p"`` when integral, else ``"p/q"``."""
     if value.denominator == 1:
         return str(value.numerator)
@@ -75,7 +85,7 @@ class RatVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Rat]):
-        object.__setattr__(self, "entries", tuple(_as_fraction(e) for e in entries))
+        object.__setattr__(self, "entries", tuple(_exact_scalar(e) for e in entries))
         if not self.entries:
             raise ExactmatError("empty vector")
 
@@ -101,10 +111,7 @@ class RatVector:
             return NotImplemented
         if self.n != m.n:
             raise DimensionMismatchError(f"vector length {self.n} vs matrix size {m.n}")
-        return RatVector(
-            sum(self.entries[l] * m.rows[l][j] for l in range(m.n))
-            for j in range(m.n)
-        )
+        return RatVector(sum(map(mul, self.entries, col)) for col in zip(*m.rows))
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
@@ -114,7 +121,7 @@ class RatVector:
         """Standard basis row e_i, 1-based."""
         if not 1 <= i <= n:
             raise ExactmatError(f"unit index {i} out of range 1..{n}")
-        return cls(Fraction(int(j == i - 1)) for j in range(n))
+        return cls(int(j == i - 1) for j in range(n))
 
 
 class RatMatrix:
@@ -123,7 +130,7 @@ class RatMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Sequence[Sequence[Rat]]):
-        converted = tuple(tuple(_as_fraction(e) for e in row) for row in rows)
+        converted = tuple(tuple(_exact_scalar(e) for e in row) for row in rows)
         n = len(converted)
         if n < 1:
             raise ExactmatError("matrix must have dimension >= 1")
@@ -137,17 +144,17 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, n: int) -> "RatMatrix":
-        return cls([[Fraction(0)] * n for _ in range(n)])
+        return cls([[0] * n for _ in range(n)])
 
     @classmethod
     def from_rows(cls, rows: Sequence[RatVector]) -> "RatMatrix":
         return cls([r.entries for r in rows])
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Rat:
         """1-based entry access."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ExactmatError(f"index ({i},{j}) out of range 1..{self.n}")
@@ -160,7 +167,7 @@ class RatMatrix:
         return RatVector(self.rows[i - 1])
 
     def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.n)), Fraction(0))
+        return Fraction(sum(self.rows[i][i] for i in range(self.n)))
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(
@@ -171,7 +178,7 @@ class RatMatrix:
         return all(e == 0 for row in self.rows for e in row)
 
     def scale(self, c: Rat) -> "RatMatrix":
-        c = _as_fraction(c)
+        c = _exact_scalar(c)
         return RatMatrix([[c * e for e in row] for row in self.rows])
 
     def _check_dim(self, other: "RatMatrix"):
@@ -207,15 +214,9 @@ class RatMatrix:
         if not isinstance(other, RatMatrix):
             return NotImplemented
         self._check_dim(other)
-        n = self.n
+        cols = tuple(zip(*other.rows))
         return RatMatrix(
-            [
-                [
-                    sum(self.rows[i][l] * other.rows[l][j] for l in range(n))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
+            [[sum(map(mul, row, col)) for col in cols] for row in self.rows]
         )
 
     def __eq__(self, other) -> bool:
@@ -241,7 +242,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat]):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_exact_scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -284,14 +285,14 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not self.coeffs or not other.coeffs:
             return UniPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return UniPoly(out)
 
     def __call__(self, t: Rat) -> Fraction:
-        t = _as_fraction(t)
+        t = _exact_scalar(t)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * t + c
@@ -312,10 +313,10 @@ class UniPoly:
         dcs = divisor.coeffs
         dd = len(dcs) - 1
         lead = dcs[-1]
-        q = [Fraction(0)] * max(0, len(rem) - dd)
+        q = [0] * max(0, len(rem) - dd)
         while len(rem) - 1 >= dd and rem:
             shift = len(rem) - 1 - dd
-            factor = rem[-1] / lead
+            factor = Fraction(rem[-1], lead)
             q[shift] = factor
             for i, c in enumerate(dcs):
                 rem[shift + i] -= factor * c
@@ -378,7 +379,7 @@ def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return a * b - b * a
 
 
-def _det_cofactor(rows, n: int) -> Fraction:
+def _det_cofactor(rows, n: int) -> Rat:
     if n == 1:
         return rows[0][0]
     if n == 2:
@@ -420,14 +421,14 @@ def determinant(x: RatMatrix) -> Fraction:
     """
     n = x.n
     if n <= 3:
-        return _det_cofactor(x.rows, n)
-    scale = Fraction(1)
+        return Fraction(_det_cofactor(x.rows, n))
+    scale = 1
     int_rows: list[list[int]] = []
     for row in x.rows:
         d = lcm(*(e.denominator for e in row))
         scale *= d
         int_rows.append([int(e * d) for e in row])
-    return Fraction(_det_bareiss(int_rows, n), 1) / scale
+    return Fraction(_det_bareiss(int_rows, n), scale)
 
 
 def rank(x: RatMatrix) -> int:
@@ -435,7 +436,7 @@ def rank(x: RatMatrix) -> int:
     return _echelon_rank([list(row) for row in x.rows])
 
 
-def _echelon_rank(rows: list[list[Fraction]]) -> int:
+def _echelon_rank(rows: list[list[Rat]]) -> int:
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -448,7 +449,7 @@ def _echelon_rank(rows: list[list[Fraction]]) -> int:
         pivot = rows[r][c]
         for i in range(r + 1, len(rows)):
             if rows[i][c] != 0:
-                f = rows[i][c] / pivot
+                f = Fraction(rows[i][c], pivot)
                 for j in range(c, ncols):
                     rows[i][j] -= f * rows[r][j]
         r += 1
@@ -460,8 +461,8 @@ def _echelon_rank(rows: list[list[Fraction]]) -> int:
 def char_poly(x: RatMatrix) -> UniPoly:
     """Monic characteristic polynomial det(tI - x) via Faddeev-LeVerrier."""
     n = x.n
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
     m = RatMatrix.zeros(n)
     ident = RatMatrix.identity(n)
     for k in range(1, n + 1):
@@ -470,7 +471,7 @@ def char_poly(x: RatMatrix) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def _vec(x: RatMatrix) -> list[Fraction]:
+def _vec(x: RatMatrix) -> list[Rat]:
     return [e for row in x.rows for e in row]
 
 
@@ -483,15 +484,15 @@ def min_poly(x: RatMatrix) -> UniPoly:
     dependence, which is the minimal polynomial.
     """
     n = x.n
-    basis: list[tuple[int, list[Fraction], list[Fraction]]] = []
+    basis: list[tuple[int, list[Rat], list[Rat]]] = []
     xk = RatMatrix.identity(n)
     for k in range(n + 1):
         v = _vec(xk)
-        combo = [Fraction(0)] * (n + 1)
-        combo[k] = Fraction(1)
+        combo = [0] * (n + 1)
+        combo[k] = 1
         for pivot_col, row, row_combo in basis:
             if v[pivot_col] != 0:
-                f = v[pivot_col] / row[pivot_col]
+                f = Fraction(v[pivot_col], row[pivot_col])
                 v = [a - f * b for a, b in zip(v, row)]
                 combo = [a - f * b for a, b in zip(combo, row_combo)]
         pivot_col = next((i for i, e in enumerate(v) if e != 0), None)
@@ -521,7 +522,7 @@ def solve_linear(a: RatMatrix, b: RatVector):
             continue
         aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
         pivot = aug[r][c]
-        aug[r] = [e / pivot for e in aug[r]]
+        aug[r] = [Fraction(e, pivot) for e in aug[r]]
         for i in range(n):
             if i != r and aug[i][c] != 0:
                 f = aug[i][c]
@@ -532,7 +533,7 @@ def solve_linear(a: RatMatrix, b: RatVector):
         return NO_SOLUTION
     if r < n:
         return NON_UNIQUE
-    sol = [Fraction(0)] * n
+    sol = [0] * n
     for i, c in enumerate(pivots):
         sol[c] = aug[i][n]
     return RatVector(sol)
@@ -541,14 +542,14 @@ def solve_linear(a: RatMatrix, b: RatVector):
 def inverse(x: RatMatrix) -> RatMatrix:
     """Exact inverse by Gauss-Jordan; raises SingularMatrixError when det = 0."""
     n = x.n
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(x.rows)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(x.rows)]
     for c in range(n):
         pivot_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
         if pivot_row is None:
             raise SingularMatrixError("matrix is singular")
         aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
         pivot = aug[c][c]
-        aug[c] = [e / pivot for e in aug[c]]
+        aug[c] = [Fraction(e, pivot) for e in aug[c]]
         for i in range(n):
             if i != c and aug[i][c] != 0:
                 f = aug[i][c]

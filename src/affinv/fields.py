@@ -91,17 +91,6 @@ class Pk(ScalarField):
             raise FieldError(f"pk degree {self.k} must be >= 1")
 
 
-def max_var_index(field: ScalarField) -> int:
-    """Largest 1-based entry index referenced anywhere in the tree."""
-    if isinstance(field, Var):
-        return max(field.i, field.j)
-    if isinstance(field, (Add, Mul)):
-        return max((max_var_index(a) for a in field.args), default=0)
-    if isinstance(field, Pow):
-        return max_var_index(field.base)
-    return 0
-
-
 def _mat_mul(a, b, n):
     return [
         [sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n)]

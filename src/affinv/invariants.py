@@ -17,6 +17,7 @@ from .exactmat import (
     DimensionMismatchError,
     ExactmatError,
     RatMatrix,
+    _exact_scalar,
     commutator,
     power,
 )
@@ -34,10 +35,7 @@ def basis_matrix(n: int, i: int, j: int) -> RatMatrix:
     if not (1 <= i <= n and 1 <= j <= n):
         raise ExactmatError(f"basis index ({i},{j}) out of range 1..{n}")
     return RatMatrix(
-        [
-            [Fraction(int(a == i - 1 and b == j - 1)) for b in range(n)]
-            for a in range(n)
-        ]
+        [[int(a == i - 1 and b == j - 1) for b in range(n)] for a in range(n)]
     )
 
 
@@ -46,9 +44,8 @@ def trace_form(x: RatMatrix, y: RatMatrix) -> Fraction:
     if x.n != y.n:
         raise DimensionMismatchError(f"dimension {x.n} vs {y.n}")
     n = x.n
-    return sum(
-        (x.rows[a][c] * y.rows[c][a] for a in range(n) for c in range(n)),
-        Fraction(0),
+    return Fraction(
+        sum(x.rows[a][c] * y.rows[c][a] for a in range(n) for c in range(n))
     )
 
 
@@ -75,24 +72,50 @@ def entry_bracket_pairing(x: RatMatrix, k: int, i: int, j: int) -> Fraction:
     return trace_form(power(x, k), basis_matrix(x.n, j, i))
 
 
+def _add_basis_bracket(acc: list[list], x: RatMatrix, i: int, j: int, coef) -> None:
+    """acc += coef * [E_ij, x] in place.
+
+    E_ij x is row j of x moved to row i, and x E_ij is column i of x moved
+    to column j, so the bracket touches only row i and column j: O(n) work.
+    """
+    row_i = acc[i - 1]
+    for b, e in enumerate(x.rows[j - 1]):
+        row_i[b] += coef * e
+    for acc_row, x_row in zip(acc, x.rows):
+        acc_row[j - 1] -= coef * x_row[i - 1]
+
+
+def basis_bracket(x: RatMatrix, i: int, j: int) -> RatMatrix:
+    """[E_ij, x] (1-based), built sparsely from one row and one column of x."""
+    if not (1 <= i <= x.n and 1 <= j <= x.n):
+        raise ExactmatError(f"basis index ({i},{j}) out of range 1..{x.n}")
+    acc = [[0] * x.n for _ in range(x.n)]
+    _add_basis_bracket(acc, x, i, j, 1)
+    return RatMatrix(acc)
+
+
 def basis_expansion_residual(x: RatMatrix, k: int) -> RatMatrix:
     """Brute-force sum over all n^2 basis pairs of
     tr(x^k E_ji) [E_ij, x]; identically the zero matrix.
 
     The sum telescopes to [x^k, x] = 0, but it is assembled literally,
-    pair by pair, so exact cancellation is what the suites certify.
+    pair by pair: each coefficient is the trace pairing itself and each
+    bracket is added entry by entry, so exact cancellation is what the
+    suites certify.
     """
     if k < 0:
         raise ExactmatError(f"power index {k} must be >= 0")
     n = x.n
     xk = power(x, k)
-    acc = RatMatrix.zeros(n)
+    acc = [[0] * n for _ in range(n)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            coef = trace_form(xk, basis_matrix(n, j, i))
+            # trace_form returns a Fraction; as an int when integral, the
+            # accumulation stays pure-int on integer input
+            coef = _exact_scalar(trace_form(xk, basis_matrix(n, j, i)))
             if coef != 0:
-                acc = acc + commutator(basis_matrix(n, i, j), x).scale(coef)
-    return acc
+                _add_basis_bracket(acc, x, i, j, coef)
+    return RatMatrix(acc)
 
 
 def gradient_matrix(f: ScalarField, x: RatMatrix) -> RatMatrix:

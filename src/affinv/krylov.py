@@ -150,9 +150,9 @@ def companion(spec: CompanionSpec) -> RatMatrix:
     top to bottom; its characteristic polynomial is
     t^n - a1 t^(n-1) - ... - an."""
     n = spec.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(1, n):
-        rows[i][i - 1] = Fraction(1)
+        rows[i][i - 1] = 1
     for i in range(n):
         rows[i][n - 1] = rows[i][n - 1] + spec.alpha[n - 1 - i]
     return RatMatrix(rows)
@@ -268,7 +268,7 @@ def _rows_independent(rows: list[tuple]) -> bool:
         work[r], work[piv] = work[piv], work[r]
         for i in range(r + 1, len(work)):
             if work[i][c] != 0:
-                f = work[i][c] / work[r][c]
+                f = Fraction(work[i][c], work[r][c])
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
         r += 1
     return r == len(rows)

@@ -9,6 +9,7 @@ given (config, seed) except for the timestamp field.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -414,7 +415,7 @@ def run_suite_from_config(config: dict) -> VerificationReport:
         raise SuiteConfigError("samples must be >= 1")
     try:
         fd_cfg = FDConfig(**config.get("fd", {})) if "fd" in config else FDConfig()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SuiteConfigError(f"bad fd config: {exc}") from exc
     if suite == "identity":
         if n < 1:
@@ -423,11 +424,14 @@ def run_suite_from_config(config: dict) -> VerificationReport:
     if suite == "lemma":
         return run_lemma_suite(n, samples, seed, fd_cfg)
     quad = config.get("quadrature", {})
+    if not isinstance(quad, dict):
+        raise SuiteConfigError("quadrature config must be a JSON object")
+    try:
+        half_width = float(quad.get("half_width", 2.0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SuiteConfigError(f"bad quadrature config: {exc}") from exc
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise SuiteConfigError("quadrature half_width must be finite and > 0")
     if n != 2:
         raise SuiteConfigError("weak suite supports n = 2 only")
-    return run_weak_suite(
-        samples,
-        seed,
-        half_width=float(quad.get("half_width", 2.0)),
-        cfg=fd_cfg,
-    )
+    return run_weak_suite(samples, seed, half_width=half_width, cfg=fd_cfg)

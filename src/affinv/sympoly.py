@@ -196,14 +196,6 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + tail + ")"
 
 
-def poly_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a + b
-
-
-def poly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a * b
-
-
 def generic_matrix(n: int) -> list[list[MultiPoly]]:
     """The n x n matrix whose (i, j) entry is the variable x_ij."""
     nvars = n * n

@@ -137,6 +137,26 @@ class TestVerify:
         failing = [p for p in report["properties"] if p["failures"] > 0]
         assert failing
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            '{"suite":"weak","quadrature":{"half_width":-1}}',
+            '{"suite":"weak","quadrature":{"half_width":NaN}}',
+            '{"suite":"weak","quadrature":[1]}',
+            '{"suite":"lemma","fd":{"h":NaN}}',
+            '{"suite":"lemma","fd":{"tau_sys":Infinity}}',
+        ],
+    )
+    def test_bad_numeric_config_exits_2_with_one_error_line(
+        self, cfg, monkeypatch, capsys
+    ):
+        code = run_cli(["verify", "-"], cfg, monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestSympoly:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -156,6 +176,13 @@ class TestSympoly:
     def test_bound_exceeded_exits_2(self, capsys, monkeypatch):
         monkeypatch.delenv("AFFINV_NMAX", raising=False)
         assert main(["sympoly", "--n", "5"]) == 2
+
+    def test_non_integer_env_bound_exits_2_with_message(self, capsys, monkeypatch):
+        monkeypatch.setenv("AFFINV_NMAX", "abc")
+        assert main(["sympoly", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: AFFINV_NMAX must be an integer\n"
 
     def test_env_override_raises_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("AFFINV_NMAX", "5")

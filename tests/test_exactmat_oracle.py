@@ -1,0 +1,208 @@
+"""Oracle tests for the integer-first exact layer.
+
+sympy shares no code with affinv, so it serves as an independent oracle
+for determinant, inverse, rank, char_poly and min_poly on hypothesis-drawn
+integer and rational matrices.  The same draws check the scalar contract:
+entries are ``int`` when integral and ``Fraction`` otherwise, no float ever
+appears, and the public scalars are ``Fraction``.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from affinv.exactmat import (  # noqa: E402
+    RatMatrix,
+    SingularMatrixError,
+    char_poly,
+    commutator,
+    determinant,
+    inverse,
+    min_poly,
+    power,
+    rank,
+)
+from affinv.invariants import (  # noqa: E402
+    basis_bracket,
+    basis_expansion_residual,
+    basis_matrix,
+    trace_form,
+    trace_power,
+)
+from affinv.krylov import krylov_determinant, pairing_determinant  # noqa: E402
+
+ORACLE = settings(max_examples=40, deadline=None, derandomize=True)
+
+_int_entry = st.integers(-9, 9)
+_rat_entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+def _square(entry, n):
+    return st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(RatMatrix)
+
+
+def matrices(max_n=6):
+    """Integer or rational (p/q, q <= 9) matrices with 1 <= n <= max_n."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.one_of(_square(_int_entry, n), _square(_rat_entry, n))
+    )
+
+
+def int_matrices(max_n=6):
+    return st.integers(1, max_n).flatmap(lambda n: _square(_int_entry, n))
+
+
+def to_sympy(x: RatMatrix):
+    return sympy.Matrix(
+        [[sympy.Rational(e.numerator, e.denominator) for e in row] for row in x.rows]
+    )
+
+
+def from_sympy(value) -> Fraction:
+    value = sympy.Rational(value)
+    return Fraction(int(value.p), int(value.q))
+
+
+def sympy_min_poly(m) -> list:
+    """Ascending monic coefficients of the first dependence among
+    vec(I), vec(m), vec(m^2), ..., found by sympy's nullspace."""
+    n = m.shape[0]
+    powers = [sympy.eye(n)]
+    for k in range(1, n + 1):
+        powers.append(powers[-1] * m)
+        stack = sympy.Matrix.hstack(*(p.reshape(n * n, 1) for p in powers))
+        null = stack.nullspace()
+        if null:
+            v = null[0]
+            return [from_sympy(c / v[k]) for c in v]
+    raise AssertionError("powers up to n must be dependent")
+
+
+def assert_exact_scalar(value):
+    """int when integral, Fraction otherwise; never a float or bool."""
+    assert type(value) in (int, Fraction), type(value)
+    if type(value) is Fraction:
+        assert value.denominator != 1
+
+
+def assert_exact_matrix(x: RatMatrix):
+    for row in x.rows:
+        for e in row:
+            assert_exact_scalar(e)
+
+
+@ORACLE
+@given(matrices())
+def test_determinant_matches_sympy(x):
+    d = determinant(x)
+    assert type(d) is Fraction
+    assert d == from_sympy(to_sympy(x).det())
+
+
+@ORACLE
+@given(matrices())
+def test_inverse_matches_sympy(x):
+    m = to_sympy(x)
+    if m.det() == 0:
+        with pytest.raises(SingularMatrixError):
+            inverse(x)
+        return
+    inv = inverse(x)
+    assert_exact_matrix(inv)
+    expected = m.inv()
+    assert [list(row) for row in inv.rows] == [
+        [from_sympy(expected[i, j]) for j in range(x.n)] for i in range(x.n)
+    ]
+
+
+@ORACLE
+@given(matrices())
+def test_rank_matches_sympy(x):
+    assert rank(x) == to_sympy(x).rank()
+
+
+@ORACLE
+@given(matrices())
+def test_char_poly_matches_sympy(x):
+    p = char_poly(x)
+    for c in p.coeffs:
+        assert_exact_scalar(c)
+    t = sympy.Symbol("t")
+    expected = [from_sympy(c) for c in reversed(to_sympy(x).charpoly(t).all_coeffs())]
+    assert list(p.coeffs) == expected
+
+
+@ORACLE
+@given(matrices())
+def test_min_poly_matches_sympy(x):
+    p = min_poly(x)
+    for c in p.coeffs:
+        assert_exact_scalar(c)
+    assert list(p.coeffs) == sympy_min_poly(to_sympy(x))
+
+
+@ORACLE
+@given(matrices())
+def test_sparse_bracket_equals_dense_commutator(x):
+    for i in range(1, x.n + 1):
+        for j in range(1, x.n + 1):
+            bracket = basis_bracket(x, i, j)
+            assert_exact_matrix(bracket)
+            assert bracket == commutator(basis_matrix(x.n, i, j), x)
+
+
+@ORACLE
+@given(matrices())
+def test_no_float_in_entries_or_results(x):
+    assert_exact_matrix(x)
+    for k in range(x.n + 1):
+        assert_exact_matrix(power(x, k))
+        residual = basis_expansion_residual(x, k)
+        assert_exact_matrix(residual)
+        assert residual.is_zero()
+    assert_exact_matrix(x.scale(Fraction(3, 2)))
+    assert_exact_matrix(x - x)
+
+
+@ORACLE
+@given(int_matrices())
+def test_integer_input_stays_int(x):
+    for m in (x, x * x, power(x, 3), x + x, -x, x.transpose()):
+        assert all(type(e) is int for row in m.rows for e in row)
+    assert all(type(c) is int for c in char_poly(x).coeffs)
+    assert all(type(c) is int for c in min_poly(x).coeffs)
+
+
+@ORACLE
+@given(matrices())
+def test_public_scalars_are_fractions(x):
+    y = basis_matrix(x.n, x.n, 1)
+    scalars = [
+        determinant(x),
+        x.trace(),
+        trace_form(x, y),
+        krylov_determinant(x),
+        pairing_determinant(x),
+        trace_power(x, 1),
+        trace_power(x, 2),
+    ]
+    assert all(type(s) is Fraction for s in scalars)
+    assert krylov_determinant(x) == pairing_determinant(x)
+
+
+def test_bool_entries_become_int():
+    x = RatMatrix([[True, False], [False, True]])
+    assert all(type(e) is int for row in x.rows for e in row)
+    assert x == RatMatrix.identity(2)
+
+
+def test_integral_fraction_entries_are_stored_as_int():
+    x = RatMatrix([[Fraction(4, 2), Fraction(1, 3)], [Fraction(0), 5]])
+    assert [[type(e) for e in row] for row in x.rows] == [[int, Fraction], [int, int]]
