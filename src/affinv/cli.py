@@ -59,7 +59,7 @@ def _read_json(path: str | None):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, huge number
         print(f"error: cannot read JSON input: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT)
 
@@ -95,16 +95,20 @@ def cmd_analyze(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_NOT_REGULAR
-        conjugator = matrix_to_json(conjugate_into_omega(x, seed=args.seed))
-    result = {
-        "D": format_rational(d),
-        "in_omega": d != 0,
-        "regular": regular,
-        "min_poly": mp.to_strings(),
-        "char_poly": char_poly(x).to_strings(),
-        "conjugator": conjugator,
-        "sign_convention": "(-1)^(n(n-1)/2)",
-    }
+        conjugator = conjugate_into_omega(x, seed=args.seed)
+    try:
+        result = {
+            "D": format_rational(d),
+            "in_omega": d != 0,
+            "regular": regular,
+            "min_poly": mp.to_strings(),
+            "char_poly": char_poly(x).to_strings(),
+            "conjugator": None if conjugator is None else matrix_to_json(conjugator),
+            "sign_convention": "(-1)^(n(n-1)/2)",
+        }
+    except MatrixJSONError as exc:  # a value too long to write
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.markdown:
         sys.stdout.write(_analyze_markdown(result))
         if args.out:

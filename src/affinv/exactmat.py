@@ -3,9 +3,12 @@
 Entries are stored integer-first: a Python ``int`` when the value is
 integral and a ``fractions.Fraction`` otherwise, so integer matrices run
 pure-int arithmetic and rational ones exactly the Fraction arithmetic.
-Every division goes through ``Fraction``, so no float can appear, and
-equality tests (``determinant(x) != 0``, residual ``== 0``) are decisions,
-not tolerance checks.  Public scalar results (``determinant``,
+``determinant``, ``rank``, ``min_poly``, ``solve_linear`` and ``inverse``
+share one fraction-free elimination kernel on integer-scaled rows, whose
+divisions are all exact integer divisions; every other division goes
+through ``Fraction``.  So no float can appear, and equality tests
+(``determinant(x) != 0``, residual ``== 0``) are decisions, not tolerance
+checks.  Public scalar results (``determinant``,
 ``RatMatrix.trace``) are always ``Fraction``.  Matrices and vectors are
 immutable; every operation returns a fresh value and is safe to call
 concurrently.
@@ -17,6 +20,7 @@ Index convention: documentation and all JSON interfaces are 1-based (entry
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -56,6 +60,15 @@ def _exact_scalar(value: Rat) -> Rat:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _matmul(a, b) -> list[list]:
+    """Product of two nested sequences (lists of rows) over any scalars with
+    + and *: Python numbers, numpy arrays, MultiPoly.  Each entry is
+    ``sum(map(mul, row, col))``, summed from 0 left to right, so float and
+    numpy results are deterministic."""
+    cols = tuple(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
 def parse_rational(text) -> Fraction:
     """Parse a wire-format rational: ``"p"`` or ``"p/q"`` (or a bare int)."""
     if isinstance(text, bool):
@@ -64,19 +77,33 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not _RAT_RE.match(text):
         raise MatrixJSONError(f"malformed rational {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise MatrixJSONError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    try:
+        num, _, den = text.partition("/")
+        value = Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise MatrixJSONError(f"zero denominator in {text!r}") from None
+    except ValueError:  # beyond the int string-conversion limit
+        raise MatrixJSONError(
+            f"rational with more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    return value
 
 
 def format_rational(value: Rat) -> str:
-    """Render a rational in wire format: ``"p"`` when integral, else ``"p/q"``."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a rational in wire format: ``"p"`` when integral, else ``"p/q"``.
+
+    Raises MatrixJSONError when a part exceeds the int string-conversion
+    limit, so results too large to print are reported, not crashed on.
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise MatrixJSONError(
+            f"value with more than {sys.get_int_max_str_digits()} digits "
+            "cannot be written"
+        ) from None
 
 
 class RatVector:
@@ -111,7 +138,7 @@ class RatVector:
             return NotImplemented
         if self.n != m.n:
             raise DimensionMismatchError(f"vector length {self.n} vs matrix size {m.n}")
-        return RatVector(sum(map(mul, self.entries, col)) for col in zip(*m.rows))
+        return RatVector(_matmul([self.entries], m.rows)[0])
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
@@ -214,10 +241,7 @@ class RatMatrix:
         if not isinstance(other, RatMatrix):
             return NotImplemented
         self._check_dim(other)
-        cols = tuple(zip(*other.rows))
-        return RatMatrix(
-            [[sum(map(mul, row, col)) for col in cols] for row in self.rows]
-        )
+        return RatMatrix(_matmul(self.rows, other.rows))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatMatrix) and self.rows == other.rows
@@ -379,128 +403,130 @@ def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return a * b - b * a
 
 
-def _det_cofactor(rows, n: int) -> Rat:
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    # n == 3, Sarrus
-    return (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    )
+def _integer_rows(rows: Iterable[Sequence[Rat]]) -> tuple[list[list[int]], int]:
+    """Scale each row by the lcm of its denominators; return the integer rows
+    and the product of the scales."""
+    scale = 1
+    out = []
+    for row in rows:
+        d = lcm(*[e.denominator for e in row])
+        if d == 1:
+            out.append(list(row))
+        else:
+            scale *= d
+            out.append([e.numerator * (d // e.denominator) for e in row])
+    return out, scale
 
 
-def _det_bareiss(rows: list[list[int]], n: int) -> int:
-    """Fraction-free single-step Bareiss elimination on integer rows."""
+def _fraction_free_reduce(rows: list[list[int]], ncols: int | None = None):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integer rows,
+    in place; pivots are sought in the first ``ncols`` columns (all by
+    default).
+
+    Each step with pivot p replaces every other row by
+    (p * row - row[c] * pivot_row) // prev, where prev is the previous
+    pivot; every entry stays a minor of the input, so each division is
+    exact.  On return the pivot rows come first, in column order, and all
+    rows equal ``last`` times the reduced row echelon form of the input.
+    Returns (pivot columns, row-swap sign, last pivot); with a full-rank
+    square input the determinant is sign * last.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if ncols is None else ncols
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if rows[r][k] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+    for c in range(ncols):
+        r = len(pivots)
+        for p in range(r, m):
+            if rows[p][c]:
+                break
+        else:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
             sign = -sign
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
+        pivot_row = rows[r]
+        pivot = pivot_row[c]
+        for i in range(m):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [
+                    (pivot * a - f * b) // prev for a, b in zip(rows[i], pivot_row)
+                ]
         prev = pivot
-    return sign * rows[n - 1][n - 1]
+        pivots.append(c)
+        if len(pivots) == m:
+            break
+    return pivots, sign, prev
+
+
+def _row_rank(rows: Iterable[Sequence[Rat]]) -> int:
+    """Exact rank of a list of rows (any shape)."""
+    return len(_fraction_free_reduce(_integer_rows(rows)[0])[0])
 
 
 def determinant(x: RatMatrix) -> Fraction:
-    """Exact determinant.
-
-    Cofactor expansion for n <= 3; for larger n each row is scaled to
-    integers and a fraction-free Bareiss elimination runs on the integer
-    matrix, keeping intermediate entries polynomially sized.
-    """
-    n = x.n
-    if n <= 3:
-        return Fraction(_det_cofactor(x.rows, n))
-    scale = 1
-    int_rows: list[list[int]] = []
-    for row in x.rows:
-        d = lcm(*(e.denominator for e in row))
-        scale *= d
-        int_rows.append([int(e * d) for e in row])
-    return Fraction(_det_bareiss(int_rows, n), scale)
+    """Exact determinant: sign * last pivot of the fraction-free elimination
+    of the integer-scaled rows, divided by the row scales."""
+    rows, scale = _integer_rows(x.rows)
+    pivots, sign, last = _fraction_free_reduce(rows)
+    if len(pivots) < x.n:
+        return Fraction(0)
+    return Fraction(sign * last, scale)
 
 
 def rank(x: RatMatrix) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    return _echelon_rank([list(row) for row in x.rows])
+    """Exact rank over the rationals: the number of pivots of the
+    fraction-free elimination."""
+    return _row_rank(x.rows)
 
 
-def _echelon_rank(rows: list[list[Rat]]) -> int:
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] != 0:
-                f = Fraction(rows[i][c], pivot)
-                for j in range(c, ncols):
-                    rows[i][j] -= f * rows[r][j]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+def _integer_multiple(x: RatMatrix) -> tuple[RatMatrix, int]:
+    """(q x, q) for the least q > 0 that makes q x an integer matrix."""
+    q = lcm(*[e.denominator for row in x.rows for e in row])
+    return x.scale(q), q
 
 
 def char_poly(x: RatMatrix) -> UniPoly:
-    """Monic characteristic polynomial det(tI - x) via Faddeev-LeVerrier."""
+    """Monic characteristic polynomial det(tI - x) via Faddeev-LeVerrier.
+
+    Runs on the integer matrix q x, whose coefficient of t^i is q^(n-i)
+    times that of x, so rational input costs int arithmetic too.
+    """
     n = x.n
+    xq, q = _integer_multiple(x)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     m = RatMatrix.zeros(n)
     ident = RatMatrix.identity(n)
     for k in range(1, n + 1):
-        m = x * m + ident.scale(coeffs[n - k + 1])
-        coeffs[n - k] = Fraction(-1, k) * (x * m).trace()
-    return UniPoly(coeffs)
-
-
-def _vec(x: RatMatrix) -> list[Rat]:
-    return [e for row in x.rows for e in row]
+        m = xq * m + ident.scale(coeffs[n - k + 1])
+        coeffs[n - k] = Fraction(-1, k) * (xq * m).trace()
+    return UniPoly(Fraction(c, q ** (n - i)) for i, c in enumerate(coeffs))
 
 
 def min_poly(x: RatMatrix) -> UniPoly:
     """Monic minimal polynomial.
 
-    Vectorizes I, x, x^2, ... in the n^2-dimensional entry space and tracks
-    an echelon basis with bookkeeping of which power combination produced
-    each basis row; the first power that reduces to zero yields the monic
-    dependence, which is the minimal polynomial.
+    Eliminates the n^2 x (n+1) integer matrix whose column k is (q x)^k
+    flattened, for the integer multiple q x of x.  Columns 0..m-1 are the
+    pivots, where m is the first power that depends on the lower ones,
+    i.e. the degree; in the reduced form column m holds the coefficients
+    of that dependence times the last pivot, and the coefficient of t^i
+    for x is that for q x divided by q^(m-i).
     """
     n = x.n
-    basis: list[tuple[int, list[Rat], list[Rat]]] = []
-    xk = RatMatrix.identity(n)
-    for k in range(n + 1):
-        v = _vec(xk)
-        combo = [0] * (n + 1)
-        combo[k] = 1
-        for pivot_col, row, row_combo in basis:
-            if v[pivot_col] != 0:
-                f = Fraction(v[pivot_col], row[pivot_col])
-                v = [a - f * b for a, b in zip(v, row)]
-                combo = [a - f * b for a, b in zip(combo, row_combo)]
-        pivot_col = next((i for i, e in enumerate(v) if e != 0), None)
-        if pivot_col is None:
-            return UniPoly(combo[: k + 1])
-        basis.append((pivot_col, v, combo))
-        xk = xk * x
-    raise AssertionError("powers up to n must be dependent")  # pragma: no cover
+    xq, q = _integer_multiple(x)
+    powers = [RatMatrix.identity(n)]
+    for _ in range(n):
+        powers.append(powers[-1] * xq)
+    rows = [[p.rows[i][j] for p in powers] for i in range(n) for j in range(n)]
+    pivots, _, last = _fraction_free_reduce(rows)
+    m = len(pivots)
+    return UniPoly(
+        [Fraction(-rows[i][m], last * q ** (m - i)) for i in range(m)] + [1]
+    )
 
 
 def solve_linear(a: RatMatrix, b: RatVector):
@@ -508,53 +534,34 @@ def solve_linear(a: RatMatrix, b: RatVector):
 
     Returns the unique RatVector solution when det(a) != 0, the NO_SOLUTION
     sentinel when the system is inconsistent, and NON_UNIQUE when it is
-    consistent but underdetermined.
+    consistent but underdetermined.  Eliminates [a | b] with pivots taken
+    in the columns of a only.
     """
     n = a.n
     if b.n != n:
         raise DimensionMismatchError(f"matrix size {n} vs vector length {b.n}")
-    aug = [list(row) + [be] for row, be in zip(a.rows, b.entries)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pivot = aug[r][c]
-        aug[r] = [Fraction(e, pivot) for e in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if any(all(aug[i][c] == 0 for c in range(n)) and aug[i][n] != 0 for i in range(n)):
+    rows, _ = _integer_rows(row + (be,) for row, be in zip(a.rows, b.entries))
+    pivots, _, last = _fraction_free_reduce(rows, n)
+    r = len(pivots)
+    if any(row[n] != 0 for row in rows[r:]):
         return NO_SOLUTION
     if r < n:
         return NON_UNIQUE
-    sol = [0] * n
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][n]
-    return RatVector(sol)
+    return RatVector(Fraction(row[n], last) for row in rows)
 
 
 def inverse(x: RatMatrix) -> RatMatrix:
-    """Exact inverse by Gauss-Jordan; raises SingularMatrixError when det = 0."""
+    """Exact inverse: eliminates [x | I] with pivots taken in the columns of
+    x, leaving [d I | d x^-1] for the last pivot d; raises
+    SingularMatrixError when det = 0."""
     n = x.n
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(x.rows)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        pivot = aug[c][c]
-        aug[c] = [Fraction(e, pivot) for e in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[c])]
-    return RatMatrix([row[n:] for row in aug])
+    rows, _ = _integer_rows(
+        row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(x.rows)
+    )
+    pivots, _, last = _fraction_free_reduce(rows, n)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular")
+    return RatMatrix([[Fraction(e, last) for e in row[n:]] for row in rows])
 
 
 def matrix_to_json(x: RatMatrix) -> dict:

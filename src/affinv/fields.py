@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactmat import RatMatrix, format_rational, parse_rational
+from .exactmat import RatMatrix, _matmul, format_rational, parse_rational
 from .sympoly import MultiPoly, trace_power_poly, var_index
 
 
@@ -91,13 +91,6 @@ class Pk(ScalarField):
             raise FieldError(f"pk degree {self.k} must be >= 1")
 
 
-def _mat_mul(a, b, n):
-    return [
-        [sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def evaluate_on_entries(field: ScalarField, entries, lift: Callable = float):
     """Recursive evaluation over an n x n nested sequence of scalars.
 
@@ -129,7 +122,7 @@ def evaluate_on_entries(field: ScalarField, entries, lift: Callable = float):
         if isinstance(node, Pk):
             acc = entries
             for _ in range(node.k - 1):
-                acc = _mat_mul(acc, entries, n)
+                acc = _matmul(acc, entries)
             tr = acc[0][0]
             for i in range(1, n):
                 tr = tr + acc[i][i]

@@ -15,7 +15,7 @@ and P is the trivial group.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -25,6 +25,8 @@ from .exactmat import (
     RatVector,
     SingularMatrixError,
     UniPoly,
+    _matmul,
+    _row_rank,
     determinant,
     inverse,
     min_poly,
@@ -82,35 +84,34 @@ class PGroupElement:
         return determinant(self.matrix)
 
 
-@dataclass(frozen=True)
-class KrylovMatrix:
-    """Rows e_n x^k, k = 0..n-1, top to bottom, plus the matrix they came from."""
-
-    base: RatMatrix
-    rows: RatMatrix
-
-    def __post_init__(self):
-        n = self.base.n
-        row = RatVector.unit(n, n)
-        for k in range(n):
-            if self.rows.row(k + 1) != row:
-                raise ExactmatError(f"Krylov row {k} violates the row recurrence")
-            row = row * self.base
-
-
-def krylov_matrix(x: RatMatrix) -> KrylovMatrix:
-    """Build the Krylov rows by repeated row-times-matrix products.
+def krylov_rows(w: RatVector, x: RatMatrix) -> RatMatrix:
+    """The rows w, wx, ..., wx^(n-1), top to bottom.
 
     Never forms matrix powers: each row is the previous row times x,
     n * n^2 scalar multiplications in total.
     """
-    n = x.n
-    row = RatVector.unit(n, n)
-    rows = [row]
-    for _ in range(n - 1):
-        row = row * x
-        rows.append(row)
-    return KrylovMatrix(base=x, rows=RatMatrix.from_rows(rows))
+    rows = [w.entries]
+    for _ in range(x.n - 1):
+        rows.append(_matmul(rows[-1:], x.rows)[0])
+    return RatMatrix(rows)
+
+
+@dataclass(frozen=True)
+class KrylovMatrix:
+    """Rows e_n x^k, k = 0..n-1, top to bottom, derived from the matrix they
+    come from, so they satisfy the row recurrence by construction."""
+
+    base: RatMatrix
+    rows: RatMatrix = field(init=False)
+
+    def __post_init__(self):
+        n = self.base.n
+        object.__setattr__(self, "rows", krylov_rows(RatVector.unit(n, n), self.base))
+
+
+def krylov_matrix(x: RatMatrix) -> KrylovMatrix:
+    """The Krylov rows of e_n for x."""
+    return KrylovMatrix(x)
 
 
 def krylov_determinant(x: RatMatrix) -> Fraction:
@@ -201,13 +202,6 @@ def homogeneity_check(x: RatMatrix, t) -> tuple[Fraction, Fraction]:
     return krylov_determinant(x.scale(t)), t**e * krylov_determinant(x)
 
 
-def _cyclic_det(w: RatVector, x: RatMatrix) -> Fraction:
-    rows = [w]
-    for _ in range(x.n - 1):
-        rows.append(rows[-1] * x)
-    return determinant(RatMatrix.from_rows(rows))
-
-
 def find_cyclic_row(
     x: RatMatrix, seed: int = 0, max_tries: int = 64
 ) -> Union[RatVector, NotRegular]:
@@ -227,7 +221,7 @@ def find_cyclic_row(
         return NotRegular(min_poly=mp)
     for i in [n] + list(range(1, n)):
         w = RatVector.unit(n, i)
-        if _cyclic_det(w, x) != 0:
+        if determinant(krylov_rows(w, x)) != 0:
             return w
     rng = random.Random(seed)
     m = 1
@@ -237,7 +231,7 @@ def find_cyclic_row(
         w = RatVector([rng.randint(-m, m) for _ in range(n)])
         if w.is_zero():
             continue
-        if _cyclic_det(w, x) != 0:
+        if determinant(krylov_rows(w, x)) != 0:
             return w
     raise SearchExhausted(f"no cyclic row found in {max_tries} random draws")
 
@@ -252,26 +246,9 @@ def _complete_to_invertible(w: RatVector) -> RatMatrix:
             break
         candidate = RatVector.unit(n, i)
         sub = [v.entries for v in chosen + [candidate, w]]
-        if _rows_independent(sub):
+        if _row_rank(sub) == len(sub):
             chosen.append(candidate)
     return RatMatrix.from_rows(chosen + [w])
-
-
-def _rows_independent(rows: list[tuple]) -> bool:
-    work = [list(r) for r in rows]
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(r + 1, len(work)):
-            if work[i][c] != 0:
-                f = Fraction(work[i][c], work[r][c])
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-    return r == len(rows)
 
 
 def conjugate_into_omega(

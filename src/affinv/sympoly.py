@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exactmat import RatMatrix, format_rational, parse_rational
+from .exactmat import RatMatrix, _matmul, format_rational, parse_rational
 
 DEFAULT_N_MAX = 4
 
@@ -81,6 +81,12 @@ class MultiPoly:
         for exps, coef in other.terms.items():
             out[exps] = out.get(exps, Fraction(0)) + coef
         return MultiPoly(self.nvars, out)
+
+    def __radd__(self, other) -> "MultiPoly":
+        """0 + p, so that ``sum`` over polynomials may start from 0."""
+        if other == 0:
+            return self
+        return NotImplemented
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -238,20 +244,12 @@ def symbolic_krylov_determinant(n: int, n_max: int | None = None) -> MultiPoly:
     if n == 1:
         return MultiPoly.const(nvars, 1)
     x = generic_matrix(n)
-    row = [MultiPoly.const(nvars, int(j == n - 1)) for j in range(n)]
-    krylov_rows = [row]
+    rows = [[MultiPoly.const(nvars, int(j == n - 1)) for j in range(n)]]
     for _ in range(n - 1):
-        row = [
-            sum(
-                (row[l] * x[l][j] for l in range(n)),
-                MultiPoly(nvars),
-            )
-            for j in range(n)
-        ]
-        krylov_rows.append(row)
+        rows.append(_matmul(rows[-1:], x)[0])
     # expand along the first row e_n: single nonzero entry at column n,
     # cofactor sign (-1)^(1+n)
-    minor = [r[: n - 1] for r in krylov_rows[1:]]
+    minor = [r[: n - 1] for r in rows[1:]]
     det = _cofactor_det(minor, nvars)
     if n % 2 == 0:
         det = -det
@@ -267,13 +265,7 @@ def trace_power_poly(n: int, k: int) -> MultiPoly:
     x = generic_matrix(n)
     acc = x
     for _ in range(k - 1):
-        acc = [
-            [
-                sum((acc[i][l] * x[l][j] for l in range(n)), MultiPoly(nvars))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        acc = _matmul(acc, x)
     tr = sum((acc[i][i] for i in range(n)), MultiPoly(nvars))
     return tr.scale(Fraction(1, k))
 

@@ -4,10 +4,6 @@ from fractions import Fraction
 from affinv.exactmat import RatMatrix
 
 
-def rand_int_matrix(rng: random.Random, n: int, lo: int = -9, hi: int = 9) -> RatMatrix:
-    return RatMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
-
-
 def rand_rational_matrix(rng: random.Random, n: int) -> RatMatrix:
     return RatMatrix(
         [

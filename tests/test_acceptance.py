@@ -34,11 +34,10 @@ from affinv.krylov import (
     in_omega,
     is_regular,
     krylov_determinant,
-    p_check,
     pairing_determinant,
     transformation_law,
 )
-from affinv.report import run_weak_suite
+from affinv.report import _rand_matrix, _rand_p_element, run_weak_suite
 from affinv.sympoly import (
     euler_residual,
     homogeneous_degree,
@@ -53,10 +52,6 @@ MASTER_SEED = 20260811
 
 def _report(num: int, label: str):
     print(f"ACCEPTANCE criterion {num:2d} ({label}): PASS", flush=True)
-
-
-def _rand_matrix(rng, n, lo=-9, hi=9):
-    return RatMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
 
 
 @pytest.fixture(scope="module")
@@ -105,13 +100,8 @@ def test_criterion_04_homogeneity_and_relative_invariance():
             t = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
             lhs, rhs = homogeneity_check(x, t)
             assert lhs == rhs
-            while True:
-                rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
-                rows.append([0] * (n - 1) + [1])
-                ym = RatMatrix(rows)
-                if determinant(ym) != 0:
-                    break
-            y = p_check(ym)
+            y = _rand_p_element(rng, n)
+            ym = y.matrix
             a, b = transformation_law(x, y)
             assert a == b
             conj = ym * x * inverse(ym)
@@ -157,7 +147,7 @@ def _block_repeated_nonregular(rng, n):
         offset += blk.n
     m = RatMatrix(rows)
     while True:
-        g = RatMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        g = _rand_matrix(rng, n, -3, 3)
         if determinant(g) != 0:
             return g * m * inverse(g)
 

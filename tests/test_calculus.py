@@ -36,17 +36,10 @@ from affinv.fields import (
     random_polynomial_field,
 )
 from affinv.invariants import basis_matrix, trace_form
-from affinv.krylov import CompanionSpec, companion, krylov_determinant, krylov_matrix
+from affinv.krylov import CompanionSpec, companion, krylov_matrix
+from affinv.report import _lemma_point
 
 CFG = FDConfig()
-
-
-def rand_point(rng: random.Random, n: int) -> RatMatrix:
-    """Integer entries in [-2, 2] with D(x) != 0 (so |D| >= 1 >= delta)."""
-    while True:
-        x = RatMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if krylov_determinant(x) != 0:
-            return x
 
 
 class TestEvalField:
@@ -78,7 +71,7 @@ class TestFdDirectional:
     def test_p2_gradient_pairing(self):
         rng = random.Random(181)
         for _ in range(5):
-            x = rand_point(rng, 3)
+            x = _lemma_point(rng, 3)
             v = RatMatrix([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
             expected = float(trace_form(x, v))
             got = fd_directional(Pk(2), FloatMatrix.from_rat(x), FloatMatrix.from_rat(v), CFG)
@@ -114,7 +107,7 @@ class TestLieDerivative:
         rng = random.Random(193)
         for n in (2, 3):
             f = random_invariant_field(n, rng)
-            x = FloatMatrix.from_rat(rand_point(rng, n))
+            x = FloatMatrix.from_rat(_lemma_point(rng, n))
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     assert abs(lie_derivative(f, i, j, x, CFG)) <= CFG.tau_res
@@ -130,7 +123,7 @@ class TestPInvarianceResidual:
         for n in (2, 3):
             for _ in range(10):
                 f = random_invariant_field(n, rng)
-                x = FloatMatrix.from_rat(rand_point(rng, n))
+                x = FloatMatrix.from_rat(_lemma_point(rng, n))
                 assert p_invariance_residual(f, x, CFG) <= CFG.tau_res
 
     def test_coordinate_field_detected(self):
@@ -147,7 +140,7 @@ class TestFullIdentityResidual:
         for n in (2, 3):
             for _ in range(10):
                 f = random_polynomial_field(n, rng)
-                x = FloatMatrix.from_rat(rand_point(rng, n))
+                x = FloatMatrix.from_rat(_lemma_point(rng, n))
                 for k in range(n):
                     assert full_identity_residual(f, x, k, CFG) <= CFG.tau_comb
 
@@ -189,7 +182,7 @@ class TestReducedSystem:
         for n in (2, 3):
             for _ in range(5):
                 f = random_invariant_field(n, rng)
-                x = rand_point(rng, n)
+                x = _lemma_point(rng, n)
                 res = reduced_system_check(f, x, CFG)
                 km = krylov_matrix(x)
                 for k in range(n):

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,30 @@ class TestAnalyze:
     def test_malformed_input_exits_2(self, monkeypatch, capsys):
         code = run_cli(["analyze", "-"], '{"n":2,"entries":[["1/0","2"],["3","4"]]}', monkeypatch)
         assert code == 2
+
+    @pytest.mark.parametrize("entry", ['"' + "9" * 5000 + '"', "9" * 5000])
+    def test_entry_beyond_int_string_limit_exits_2(self, entry, monkeypatch, capsys):
+        stdin_text = '{"n":2,"entries":[[%s,"0"],["0","1"]]}' % entry
+        code = run_cli(["analyze", "-"], stdin_text, monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_result_beyond_int_string_limit_exits_2(self, monkeypatch, capsys):
+        # 2000-digit entries are accepted, but D (degree 3) has ~6000 digits
+        rng = random.Random(5)
+        entries = [
+            [str(rng.randrange(10**1999, 10**2000)) for _ in range(3)] for _ in range(3)
+        ]
+        stdin_text = json.dumps({"n": 3, "entries": entries})
+        code = run_cli(["analyze", "-"], stdin_text, monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_markdown_rendering(self, monkeypatch, capsys):
         code = run_cli(["analyze", "-", "--markdown"], GENERIC_2X2, monkeypatch)

@@ -1,8 +1,11 @@
 """Oracle tests for the integer-first exact layer.
 
 sympy shares no code with affinv, so it serves as an independent oracle
-for determinant, inverse, rank, char_poly and min_poly on hypothesis-drawn
-integer and rational matrices.  The same draws check the scalar contract:
+for determinant, inverse, rank, char_poly, min_poly and solve_linear on
+hypothesis-drawn integer and rational matrices.  Uniform draws are almost
+always regular and of full rank, so low-rank products and non-regular
+Jordan forms are drawn as well, to reach the rank-deficient branches of
+the elimination kernel.  The same draws check the scalar contract:
 entries are ``int`` when integral and ``Fraction`` otherwise, no float ever
 appears, and the public scalars are ``Fraction``.
 """
@@ -14,10 +17,13 @@ import pytest
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from affinv.exactmat import (  # noqa: E402
+    NO_SOLUTION,
+    NON_UNIQUE,
     RatMatrix,
+    RatVector,
     SingularMatrixError,
     char_poly,
     commutator,
@@ -26,6 +32,7 @@ from affinv.exactmat import (  # noqa: E402
     min_poly,
     power,
     rank,
+    solve_linear,
 )
 from affinv.invariants import (  # noqa: E402
     basis_bracket,
@@ -42,10 +49,14 @@ _int_entry = st.integers(-9, 9)
 _rat_entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 
-def _square(entry, n):
+def _grid(rows, cols, entry=_int_entry):
     return st.lists(
-        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
-    ).map(RatMatrix)
+        st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+def _square(entry, n):
+    return _grid(n, n, entry).map(RatMatrix)
 
 
 def matrices(max_n=6):
@@ -59,6 +70,63 @@ def int_matrices(max_n=6):
     return st.integers(1, max_n).flatmap(lambda n: _square(_int_entry, n))
 
 
+def low_rank_matrices(max_n=6):
+    """A B with A n x k and B k x n integer, k < n: rank at most k."""
+
+    def product(n, k, a, b):
+        return RatMatrix(
+            [
+                [sum(a[i][l] * b[l][j] for l in range(k)) for j in range(n)]
+                for i in range(n)
+            ]
+        )
+
+    def draw(n, k):
+        return st.tuples(_grid(n, k), _grid(k, n)).map(lambda ab: product(n, k, *ab))
+
+    return st.integers(2, max_n).flatmap(
+        lambda n: st.integers(0, n - 1).flatmap(lambda k: draw(n, k))
+    )
+
+
+def _jordan(n, blocks):
+    """Block-diagonal Jordan matrix; blocks are (size, eigenvalue) pairs."""
+    j = sympy.zeros(n, n)
+    start = 0
+    for size, lam in blocks:
+        for a in range(start, start + size):
+            j[a, a] = lam
+            if a + 1 < start + size:
+                j[a, a + 1] = 1
+        start += size
+    return j
+
+
+def _unimodular(n, lower, upper):
+    """Unit lower times unit upper triangular: integer, det 1."""
+    lo = sympy.eye(n)
+    up = sympy.eye(n)
+    for a in range(n):
+        for b in range(a):
+            lo[a, b] = lower[a][b]
+            up[b, a] = upper[a][b]
+    return lo * up
+
+
+@st.composite
+def non_regular_matrices(draw, max_n=6):
+    """U J U^-1 where J has two Jordan blocks for one eigenvalue (so the
+    minimal polynomial has degree < n) and U is unimodular."""
+    n = draw(st.integers(2, max_n))
+    s1 = draw(st.integers(1, n - 1))
+    s2 = draw(st.integers(1, n - s1))
+    lam, mu = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    blocks = [(s1, lam), (s2, lam)] + ([(n - s1 - s2, mu)] if n > s1 + s2 else [])
+    small = st.integers(-2, 2)
+    u = _unimodular(n, draw(_grid(n, n, small)), draw(_grid(n, n, small)))
+    return from_sympy_matrix(u * _jordan(n, blocks) * u.inv())
+
+
 def to_sympy(x: RatMatrix):
     return sympy.Matrix(
         [[sympy.Rational(e.numerator, e.denominator) for e in row] for row in x.rows]
@@ -68,6 +136,12 @@ def to_sympy(x: RatMatrix):
 def from_sympy(value) -> Fraction:
     value = sympy.Rational(value)
     return Fraction(int(value.p), int(value.q))
+
+
+def from_sympy_matrix(m) -> RatMatrix:
+    return RatMatrix(
+        [[from_sympy(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
+    )
 
 
 def sympy_min_poly(m) -> list:
@@ -146,6 +220,84 @@ def test_min_poly_matches_sympy(x):
     for c in p.coeffs:
         assert_exact_scalar(c)
     assert list(p.coeffs) == sympy_min_poly(to_sympy(x))
+
+
+def assert_kernel_matches_sympy(x: RatMatrix):
+    m = to_sympy(x)
+    assert determinant(x) == from_sympy(m.det())
+    assert rank(x) == m.rank()
+    assert list(min_poly(x).coeffs) == sympy_min_poly(m)
+    if m.det() == 0:
+        with pytest.raises(SingularMatrixError):
+            inverse(x)
+    else:
+        assert inverse(x) == from_sympy_matrix(m.inv())
+
+
+@ORACLE
+@given(low_rank_matrices())
+def test_low_rank_products_match_sympy(x):
+    assert determinant(x) == 0
+    assert rank(x) < x.n
+    assert_kernel_matches_sympy(x)
+
+
+@ORACLE
+@given(non_regular_matrices())
+def test_non_regular_jordan_forms_match_sympy(x):
+    assert min_poly(x).degree < x.n
+    assert_kernel_matches_sympy(x)
+
+
+def _vectors(n):
+    return st.lists(_int_entry, min_size=n, max_size=n)
+
+
+def sympy_solve_class(a: RatMatrix, b: list):
+    """The unique solution as a list, NON_UNIQUE or NO_SOLUTION."""
+    m, v = to_sympy(a), sympy.Matrix(b)
+    r = m.rank()
+    if sympy.Matrix.hstack(m, v).rank() > r:
+        return NO_SOLUTION
+    if r < a.n:
+        return NON_UNIQUE
+    return [from_sympy(c) for c in m.LUsolve(v)]
+
+
+def assert_solve_matches_sympy(a: RatMatrix, b: list):
+    got = solve_linear(a, RatVector(b))
+    expected = sympy_solve_class(a, b)
+    if isinstance(expected, list):
+        assert got == RatVector(expected)
+        for e in got.entries:
+            assert_exact_scalar(e)
+    else:
+        assert got is expected
+
+
+@ORACLE
+@given(matrices().flatmap(lambda a: st.tuples(st.just(a), _vectors(a.n))))
+def test_solve_linear_unique_matches_sympy(system):
+    a, b = system
+    assume(to_sympy(a).det() != 0)
+    assert_solve_matches_sympy(a, b)
+
+
+@ORACLE
+@given(low_rank_matrices().flatmap(lambda a: st.tuples(st.just(a), _vectors(a.n))))
+def test_solve_linear_consistent_singular_is_non_unique(system):
+    a, s = system
+    b = [sum(e * c for e, c in zip(row, s)) for row in a.rows]
+    assert solve_linear(a, RatVector(b)) is NON_UNIQUE
+    assert_solve_matches_sympy(a, b)
+
+
+@ORACLE
+@given(low_rank_matrices().flatmap(lambda a: st.tuples(st.just(a), _vectors(a.n))))
+def test_solve_linear_inconsistent_is_no_solution(system):
+    a, b = system
+    assume(sympy_solve_class(a, b) is NO_SOLUTION)
+    assert solve_linear(a, RatVector(b)) is NO_SOLUTION
 
 
 @ORACLE

@@ -15,7 +15,8 @@ from affinv.invariants import (
     trace_power,
     trace_power_gradient,
 )
-from conftest import rand_int_matrix, rand_rational_matrix
+from affinv.report import _rand_matrix
+from conftest import rand_rational_matrix
 
 
 class TestTraceForm:
@@ -83,8 +84,8 @@ class TestTracePowers:
         rng = random.Random(89)
         for _ in range(10):
             n = rng.randint(2, 4)
-            x = rand_int_matrix(rng, n, -4, 4)
-            g = rand_int_matrix(rng, n, -3, 3)
+            x = _rand_matrix(rng, n, -4, 4)
+            g = _rand_matrix(rng, n, -3, 3)
             if determinant(g) == 0:
                 continue
             conj = g * x * inverse(g)
@@ -159,7 +160,7 @@ class TestGradientCommutator:
         for n in (2, 3):
             for _ in range(10):
                 f = random_invariant_field(n, rng)
-                x = rand_int_matrix(rng, n, -4, 4)
+                x = _rand_matrix(rng, n, -4, 4)
                 assert gradient_commutator_residual(f, x).is_zero()
 
     def test_gradient_matches_polynomial_pairing(self):
@@ -168,8 +169,8 @@ class TestGradientCommutator:
 
         rng = random.Random(107)
         n = 3
-        x = rand_int_matrix(rng, n, -3, 3)
-        v = rand_int_matrix(rng, n, -3, 3)
+        x = _rand_matrix(rng, n, -3, 3)
+        v = _rand_matrix(rng, n, -3, 3)
         grad = gradient_matrix(Pk(3), x)
         assert grad == trace_power_gradient(x, 3)
         # formal expansion route

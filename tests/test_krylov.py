@@ -14,6 +14,7 @@ from affinv.exactmat import (
 )
 from affinv.krylov import (
     CompanionSpec,
+    KrylovMatrix,
     NotInPError,
     NotRegular,
     PGroupElement,
@@ -25,26 +26,19 @@ from affinv.krylov import (
     in_omega,
     krylov_determinant,
     krylov_matrix,
+    krylov_rows,
     p_check,
     pairing_determinant,
     transformation_law,
 )
-from conftest import rand_int_matrix, rand_rational_matrix
+from affinv.report import _rand_matrix, _rand_p_element
+from conftest import rand_rational_matrix
 
 
 def jordan_nilpotent(n: int) -> RatMatrix:
     return RatMatrix(
         [[Fraction(int(j == i + 1)) for j in range(n)] for i in range(n)]
     )
-
-
-def rand_p_element(rng: random.Random, n: int) -> PGroupElement:
-    while True:
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
-        rows.append([0] * (n - 1) + [1])
-        y = RatMatrix(rows)
-        if determinant(y) != 0:
-            return p_check(y)
 
 
 class TestKrylovMatrix:
@@ -76,6 +70,22 @@ class TestKrylovMatrix:
         km = krylov_matrix(RatMatrix([[7]]))
         assert km.rows == RatMatrix([[1]])
         assert krylov_determinant(RatMatrix([[7]])) == 1
+
+    def test_rows_are_derived_from_base(self):
+        x = RatMatrix([[1, 2], [3, 4]])
+        assert KrylovMatrix(x) == krylov_matrix(x)
+        with pytest.raises(TypeError):
+            KrylovMatrix(x, RatMatrix([[0, 1], [0, 1]]))
+
+    def test_krylov_rows_of_any_row(self):
+        rng = random.Random(163)
+        for _ in range(15):
+            n = rng.randint(1, 5)
+            x = rand_rational_matrix(rng, n)
+            w = RatVector([rng.randint(-3, 3) for _ in range(n)])
+            rows = krylov_rows(w, x)
+            for k in range(n):
+                assert rows.row(k + 1) == w * power(x, k)
 
 
 class TestDeterminantD:
@@ -134,7 +144,7 @@ class TestOmega:
         rng = random.Random(137)
         for n in range(1, 6):
             for _ in range(20):
-                x = rand_int_matrix(rng, n)
+                x = _rand_matrix(rng, n)
                 if in_omega(x):
                     from affinv.krylov import is_regular
 
@@ -221,8 +231,8 @@ class TestTransformationLaw:
         rng = random.Random(149)
         for n in range(2, 6):
             for _ in range(10):
-                x = rand_int_matrix(rng, n)
-                y = rand_p_element(rng, n)
+                x = _rand_matrix(rng, n)
+                y = _rand_p_element(rng, n)
                 lhs, rhs = transformation_law(x, y)
                 assert lhs == rhs
                 conj = y.matrix * x * inverse(y.matrix)
@@ -232,7 +242,7 @@ class TestTransformationLaw:
         rng = random.Random(151)
         n = 3
         x = companion(CompanionSpec([1, 2, 3]))
-        y = rand_p_element(rng, n)
+        y = _rand_p_element(rng, n)
         lhs, rhs = transformation_law(x, y)
         assert lhs == rhs == companion_sign(n) / y.det()
 
@@ -283,7 +293,7 @@ class TestConjugateIntoOmega:
         for n in (2, 3, 4):
             done = 0
             while done < 10:
-                x = rand_int_matrix(rng, n)
+                x = _rand_matrix(rng, n)
                 if min_poly(x).degree < n:
                     continue
                 g = conjugate_into_omega(x, seed=rng.randint(0, 10**6))

@@ -25,7 +25,7 @@ from affinv.sympoly import (
     trace_power_poly,
     var_index,
 )
-from conftest import rand_int_matrix
+from affinv.report import _rand_matrix
 
 
 def v(n, i, j):
@@ -109,7 +109,7 @@ class TestSymbolicDeterminant:
         for n in range(1, 5):
             p = symbolic_krylov_determinant(n)
             for _ in range(20):
-                x = rand_int_matrix(rng, n, -6, 6)
+                x = _rand_matrix(rng, n, -6, 6)
                 assert poly_eval(p, x) == krylov_determinant(x)
 
     def test_companion_evaluation(self):
@@ -185,7 +185,7 @@ class TestSerialization:
         for n in (1, 2, 3):
             for k in (1, 2, 3):
                 p = trace_power_poly(n, k)
-                x = rand_int_matrix(rng, n, -4, 4)
+                x = _rand_matrix(rng, n, -4, 4)
                 from affinv.invariants import trace_power
 
                 assert poly_eval(p, x) == trace_power(x, k)
