@@ -37,7 +37,7 @@ from affinv.fields import (
 )
 from affinv.invariants import basis_matrix, trace_form
 from affinv.krylov import CompanionSpec, companion, krylov_matrix
-from affinv.report import _lemma_point
+from affinv.report import _lemma_point, _rand_matrix
 
 CFG = FDConfig()
 
@@ -72,7 +72,7 @@ class TestFdDirectional:
         rng = random.Random(181)
         for _ in range(5):
             x = _lemma_point(rng, 3)
-            v = RatMatrix([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+            v = _rand_matrix(rng, 3, -2, 2)
             expected = float(trace_form(x, v))
             got = fd_directional(Pk(2), FloatMatrix.from_rat(x), FloatMatrix.from_rat(v), CFG)
             assert got == pytest.approx(expected, abs=1e-8)
@@ -85,8 +85,8 @@ class TestFdDirectional:
             count = 0
             while count < 15:
                 n = rng.choice([2, 3])
-                x = RatMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-                v = RatMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+                x = _rand_matrix(rng, n, -2, 2)
+                v = _rand_matrix(rng, n, -2, 2)
                 exact = float(trace_form(power(x, k - 1), v))
                 if abs(exact) < 0.5:
                     continue
