@@ -3,13 +3,16 @@ derivatives, the reduced linear system in the last-row bracket
 derivatives, and a quadrature analogue of the weak (distributional) form
 of local invariance.
 
-All derivative estimates use central differences, (f(x+hv) - f(x-hv))/2h.
-Checks that depend on the Krylov determinant being nonzero are gated away
-from the hypersurface by the ``delta`` cutoff, since finite differences
-degrade as the determinant approaches zero.  Scalar fields built from
-trace powers are exactly invariant, so their Lie derivatives measure pure
-finite-difference noise; the default tolerances are sized for entries
-clamped to [-2, 2] at h = 1e-5.
+All derivative estimates use one central-difference kernel,
+(f(x+hv) - f(x-hv))/2h along the adjoint direction v = [E_ij, x], that
+works on an (n, n) point and on an (n, n, N) batch of samples alike; the
+point path also requires x +- hv to be finite.  Checks that depend on the
+Krylov determinant being nonzero are gated away from the hypersurface by
+the ``delta`` cutoff, since finite differences degrade as the determinant
+approaches zero.  Scalar fields built from trace powers are exactly
+invariant, so their Lie derivatives measure pure finite-difference noise;
+the default tolerances are sized for entries clamped to [-2, 2] at
+h = 1e-5.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -87,6 +90,11 @@ class FDConfig:
             raise CalculusError(f"unsupported scheme {self.scheme!r}")
 
 
+QUAD_CHUNK = 200_000  # samples per Monte-Carlo chunk
+SHELL_FRACTION = 0.01  # boundary shell width, as a fraction of the half width
+LEAK_RATIO = 0.02  # largest shell-to-interior ratio of |psi| that counts as decayed
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Monte-Carlo box quadrature: per-coordinate interval [-a, a]."""
@@ -94,18 +102,36 @@ class QuadratureSpec:
     half_width: float = 2.0
     n_samples: int = 1_000_000
     seed: int = 0
-    chunk: int = 200_000
-    shell_fraction: float = 0.01
-    leak_ratio: float = 0.02
 
     def __post_init__(self):
         if self.half_width <= 0 or self.n_samples < 1:
             raise CalculusError("half_width must be > 0 and n_samples >= 1")
 
 
+def _evaluate(phi: ScalarField, arr: np.ndarray):
+    """phi on an (n, n) point or an (n, n, N) batch, fed entry by entry
+    (views along the sample axis for a batch)."""
+    n = arr.shape[0]
+    entries = [[arr[a, b] for b in range(n)] for a in range(n)]
+    return evaluate_on_entries(phi, entries, lift=float)
+
+
+def _adjoint_direction(arr: np.ndarray, i: int, j: int) -> np.ndarray:
+    """[E_ij, x] for an (n, n) point or an (n, n, N) batch."""
+    v = np.zeros_like(arr)
+    v[i - 1] += arr[j - 1]
+    v[:, j - 1] -= arr[:, i - 1]
+    return v
+
+
+def _central_difference(phi: ScalarField, plus, minus, h: float):
+    """(phi(x + hv) - phi(x - hv)) / 2h from the shifted points or batches."""
+    return (_evaluate(phi, plus) - _evaluate(phi, minus)) / (2.0 * h)
+
+
 def eval_field(phi: ScalarField, x: FloatMatrix) -> float:
     """Recursive evaluation; a pk(k) node evaluates tr(x^k)/k in floats."""
-    return float(evaluate_on_entries(phi, x.entries, lift=float))
+    return float(_evaluate(phi, x.entries))
 
 
 def fd_directional(
@@ -115,7 +141,7 @@ def fd_directional(
     h = cfg.h
     plus = FloatMatrix(x.entries + h * v.entries)
     minus = FloatMatrix(x.entries - h * v.entries)
-    return (eval_field(phi, plus) - eval_field(phi, minus)) / (2.0 * h)
+    return float(_central_difference(phi, plus.entries, minus.entries, h))
 
 
 def adjoint_direction(x: FloatMatrix, i: int, j: int) -> FloatMatrix:
@@ -123,10 +149,7 @@ def adjoint_direction(x: FloatMatrix, i: int, j: int) -> FloatMatrix:
     n = x.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise CalculusError(f"index ({i},{j}) out of range 1..{n}")
-    v = np.zeros((n, n))
-    v[i - 1, :] += x.entries[j - 1, :]
-    v[:, j - 1] -= x.entries[:, i - 1]
-    return FloatMatrix(v)
+    return FloatMatrix(_adjoint_direction(x.entries, i, j))
 
 
 def lie_derivative(
@@ -254,55 +277,28 @@ class WeakDerivativeResult:
 _BOUNDARY_STREAM = 0
 
 
-def _batch_entries(block: np.ndarray):
-    """(n, n, N) array -> nested lists of per-entry sample vectors."""
-    n = block.shape[0]
-    return [[block[a, b] for b in range(n)] for a in range(n)]
-
-
-def _batch_adjoint_direction(block: np.ndarray, i: int, j: int) -> np.ndarray:
-    v = np.zeros_like(block)
-    v[i - 1, :, :] += block[j - 1, :, :]
-    v[:, j - 1, :] -= block[:, i - 1, :]
-    return v
-
-
-def _batch_lie_derivative(
-    psi: ScalarField, block: np.ndarray, i: int, j: int, h: float
-) -> np.ndarray:
-    v = _batch_adjoint_direction(block, i, j)
-    plus = evaluate_on_entries(psi, _batch_entries(block + h * v), lift=float)
-    minus = evaluate_on_entries(psi, _batch_entries(block - h * v), lift=float)
-    return (plus - minus) / (2.0 * h)
-
-
 def check_boundary_decay(psi: ScalarField, n: int, quad: QuadratureSpec) -> float:
     """Verify psi is negligible on the outer shell of the box.
 
-    Samples the shell (one coordinate forced within shell_fraction of the
+    Samples the shell (one coordinate forced within SHELL_FRACTION of the
     wall) against interior samples; raises BoundaryLeak when the shell
-    maximum exceeds leak_ratio times the interior maximum.  Returns the
+    maximum exceeds LEAK_RATIO times the interior maximum.  Returns the
     measured ratio.
     """
     a = quad.half_width
     rng = np.random.default_rng([quad.seed, _BOUNDARY_STREAM])
     m = 512
     interior = rng.uniform(-a, a, size=(n, n, m))
-    interior_max = float(
-        np.max(np.abs(evaluate_on_entries(psi, _batch_entries(interior), lift=float)))
-    )
+    interior_max = float(np.max(np.abs(_evaluate(psi, interior))))
     shell = rng.uniform(-a, a, size=(n, n, m))
     coords = rng.integers(0, n * n, size=m)
     signs = rng.choice([-1.0, 1.0], size=m)
-    radii = rng.uniform(a * (1.0 - quad.shell_fraction), a, size=m)
-    for s in range(m):
-        shell[coords[s] // n, coords[s] % n, s] = signs[s] * radii[s]
-    shell_max = float(
-        np.max(np.abs(evaluate_on_entries(psi, _batch_entries(shell), lift=float)))
-    )
+    radii = rng.uniform(a * (1.0 - SHELL_FRACTION), a, size=m)
+    shell[coords // n, coords % n, np.arange(m)] = signs * radii
+    shell_max = float(np.max(np.abs(_evaluate(psi, shell))))
     scale = max(interior_max, 1e-12)
     ratio = shell_max / scale
-    if ratio > quad.leak_ratio:
+    if ratio > LEAK_RATIO:
         raise BoundaryLeak(
             f"shell max {shell_max:.3g} vs interior max {interior_max:.3g}"
         )
@@ -310,55 +306,53 @@ def check_boundary_decay(psi: ScalarField, n: int, quad: QuadratureSpec) -> floa
 
 
 def weak_lie_derivative(
-    u: ScalarField,
+    densities: Sequence[ScalarField],
     psi: ScalarField,
-    i: int,
-    j: int,
+    pairs: Sequence[tuple],
     quad: QuadratureSpec = QuadratureSpec(),
     cfg: FDConfig = FDConfig(),
     n: int = 2,
-) -> WeakDerivativeResult:
-    """Monte-Carlo estimate of the weak derivative pairing
-    -integral of u * (L_ij psi) over the box, with its standard error.
+) -> list:
+    """Monte-Carlo estimates of the weak derivative pairings
+    -integral of u * (L_ij psi) over the box, with their standard errors:
+    ``results[d][p]`` for u = densities[d] and (i, j) = pairs[p].
 
-    Realizes the density u as a distribution T(psi) = integral(u psi); the
+    Realizes each density u as a distribution T(psi) = integral(u psi); the
     adjoint fields are divergence free (asserted exactly), so the weak
     derivative (L_ij T)(psi) reduces to the single integral above when
     psi vanishes near the boundary (checked by shell sampling).
 
-    Sampling is chunked; chunk c draws from default_rng([seed, c]), so a
-    sharded parallel run recombines to the identical result.
+    Sampling is chunked; chunk c draws from default_rng([seed, c]) once for
+    every (u, i, j), so a sharded parallel run recombines to the identical
+    result.
     """
-    if adjoint_field_divergence(n, i, j) != 0:  # pragma: no cover - identity
-        raise CalculusError("adjoint field is not divergence free")
+    for i, j in pairs:
+        if adjoint_field_divergence(n, i, j) != 0:  # pragma: no cover - identity
+            raise CalculusError("adjoint field is not divergence free")
     check_boundary_decay(psi, n, quad)
-    a = quad.half_width
-    volume = (2.0 * a) ** (n * n)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_idx = 1
-    while done < quad.n_samples:
-        count = min(quad.chunk, quad.n_samples - done)
-        rng = np.random.default_rng([quad.seed, chunk_idx])
+    a, h, samples, seed = quad.half_width, cfg.h, quad.n_samples, quad.seed
+    sums = np.zeros((len(densities), len(pairs), 2))
+    for chunk_idx, start in enumerate(range(0, samples, QUAD_CHUNK), start=1):
+        count = min(QUAD_CHUNK, samples - start)
+        rng = np.random.default_rng([seed, chunk_idx])
         block = rng.uniform(-a, a, size=(n, n, count))
-        lie_psi = _batch_lie_derivative(psi, block, i, j, cfg.h)
-        u_vals = evaluate_on_entries(u, _batch_entries(block), lift=float)
-        vals = np.asarray(u_vals * lie_psi, dtype=np.float64)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        done += count
-        chunk_idx += 1
-    mean = total / quad.n_samples
-    var = max(total_sq / quad.n_samples - mean * mean, 0.0)
-    estimate = -volume * mean
-    std_error = volume * math.sqrt(var / quad.n_samples)
-    return WeakDerivativeResult(
-        estimate=estimate,
-        std_error=std_error,
-        n_samples=quad.n_samples,
-        seed=quad.seed,
-    )
+        lie_psi = []
+        for i, j in pairs:
+            v = _adjoint_direction(block, i, j)
+            lie_psi.append(_central_difference(psi, block + h * v, block - h * v, h))
+        for d, u in enumerate(densities):
+            u_vals = _evaluate(u, block)
+            for p, lie in enumerate(lie_psi):
+                vals = np.asarray(u_vals * lie, dtype=np.float64)
+                sums[d, p] += np.sum(vals), np.sum(vals * vals)
+    mean = sums[..., 0] / samples
+    var = np.maximum(sums[..., 1] / samples - mean * mean, 0.0)
+    volume = (2.0 * a) ** (n * n)
+    std_error = volume * np.sqrt(var / samples)
+    return [
+        [WeakDerivativeResult(float(e), float(s), samples, seed) for e, s in zip(es, ss)]
+        for es, ss in zip(-volume * mean, std_error)
+    ]
 
 
 def weak_lie_derivative_grid(
@@ -380,6 +374,7 @@ def weak_lie_derivative_grid(
     block = np.stack(
         [g.ravel() for g in grids], axis=0
     ).reshape(n, n, points_per_axis**4)
-    lie_psi = _batch_lie_derivative(psi, block, i, j, cfg.h)
-    u_vals = evaluate_on_entries(u, _batch_entries(block), lift=float)
+    v = _adjoint_direction(block, i, j)
+    lie_psi = _central_difference(psi, block + cfg.h * v, block - cfg.h * v, cfg.h)
+    u_vals = _evaluate(u, block)
     return float(-(step**4) * np.sum(np.asarray(u_vals * lie_psi)))

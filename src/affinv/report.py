@@ -18,6 +18,9 @@ from typing import Optional, Union
 
 from . import __version__
 from .calculus import (
+    LEAK_RATIO,
+    QUAD_CHUNK,
+    SHELL_FRACTION,
     FDConfig,
     FloatMatrix,
     QuadratureSpec,
@@ -60,6 +63,9 @@ from .krylov import (
 )
 
 SUITE_NAMES = ("identity", "lemma", "weak")
+LEMMA_FIELDS = 20  # random invariant fields per lemma suite
+WEAK_ZERO_TOL_FLOOR = 1e-2  # smallest tolerance of a weak zero check
+WITNESS_SIGMA = 5.0  # standard errors the non-invariant density must reach
 
 
 class SuiteConfigError(ValueError):
@@ -85,7 +91,7 @@ class PropertyRecord:
         self.checked += 1
         if self.worst_residual == "exact" or residual > self.worst_residual:
             self.worst_residual = float(residual)
-        if residual > tol:
+        if not residual <= tol:  # NaN fails too
             self.failures += 1
             if self.witness is None:
                 self.witness = witness
@@ -218,7 +224,6 @@ def run_lemma_suite(
     samples: int,
     seed: int,
     cfg: FDConfig = FDConfig(),
-    n_fields: int = 20,
 ) -> VerificationReport:
     """Finite-difference harness for the reduced linear system.
 
@@ -231,8 +236,10 @@ def run_lemma_suite(
     """
     if n < 2:
         raise SuiteConfigError("lemma suite needs n >= 2")
+    if cfg.delta > 1:  # integer points with D != 0 only guarantee |D| >= 1
+        raise SuiteConfigError("lemma suite needs fd.delta <= 1")
     rng = random.Random(_mix(seed, n, 2))
-    fields = [random_invariant_field(n, rng) for _ in range(n_fields)]
+    fields = [random_invariant_field(n, rng) for _ in range(LEMMA_FIELDS)]
     points = [_lemma_point(rng, n) for _ in range(samples)]
     rec_pres = PropertyRecord("p_invariance_of_invariant_fields")
     rec_lemma = PropertyRecord("last_row_derivatives_vanish")
@@ -278,7 +285,7 @@ def run_lemma_suite(
         "n": n,
         "samples": samples,
         "seed": seed,
-        "n_fields": n_fields,
+        "n_fields": LEMMA_FIELDS,
         "fd": {
             "h": cfg.h,
             "scheme": cfg.scheme,
@@ -321,15 +328,13 @@ def run_weak_suite(
     seed: int,
     half_width: float = 2.0,
     cfg: FDConfig = FDConfig(),
-    zero_tol_floor: float = 1e-2,
-    witness_sigma: float = 5.0,
 ) -> VerificationReport:
     """Quadrature analogue of local invariance in the weak sense, n = 2.
 
     An invariant density must annihilate every adjoint direction against
-    every bump test function within max(3 * std_error, the floor); the
-    coordinate density x11 must light up at least one direction at
-    witness_sigma standard errors.
+    every bump test function within max(3 * std_error, WEAK_ZERO_TOL_FLOOR);
+    the coordinate density x11 must light up at least one direction at
+    WITNESS_SIGMA standard errors.
     """
     n = 2
     quad = QuadratureSpec(half_width=half_width, n_samples=samples, seed=seed)
@@ -343,28 +348,27 @@ def run_weak_suite(
         rec_div.check_exact(
             adjoint_field_divergence(n, i, j) == 0, {"i": i, "j": j}
         )
-    u_inv = invariant_density(n)
-    for m, psi in enumerate(psis):
-        for i, j in pairs:
-            r = weak_lie_derivative(u_inv, psi, i, j, quad, cfg, n=n)
-            tol = max(3.0 * r.std_error, zero_tol_floor)
+    u_wit = Var(1, 1)
+    densities = [invariant_density(n), u_wit, Const(1)]
+    # results[m][d][p]; the Lebesgue density Const(1) is paired with psis[0] only
+    results = [
+        weak_lie_derivative(densities[: 3 if m == 0 else 2], psi, pairs, quad, cfg, n=n)
+        for m, psi in enumerate(psis)
+    ]
+    for m, by_density in enumerate(results):
+        for (i, j), r in zip(pairs, by_density[0]):
+            tol = max(3.0 * r.std_error, WEAK_ZERO_TOL_FLOOR)
             rec_inv.check_residual(
                 abs(r.estimate) / tol, 1.0, {"psi": m, "i": i, "j": j}
             )
-    for i, j in pairs:
-        r = weak_lie_derivative(Const(1), psis[0], i, j, quad, cfg, n=n)
-        tol = max(3.0 * r.std_error, zero_tol_floor)
+    for (i, j), r in zip(pairs, results[0][2]):
+        tol = max(3.0 * r.std_error, WEAK_ZERO_TOL_FLOOR)
         rec_leb.check_residual(abs(r.estimate) / tol, 1.0, {"i": i, "j": j})
-    best_ratio = 0.0
-    u_wit = Var(1, 1)
-    for m, psi in enumerate(psis):
-        for i, j in pairs:
-            r = weak_lie_derivative(u_wit, psi, i, j, quad, cfg, n=n)
-            if r.std_error > 0:
-                best_ratio = max(best_ratio, abs(r.estimate) / r.std_error)
+    wit = [r for row in results for r in row[1] if r.std_error > 0]
+    best_ratio = max([0.0] + [abs(r.estimate) / r.std_error for r in wit])
     rec_wit.checked = 1
     rec_wit.worst_residual = best_ratio
-    if best_ratio < witness_sigma:
+    if best_ratio < WITNESS_SIGMA:
         rec_wit.failures = 1
         rec_wit.witness = {"density": field_to_json(u_wit)}
     records = [rec_div, rec_inv, rec_leb, rec_wit]
@@ -374,13 +378,13 @@ def run_weak_suite(
         "seed": seed,
         "quadrature": {
             "half_width": half_width,
-            "chunk": quad.chunk,
-            "shell_fraction": quad.shell_fraction,
-            "leak_ratio": quad.leak_ratio,
+            "chunk": QUAD_CHUNK,
+            "shell_fraction": SHELL_FRACTION,
+            "leak_ratio": LEAK_RATIO,
         },
         "fd": {"h": cfg.h},
-        "zero_tol_floor": zero_tol_floor,
-        "witness_sigma": witness_sigma,
+        "zero_tol_floor": WEAK_ZERO_TOL_FLOOR,
+        "witness_sigma": WITNESS_SIGMA,
     }
     return _finish("weak", n, samples, seed, records, config)
 
@@ -407,7 +411,7 @@ def run_suite_from_config(config: dict) -> VerificationReport:
         n = int(config.get("n", defaults["n"]))
         samples = int(config.get("samples", defaults["samples"]))
         seed = int(config.get("seed", 0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SuiteConfigError(f"bad numeric config value: {exc}") from exc
     if samples < 1:
         raise SuiteConfigError("samples must be >= 1")
@@ -421,15 +425,20 @@ def run_suite_from_config(config: dict) -> VerificationReport:
         return run_identity_suite(n, samples, seed)
     if suite == "lemma":
         return run_lemma_suite(n, samples, seed, fd_cfg)
+    if n != 2:
+        raise SuiteConfigError("weak suite supports n = 2 only")
+    if seed < 0:
+        raise SuiteConfigError("weak suite needs seed >= 0")
     quad = config.get("quadrature", {})
     if not isinstance(quad, dict):
         raise SuiteConfigError("quadrature config must be a JSON object")
     try:
         half_width = float(quad.get("half_width", 2.0))
+        volume = (2.0 * half_width) ** (n * n)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise SuiteConfigError(f"bad quadrature config: {exc}") from exc
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise SuiteConfigError("quadrature half_width must be finite and > 0")
-    if n != 2:
-        raise SuiteConfigError("weak suite supports n = 2 only")
+        raise SuiteConfigError(f"bad quadrature half_width: {exc}") from exc
+    if not (half_width > 0 and 0.0 < volume < math.inf):
+        raise SuiteConfigError(
+            "quadrature half_width must be > 0 with a nonzero finite box volume"
+        )
     return run_weak_suite(samples, seed, half_width=half_width, cfg=fd_cfg)

@@ -130,12 +130,6 @@ class MultiPoly:
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def total_degree(self):
-        """Maximum term degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def partial(self, idx: int) -> "MultiPoly":
         """Formal partial derivative with respect to variable idx."""
         out: dict[tuple, Fraction] = {}

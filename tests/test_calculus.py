@@ -5,7 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from affinv import calculus
 from affinv.calculus import (
+    LEAK_RATIO,
+    QUAD_CHUNK,
     BoundaryLeak,
     CalculusError,
     FDConfig,
@@ -37,7 +40,7 @@ from affinv.fields import (
 )
 from affinv.invariants import basis_matrix, trace_form
 from affinv.krylov import CompanionSpec, companion, krylov_matrix
-from affinv.report import _lemma_point, _rand_matrix
+from affinv.report import _lemma_point, _rand_matrix, invariant_density
 
 CFG = FDConfig()
 
@@ -213,6 +216,7 @@ class TestConfigValidation:
 
 class TestWeakDerivative:
     QUAD = QuadratureSpec(half_width=2.0, n_samples=50_000, seed=7)
+    PAIRS = [(1, 1), (1, 2), (2, 1), (2, 2)]
 
     def test_divergence_free(self):
         for n in (1, 2, 3):
@@ -226,36 +230,58 @@ class TestWeakDerivative:
 
     def test_bump_passes_boundary_check(self):
         psi = bump_field(2, 2, prefactor=Pk(1))
-        assert check_boundary_decay(psi, 2, self.QUAD) <= self.QUAD.leak_ratio
+        assert check_boundary_decay(psi, 2, self.QUAD) <= LEAK_RATIO
 
     def test_lebesgue_density_annihilated(self):
         psi = bump_field(2, 2, prefactor=Pk(1))
-        for i, j in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-            r = weak_lie_derivative(Const(1), psi, i, j, self.QUAD)
+        [results] = weak_lie_derivative([Const(1)], psi, self.PAIRS, self.QUAD)
+        for r in results:
             assert abs(r.estimate) <= max(4 * r.std_error, 1e-2)
 
     def test_invariant_density_annihilated(self):
         u = Add([Const(1), Mul([Const(Fraction(1, 2)), Pk(2)])])
         psi = bump_field(2, 2, prefactor=Var(1, 2))
-        for i, j in [(1, 1), (2, 1)]:
-            r = weak_lie_derivative(u, psi, i, j, self.QUAD)
+        [results] = weak_lie_derivative([u], psi, [(1, 1), (2, 1)], self.QUAD)
+        for r in results:
             assert abs(r.estimate) <= max(4 * r.std_error, 1e-2)
 
     def test_noninvariant_witness_detected(self):
         psi = bump_field(2, 2, prefactor=Var(1, 2))
-        r = weak_lie_derivative(Var(1, 1), psi, 2, 1, self.QUAD)
+        [[r]] = weak_lie_derivative([Var(1, 1)], psi, [(2, 1)], self.QUAD)
         assert abs(r.estimate) > 20 * r.std_error
 
     def test_deterministic_given_seed(self):
         psi = bump_field(2, 2, prefactor=Pk(1))
         quad = QuadratureSpec(half_width=2.0, n_samples=30_000, seed=3)
-        r1 = weak_lie_derivative(Var(1, 1), psi, 1, 2, quad)
-        r2 = weak_lie_derivative(Var(1, 1), psi, 1, 2, quad)
+        r1 = weak_lie_derivative([Var(1, 1)], psi, [(1, 2)], quad)
+        r2 = weak_lie_derivative([Var(1, 1)], psi, [(1, 2)], quad)
         assert r1 == r2
+
+    def test_one_pass_equals_single_calls(self, monkeypatch):
+        # two chunks, the second one short; every (density, pair) estimate
+        # of the shared pass must equal its own single-density, single-pair
+        # pass exactly, and the boundary check runs once per call
+        quad = QuadratureSpec(half_width=2.0, n_samples=QUAD_CHUNK + 1_000, seed=11)
+        psi = bump_field(2, 2, prefactor=Var(1, 2))
+        densities = [invariant_density(2), Var(1, 1), Const(1)]
+        checks = []
+        real_check = calculus.check_boundary_decay
+        monkeypatch.setattr(
+            calculus,
+            "check_boundary_decay",
+            lambda *args: checks.append(args) or real_check(*args),
+        )
+        together = weak_lie_derivative(densities, psi, self.PAIRS, quad)
+        assert len(checks) == 1
+        assert [len(row) for row in together] == [4, 4, 4]
+        for u, row in zip(densities, together):
+            for pair, r in zip(self.PAIRS, row):
+                assert [[r]] == weak_lie_derivative([u], psi, [pair], quad)
+                assert r.n_samples == QUAD_CHUNK + 1_000
 
     def test_grid_cross_validation(self):
         psi = bump_field(2, 2, prefactor=Var(1, 2))
-        mc = weak_lie_derivative(Var(1, 1), psi, 2, 1, self.QUAD)
+        [[mc]] = weak_lie_derivative([Var(1, 1)], psi, [(2, 1)], self.QUAD)
         grid = weak_lie_derivative_grid(Var(1, 1), psi, 2, 1)
         tol = 0.03 * max(1.0, abs(mc.estimate)) + 5 * mc.std_error
         assert math.isclose(grid, mc.estimate, abs_tol=tol)

@@ -162,6 +162,16 @@ class TestVerify:
         failing = [p for p in report["properties"] if p["failures"] > 0]
         assert failing
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_residual_exits_1_with_failing_report(self, monkeypatch, capsys):
+        # a step this large overflows the field values to inf - inf = NaN
+        cfg = '{"suite":"lemma","n":2,"samples":1,"fd":{"h":1e300}}'
+        code = run_cli(["verify", "-"], cfg, monkeypatch)
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert any(p["failures"] > 0 and p["witness"] for p in report["properties"])
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -170,6 +180,13 @@ class TestVerify:
             '{"suite":"weak","quadrature":[1]}',
             '{"suite":"lemma","fd":{"h":NaN}}',
             '{"suite":"lemma","fd":{"tau_sys":Infinity}}',
+            '{"suite":"weak","seed":1e400}',
+            '{"suite":"identity","n":1e400}',
+            '{"suite":"lemma","samples":1e400}',
+            '{"suite":"weak","quadrature":{"half_width":1e200}}',
+            '{"suite":"weak","quadrature":{"half_width":1e-200}}',
+            '{"suite":"weak","seed":-1}',
+            '{"suite":"lemma","fd":{"delta":2}}',
         ],
     )
     def test_bad_numeric_config_exits_2_with_one_error_line(
