@@ -6,12 +6,12 @@ of local invariance.
 All derivative estimates use one central-difference kernel,
 (f(x+hv) - f(x-hv))/2h along the adjoint direction v = [E_ij, x], that
 works on an (n, n) point and on an (n, n, N) batch of samples alike; the
-point path also requires x +- hv to be finite.  Checks that depend on the
-Krylov determinant being nonzero are gated away from the hypersurface by
-the ``delta`` cutoff, since finite differences degrade as the determinant
-approaches zero.  Scalar fields built from trace powers are exactly
-invariant, so their Lie derivatives measure pure finite-difference noise;
-the default tolerances are sized for entries clamped to [-2, 2] at
+point path also requires x +- hv to be finite.  The reduced system is
+checked at rational points only: its gate |D(x)| >= delta, which keeps it
+away from the hypersurface where finite differences degrade, is decided
+from the exact determinant.  Scalar fields built from trace powers are
+exactly invariant, so their Lie derivatives measure pure finite-difference
+noise; the default tolerances are sized for entries clamped to [-2, 2] at
 h = 1e-5.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -202,35 +202,22 @@ class ReducedSystemResult:
     abs_D: float
 
 
-def _float_krylov_det(x: FloatMatrix) -> float:
-    n = x.n
-    rows = [np.zeros(n)]
-    rows[0][n - 1] = 1.0
-    for _ in range(n - 1):
-        rows.append(rows[-1] @ x.entries)
-    return float(np.linalg.det(np.stack(rows)))
-
-
 def reduced_system_check(
-    phi: ScalarField,
-    x: Union[RatMatrix, FloatMatrix],
-    cfg: FDConfig = FDConfig(),
+    phi: ScalarField, x: RatMatrix, cfg: FDConfig = FDConfig()
 ) -> ReducedSystemResult:
-    """Evaluate the n-unknown linear system in the last-row derivatives.
+    """Evaluate the n-unknown linear system in the last-row derivatives at
+    a rational point x.
 
-    Precondition (checked here): |D(x)| >= delta, using the exact
-    determinant when x is rational.  Precondition (caller-checked): phi
-    should have p_invariance_residual <= tau_res, otherwise lemma_pass is
-    vacuous.  lemma_pass certifies both max_k |r_k| <= tau_sys and
+    Precondition (checked here): |D(x)| >= delta, decided from the exact
+    determinant.  Precondition (caller-checked): phi should have
+    p_invariance_residual <= tau_res, otherwise lemma_pass is vacuous.
+    lemma_pass certifies both max_k |r_k| <= tau_sys and
     max_j |s_j| <= tau_lemma, the executable form of "all last-row Lie
-    derivatives vanish wherever D != 0".
+    derivatives vanish wherever D != 0".  The residuals r_k are formed
+    from float powers of x, independently of the exact Krylov rows.
     """
-    if isinstance(x, RatMatrix):
-        abs_d = abs(float(krylov_determinant(x)))
-        fx = FloatMatrix.from_rat(x)
-    else:
-        fx = x
-        abs_d = abs(_float_krylov_det(fx))
+    abs_d = abs(float(krylov_determinant(x)))
+    fx = FloatMatrix.from_rat(x)
     if abs_d < cfg.delta:
         raise PreconditionViolated(f"|D(x)| = {abs_d:.3g} < delta = {cfg.delta}")
     n = fx.n

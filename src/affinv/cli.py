@@ -21,16 +21,15 @@ from . import __version__
 from .exactmat import (
     MatrixJSONError,
     char_poly,
+    format_rational,
     matrix_from_json,
     matrix_to_json,
     min_poly,
 )
 from .krylov import conjugate_into_omega, krylov_determinant
-from .exactmat import format_rational
 from .report import SuiteConfigError, run_suite_from_config
 from .sympoly import (
     DEFAULT_N_MAX,
-    FeasibilityBoundError,
     homogeneous_degree,
     symbolic_krylov_determinant,
     term_list_json,
@@ -76,6 +75,17 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _emit_result(payload: dict, render, args):
+    """JSON to stdout or ``--out``; with ``--markdown``, ``render(payload)``
+    goes to stdout and the JSON only to ``--out``, if given."""
+    if args.markdown:
+        sys.stdout.write(render(payload))
+        if args.out:
+            _emit(_dump(payload), args.out)
+    else:
+        _emit(_dump(payload), args.out)
+
+
 def cmd_analyze(args) -> int:
     try:
         x = matrix_from_json(_read_json(args.input))
@@ -109,12 +119,7 @@ def cmd_analyze(args) -> int:
     except MatrixJSONError as exc:  # a value too long to write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.markdown:
-        sys.stdout.write(_analyze_markdown(result))
-        if args.out:
-            _emit(_dump(result), args.out)
-    else:
-        _emit(_dump(result), args.out)
+    _emit_result(result, _analyze_markdown, args)
     return EXIT_OK
 
 
@@ -141,13 +146,7 @@ def cmd_verify(args) -> int:
     except SuiteConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    payload = report.to_json()
-    if args.markdown:
-        sys.stdout.write(_report_markdown(payload))
-        if args.out:
-            _emit(_dump(payload), args.out)
-    else:
-        _emit(_dump(payload), args.out)
+    _emit_result(report.to_json(), _report_markdown, args)
     return EXIT_OK if report.passed else EXIT_SUITE_FAILED
 
 
@@ -172,10 +171,7 @@ def _report_markdown(payload: dict) -> str:
 def cmd_sympoly(args) -> int:
     try:
         poly = symbolic_krylov_determinant(args.n, n_max=_n_max())
-    except FeasibilityBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
+    except ValueError as exc:  # FeasibilityBoundError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     degree = homogeneous_degree(poly)

@@ -69,6 +69,17 @@ def _matmul(a, b) -> list[list]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
+def _krylov_rows(w, x) -> list:
+    """The rows w, wx, ..., wx^(n-1) of a row w and an n x n nested
+    sequence x, over the same scalars as ``_matmul``.  Never forms matrix
+    powers: each row is the previous row times x, n * n^2 scalar
+    multiplications in total."""
+    rows = [w]
+    for _ in range(len(x) - 1):
+        rows.append(_matmul(rows[-1:], x)[0])
+    return rows
+
+
 def parse_rational(text) -> Fraction:
     """Parse a wire-format rational: ``"p"`` or ``"p/q"`` (or a bare int)."""
     if isinstance(text, bool):

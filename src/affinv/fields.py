@@ -2,10 +2,11 @@
 const, var(i,j), add, mul, pow, pk(k).
 
 A ``Pk(k)`` node denotes the built-in conjugation invariant tr(x^k)/k.
-Every tree is a polynomial in the matrix entries, so each field admits an
-exact expansion to a MultiPoly (used for formal gradients) as well as
-generic numeric evaluation.  Evaluation is duck-typed over the entry
-scalars: exact with Fraction entries, fast with floats or numpy arrays.
+Every tree is a polynomial in the matrix entries.  One evaluator,
+duck-typed over the entry scalars, serves every layer: exact with
+Fraction entries, fast with floats or numpy arrays, and symbolic on the
+generic matrix, which expands the field to a MultiPoly (used for formal
+gradients).
 
 JSON wire format (shared by the invariant and calculus layers)::
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exactmat import RatMatrix, _matmul, format_rational, parse_rational
-from .sympoly import MultiPoly, trace_power_poly, var_index
+from .sympoly import MultiPoly, generic_matrix
 
 
 class FieldError(ValueError):
@@ -138,29 +139,11 @@ def evaluate_exact(field: ScalarField, x: RatMatrix) -> Fraction:
 
 
 def to_multipoly(field: ScalarField, n: int) -> MultiPoly:
-    """Expand the field into an explicit polynomial in the n^2 entries."""
-    nvars = n * n
-    if isinstance(field, Const):
-        return MultiPoly.const(nvars, field.value)
-    if isinstance(field, Var):
-        if field.i > n or field.j > n:
-            raise FieldError(f"var({field.i},{field.j}) out of range for n={n}")
-        return MultiPoly.variable(nvars, var_index(n, field.i, field.j))
-    if isinstance(field, Add):
-        total = MultiPoly(nvars)
-        for a in field.args:
-            total = total + to_multipoly(a, n)
-        return total
-    if isinstance(field, Mul):
-        total = MultiPoly.const(nvars, 1)
-        for a in field.args:
-            total = total * to_multipoly(a, n)
-        return total
-    if isinstance(field, Pow):
-        return to_multipoly(field.base, n) ** field.exp
-    if isinstance(field, Pk):
-        return trace_power_poly(n, field.k)
-    raise FieldError(f"unknown node {field!r}")
+    """Expand the field into an explicit polynomial in the n^2 entries:
+    the field evaluated on the generic matrix."""
+    return evaluate_on_entries(
+        field, generic_matrix(n), lift=lambda c: MultiPoly.const(n * n, c)
+    )
 
 
 def field_to_json(field: ScalarField) -> dict:

@@ -25,7 +25,7 @@ from .exactmat import (
     RatVector,
     SingularMatrixError,
     UniPoly,
-    _matmul,
+    _krylov_rows,
     _row_rank,
     determinant,
     inverse,
@@ -85,15 +85,8 @@ class PGroupElement:
 
 
 def krylov_rows(w: RatVector, x: RatMatrix) -> RatMatrix:
-    """The rows w, wx, ..., wx^(n-1), top to bottom.
-
-    Never forms matrix powers: each row is the previous row times x,
-    n * n^2 scalar multiplications in total.
-    """
-    rows = [w.entries]
-    for _ in range(x.n - 1):
-        rows.append(_matmul(rows[-1:], x.rows)[0])
-    return RatMatrix(rows)
+    """The rows w, wx, ..., wx^(n-1), top to bottom."""
+    return RatMatrix(_krylov_rows(w.entries, x.rows))
 
 
 @dataclass(frozen=True)
@@ -207,22 +200,23 @@ def find_cyclic_row(
 ) -> Union[RatVector, NotRegular]:
     """Search for a row w with det(w, wx, ..., wx^(n-1)) != 0.
 
-    Returns NotRegular (with the minimal polynomial as witness) when the
-    minimal polynomial has degree < n, since no cyclic row exists then.
-    Otherwise tries e_n first, then the remaining standard basis rows,
-    then random integer rows with entries in [-m, m], doubling m every
-    eight draws; deterministic given the seed.  Raises SearchExhausted
-    after max_tries random draws, which has probability zero in exact
-    arithmetic but remains reportable.
+    Tries e_n first, then the remaining standard basis rows; a cyclic row
+    proves x regular.  If none is cyclic, returns NotRegular (with the
+    minimal polynomial as witness) when the minimal polynomial has degree
+    < n, since no cyclic row exists then, and otherwise tries random
+    integer rows with entries in [-m, m], doubling m every eight draws;
+    deterministic given the seed.  Raises SearchExhausted after max_tries
+    random draws, which has probability zero in exact arithmetic but
+    remains reportable.
     """
     n = x.n
-    mp = min_poly(x)
-    if mp.degree < n:
-        return NotRegular(min_poly=mp)
     for i in [n] + list(range(1, n)):
         w = RatVector.unit(n, i)
         if determinant(krylov_rows(w, x)) != 0:
             return w
+    mp = min_poly(x)
+    if mp.degree < n:
+        return NotRegular(min_poly=mp)
     rng = random.Random(seed)
     m = 1
     for tries in range(max_tries):
@@ -256,17 +250,18 @@ def conjugate_into_omega(
 ) -> Union[RatMatrix, NotRegular]:
     """Find invertible g with D(g x g^-1) != 0, verified exactly.
 
-    Returns the identity when D(x) != 0 already, and NotRegular when the
-    minimal polynomial of x has degree < n (no conjugate of x ever has a
-    nonzero Krylov determinant).  Otherwise completes a cyclic row w to an
-    invertible g whose last row is w, so that e_n (g x g^-1)^k = w x^k g^-1
-    and the Krylov determinant picks up only the factor det(g^-1).
+    Returns the identity when the cyclic row found is e_n, i.e. when
+    D(x) != 0 already, and NotRegular when the minimal polynomial of x has
+    degree < n (no conjugate of x ever has a nonzero Krylov determinant).
+    Otherwise completes the cyclic row w to an invertible g whose last row
+    is w, so that e_n (g x g^-1)^k = w x^k g^-1 and the Krylov determinant
+    picks up only the factor det(g^-1).
     """
-    if in_omega(x):
-        return RatMatrix.identity(x.n)
     w = find_cyclic_row(x, seed=seed, max_tries=max_tries)
     if isinstance(w, NotRegular):
         return w
+    if w == RatVector.unit(x.n, x.n):
+        return RatMatrix.identity(x.n)
     g = _complete_to_invertible(w)
     conjugated = g * x * inverse(g)
     if not in_omega(conjugated):  # pragma: no cover - guarded by construction

@@ -89,7 +89,9 @@ class PropertyRecord:
 
     def check_residual(self, residual: float, tol: float, witness: dict):
         self.checked += 1
-        if self.worst_residual == "exact" or residual > self.worst_residual:
+        worst = self.worst_residual
+        # a NaN residual stays the worst: nothing compares greater than it
+        if worst == "exact" or residual > worst or math.isnan(residual):
             self.worst_residual = float(residual)
         if not residual <= tol:  # NaN fails too
             self.failures += 1

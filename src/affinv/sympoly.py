@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exactmat import RatMatrix, _matmul, format_rational, parse_rational
+from .exactmat import RatMatrix, _krylov_rows, format_rational, parse_rational
 
 DEFAULT_N_MAX = 4
 
@@ -223,11 +222,12 @@ def _cofactor_det(rows: list[list[MultiPoly]], nvars: int) -> MultiPoly:
 def symbolic_krylov_determinant(n: int, n_max: int | None = None) -> MultiPoly:
     """The Krylov-row determinant of a generic matrix, fully expanded.
 
-    Rows are built by repeated symbolic row-times-matrix products starting
-    from e_n.  The first row is e_n itself, so the n x n determinant
-    collapses to a single (n-1) x (n-1) cofactor, which is then expanded
-    recursively.  Guarded by ``n_max`` (default 4) because the expansion is
-    meant for desk-scale dimensions only.
+    Rows are the Krylov rows of e_n for the generic matrix, built by the
+    exact layer's row builder over MultiPoly entries.  The first row is e_n
+    itself, so the n x n determinant collapses to a single (n-1) x (n-1)
+    cofactor, which is then expanded recursively.  Guarded by ``n_max``
+    (default 4) because the expansion is meant for desk-scale dimensions
+    only.
     """
     bound = DEFAULT_N_MAX if n_max is None else n_max
     if n < 1:
@@ -237,10 +237,8 @@ def symbolic_krylov_determinant(n: int, n_max: int | None = None) -> MultiPoly:
     nvars = n * n
     if n == 1:
         return MultiPoly.const(nvars, 1)
-    x = generic_matrix(n)
-    rows = [[MultiPoly.const(nvars, int(j == n - 1)) for j in range(n)]]
-    for _ in range(n - 1):
-        rows.append(_matmul(rows[-1:], x)[0])
+    e_n = [MultiPoly.const(nvars, int(j == n - 1)) for j in range(n)]
+    rows = _krylov_rows(e_n, generic_matrix(n))
     # expand along the first row e_n: single nonzero entry at column n,
     # cofactor sign (-1)^(1+n)
     minor = [r[: n - 1] for r in rows[1:]]
@@ -248,20 +246,6 @@ def symbolic_krylov_determinant(n: int, n_max: int | None = None) -> MultiPoly:
     if n % 2 == 0:
         det = -det
     return det
-
-
-@lru_cache(maxsize=None)
-def trace_power_poly(n: int, k: int) -> MultiPoly:
-    """tr(X^k)/k of the generic n x n matrix as an explicit polynomial."""
-    if k < 1:
-        raise SympolyError(f"trace power index {k} must be >= 1")
-    nvars = n * n
-    x = generic_matrix(n)
-    acc = x
-    for _ in range(k - 1):
-        acc = _matmul(acc, x)
-    tr = sum((acc[i][i] for i in range(n)), MultiPoly(nvars))
-    return tr.scale(Fraction(1, k))
 
 
 @dataclass(frozen=True)

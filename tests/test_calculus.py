@@ -174,12 +174,6 @@ class TestReducedSystem:
         x = RatMatrix([[1, 2], [3, 4]])
         assert p_invariance_residual(phi, FloatMatrix.from_rat(x), CFG) > CFG.tau_res
 
-    def test_float_matrix_input(self):
-        phi = Pk(2)
-        x = FloatMatrix([[0.0, 1.0], [1.0, 1.0]])
-        res = reduced_system_check(phi, x, CFG)
-        assert res.lemma_pass
-
     def test_r_equals_krylov_times_s(self):
         rng = random.Random(211)
         for n in (2, 3):
