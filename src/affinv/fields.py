@@ -99,38 +99,42 @@ def evaluate_on_entries(field: ScalarField, entries, lift: Callable = float):
     numeric layer, identity for exact evaluation.  Scalars only need +, *
     and integer **, so numpy arrays broadcast through unchanged.
     """
+    return _evaluate_node(field, entries, lift)
+
+
+def _evaluate_node(node: ScalarField, entries, lift: Callable):
+    # A module-level recursion, not a nested closure: a closure that calls
+    # itself is a reference cycle, which would keep ``entries`` (whole
+    # sample batches in the weak suite) alive until the cyclic garbage
+    # collector happens to run.
     n = len(entries)
-
-    def rec(node: ScalarField):
-        if isinstance(node, Const):
-            return lift(node.value)
-        if isinstance(node, Var):
-            if node.i > n or node.j > n:
-                raise FieldError(f"var({node.i},{node.j}) out of range for n={n}")
-            return entries[node.i - 1][node.j - 1]
-        if isinstance(node, Add):
-            total = lift(Fraction(0))
-            for a in node.args:
-                total = total + rec(a)
-            return total
-        if isinstance(node, Mul):
-            total = lift(Fraction(1))
-            for a in node.args:
-                total = total * rec(a)
-            return total
-        if isinstance(node, Pow):
-            return rec(node.base) ** node.exp
-        if isinstance(node, Pk):
-            acc = entries
-            for _ in range(node.k - 1):
-                acc = _matmul(acc, entries)
-            tr = acc[0][0]
-            for i in range(1, n):
-                tr = tr + acc[i][i]
-            return tr * lift(Fraction(1, node.k))
-        raise FieldError(f"unknown node {node!r}")
-
-    return rec(field)
+    if isinstance(node, Const):
+        return lift(node.value)
+    if isinstance(node, Var):
+        if node.i > n or node.j > n:
+            raise FieldError(f"var({node.i},{node.j}) out of range for n={n}")
+        return entries[node.i - 1][node.j - 1]
+    if isinstance(node, Add):
+        total = lift(Fraction(0))
+        for a in node.args:
+            total = total + _evaluate_node(a, entries, lift)
+        return total
+    if isinstance(node, Mul):
+        total = lift(Fraction(1))
+        for a in node.args:
+            total = total * _evaluate_node(a, entries, lift)
+        return total
+    if isinstance(node, Pow):
+        return _evaluate_node(node.base, entries, lift) ** node.exp
+    if isinstance(node, Pk):
+        acc = entries
+        for _ in range(node.k - 1):
+            acc = _matmul(acc, entries)
+        tr = acc[0][0]
+        for i in range(1, n):
+            tr = tr + acc[i][i]
+        return tr * lift(Fraction(1, node.k))
+    raise FieldError(f"unknown node {node!r}")
 
 
 def evaluate_exact(field: ScalarField, x: RatMatrix) -> Fraction:
