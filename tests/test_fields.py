@@ -1,6 +1,9 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from affinv.exactmat import RatMatrix
@@ -14,6 +17,7 @@ from affinv.fields import (
     Var,
     bump_field,
     evaluate_exact,
+    evaluate_on_entries,
     field_from_json,
     field_to_json,
     random_invariant_field,
@@ -44,6 +48,21 @@ class TestExactEvaluation:
     def test_out_of_range_var(self):
         with pytest.raises(FieldError):
             evaluate_exact(Var(3, 1), RatMatrix.identity(2))
+
+    def test_entries_are_freed_on_return(self):
+        # entries may be whole sample batches: evaluation must hold no
+        # reference to them once it returns, even with the cyclic
+        # garbage collector off
+        batch = np.ones((2, 2, 8))
+        entries = [[batch[a, b] for b in range(2)] for a in range(2)]
+        ref = weakref.ref(batch)
+        gc.disable()
+        try:
+            evaluate_on_entries(Add([Pk(2), Mul([Const(2), Var(1, 2)])]), entries)
+            del batch, entries
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestMultiPolyExpansion:
