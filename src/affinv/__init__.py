@@ -79,6 +79,7 @@ from .calculus import (  # noqa: F401
     fd_directional,
     full_identity_residual,
     lie_derivative,
+    lie_derivatives,
     p_invariance_residual,
     reduced_system_check,
     weak_lie_derivative,

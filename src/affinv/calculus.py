@@ -5,14 +5,15 @@ of local invariance.
 
 All derivative estimates use one central-difference kernel,
 (f(x+hv) - f(x-hv))/2h along the adjoint direction v = [E_ij, x], that
-works on an (n, n) point and on an (n, n, N) batch of samples alike; the
-point path also requires x +- hv to be finite.  The reduced system is
-checked at rational points only: its gate |D(x)| >= delta, which keeps it
-away from the hypersurface where finite differences degrade, is decided
-from the exact determinant.  Scalar fields built from trace powers are
-exactly invariant, so their Lie derivatives measure pure finite-difference
-noise; the default tolerances are sized for entries clamped to [-2, 2] at
-h = 1e-5.
+works on an (n, n) point and on an (n, n, N) batch of samples alike.  At
+a point, where x +- hv must be finite, ``lie_derivatives`` stacks all n^2
+directions into one batch; every Lie-derivative check reads that table,
+and its maxima keep a NaN.  The reduced system is checked at rational
+points only: its gate |D(x)| >= delta, which keeps it away from the
+hypersurface where finite differences degrade, is decided from the exact
+determinant.  Scalar fields built from trace powers are exactly invariant,
+so their Lie derivatives measure pure finite-difference noise; the default
+tolerances are sized for entries clamped to [-2, 2] at h = 1e-5.
 """
 
 from __future__ import annotations
@@ -129,6 +130,20 @@ def _central_difference(phi: ScalarField, plus, minus, h: float):
     return (_evaluate(phi, plus) - _evaluate(phi, minus)) / (2.0 * h)
 
 
+def _point_difference(phi: ScalarField, arr: np.ndarray, v: np.ndarray, h: float):
+    """_central_difference at points, where x +- hv must be finite."""
+    with np.errstate(over="ignore"):  # reported below
+        plus, minus = arr + h * v, arr - h * v
+    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+        raise CalculusError(f"x +- hv leaves the float range at h = {h:g}")
+    return _central_difference(phi, plus, minus, h)
+
+
+def _abs_max(values) -> float:
+    """max |v| over values, 0.0 if none; unlike Python's max, a NaN wins."""
+    return float(np.abs(np.asarray(values, dtype=np.float64)).max(initial=0.0))
+
+
 def eval_field(phi: ScalarField, x: FloatMatrix) -> float:
     """Recursive evaluation; a pk(k) node evaluates tr(x^k)/k in floats."""
     return float(_evaluate(phi, x.entries))
@@ -138,25 +153,30 @@ def fd_directional(
     phi: ScalarField, x: FloatMatrix, v: FloatMatrix, cfg: FDConfig = FDConfig()
 ) -> float:
     """Central-difference directional derivative of phi at x along v."""
-    h = cfg.h
-    plus = FloatMatrix(x.entries + h * v.entries)
-    minus = FloatMatrix(x.entries - h * v.entries)
-    return float(_central_difference(phi, plus.entries, minus.entries, h))
+    return float(_point_difference(phi, x.entries, v.entries, cfg.h))
 
 
-def adjoint_direction(x: FloatMatrix, i: int, j: int) -> FloatMatrix:
-    """The adjoint vector field at x: [E_ij, x]."""
-    n = x.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise CalculusError(f"index ({i},{j}) out of range 1..{n}")
-    return FloatMatrix(_adjoint_direction(x.entries, i, j))
+def lie_derivatives(
+    phi: ScalarField, x: FloatMatrix, cfg: FDConfig = FDConfig()
+) -> np.ndarray:
+    """The (n, n) table of L_ij phi(x) from one central difference over all
+    2n^2 shifted points; entry (i, j) equals fd_directional along [E_ij, x]
+    bit for bit."""
+    n, arr = x.n, x.entries
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    v = np.stack([_adjoint_direction(arr, i, j) for i, j in pairs], axis=-1)
+    table = _point_difference(phi, arr[..., None], v, cfg.h)
+    # a constant field evaluates to one float, not to a batch
+    return np.broadcast_to(table, (n * n,)).reshape(n, n)
 
 
 def lie_derivative(
     phi: ScalarField, i: int, j: int, x: FloatMatrix, cfg: FDConfig = FDConfig()
 ) -> float:
     """Derivative of phi along the adjoint field x -> [E_ij, x]."""
-    return fd_directional(phi, x, adjoint_direction(x, i, j), cfg)
+    if not (1 <= i <= x.n and 1 <= j <= x.n):
+        raise CalculusError(f"index ({i},{j}) out of range 1..{x.n}")
+    return float(lie_derivatives(phi, x, cfg)[i - 1, j - 1])
 
 
 def p_invariance_residual(
@@ -165,14 +185,20 @@ def p_invariance_residual(
     """max |L_ij phi| over i = 1..n-1, j = 1..n; zero for n = 1.
 
     Small values certify local invariance under the subgroup that fixes
-    the last basis row.
+    the last basis row.  A NaN derivative is the residual.
     """
-    n = x.n
-    worst = 0.0
-    for i in range(1, n):
-        for j in range(1, n + 1):
-            worst = max(worst, abs(lie_derivative(phi, i, j, x, cfg)))
-    return worst
+    return _abs_max(lie_derivatives(phi, x, cfg)[:-1])
+
+
+def _contraction_residual(table: np.ndarray, x: FloatMatrix, k: int) -> float:
+    """|sum_ij (x^k)_ij L_ij phi| from a lie_derivatives table, summed left to
+    right in row-major order."""
+    if not 0 <= k <= x.n - 1:
+        raise CalculusError(f"power index {k} out of range 0..{x.n - 1}")
+    total = 0.0
+    for c, d in zip(np.linalg.matrix_power(x.entries, k).flat, table.flat):
+        total += c * d
+    return float(abs(total))
 
 
 def full_identity_residual(
@@ -183,15 +209,7 @@ def full_identity_residual(
     The underlying vector field sum_ij (x^k)_ij [E_ij, .] is [x^k, x] = 0,
     so the residual is pure finite-difference error for every C^1 field.
     """
-    n = x.n
-    if not 0 <= k <= n - 1:
-        raise CalculusError(f"power index {k} out of range 0..{n - 1}")
-    xk = np.linalg.matrix_power(x.entries, k)
-    total = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            total += xk[i - 1, j - 1] * lie_derivative(phi, i, j, x, cfg)
-    return abs(total)
+    return _contraction_residual(lie_derivatives(phi, x, cfg), x, k)
 
 
 @dataclass(frozen=True)
@@ -202,6 +220,24 @@ class ReducedSystemResult:
     abs_D: float
 
 
+def _float_krylov_rows(x: FloatMatrix, abs_d: float, cfg: FDConfig) -> list:
+    """Rows e_n x^k, k < n, of float powers of x, if its |D| passes delta."""
+    if abs_d < cfg.delta:
+        raise PreconditionViolated(f"|D(x)| = {abs_d:.3g} < delta = {cfg.delta}")
+    powers = [np.eye(x.n)]
+    for _ in range(x.n - 1):
+        powers.append(powers[-1] @ x.entries)
+    return [p[-1] for p in powers]
+
+
+def _reduced_system(table, rows, abs_d: float, cfg: FDConfig) -> ReducedSystemResult:
+    """The reduced system read off a lie_derivatives table."""
+    solution = tuple(table[-1].tolist())
+    residuals = tuple(float(sum(c * s for c, s in zip(row, solution))) for row in rows)
+    ok = _abs_max(residuals) <= cfg.tau_sys and _abs_max(solution) <= cfg.tau_lemma
+    return ReducedSystemResult(residuals, solution, ok, abs_d)
+
+
 def reduced_system_check(
     phi: ScalarField, x: RatMatrix, cfg: FDConfig = FDConfig()
 ) -> ReducedSystemResult:
@@ -209,33 +245,18 @@ def reduced_system_check(
     a rational point x.
 
     Precondition (checked here): |D(x)| >= delta, decided from the exact
-    determinant.  Precondition (caller-checked): phi should have
+    determinant (the lemma suite decides it once per point from the D it
+    holds).  Precondition (caller-checked): phi should have
     p_invariance_residual <= tau_res, otherwise lemma_pass is vacuous.
-    lemma_pass certifies both max_k |r_k| <= tau_sys and
-    max_j |s_j| <= tau_lemma, the executable form of "all last-row Lie
+    lemma_pass certifies both max_k |r_k| <= tau_sys and max_j |s_j| <=
+    tau_lemma, NaN failing, the executable form of "all last-row Lie
     derivatives vanish wherever D != 0".  The residuals r_k are formed
     from float powers of x, independently of the exact Krylov rows.
     """
     abs_d = abs(float(krylov_determinant(x)))
     fx = FloatMatrix.from_rat(x)
-    if abs_d < cfg.delta:
-        raise PreconditionViolated(f"|D(x)| = {abs_d:.3g} < delta = {cfg.delta}")
-    n = fx.n
-    solution = tuple(lie_derivative(phi, n, j, fx, cfg) for j in range(1, n + 1))
-    residuals = []
-    xk = np.eye(n)
-    for _ in range(n):
-        residuals.append(float(sum(xk[n - 1, j] * solution[j] for j in range(n))))
-        xk = xk @ fx.entries
-    lemma_pass = max(abs(r) for r in residuals) <= cfg.tau_sys and max(
-        abs(s) for s in solution
-    ) <= cfg.tau_lemma
-    return ReducedSystemResult(
-        residuals=tuple(residuals),
-        solution=solution,
-        lemma_pass=lemma_pass,
-        abs_D=abs_d,
-    )
+    rows = _float_krylov_rows(fx, abs_d, cfg)
+    return _reduced_system(lie_derivatives(phi, fx, cfg), rows, abs_d, cfg)
 
 
 def adjoint_field_divergence(n: int, i: int, j: int) -> Fraction:
@@ -305,17 +326,14 @@ def weak_lie_derivative(
     ``results[d][p]`` for u = densities[d] and (i, j) = pairs[p].
 
     Realizes each density u as a distribution T(psi) = integral(u psi); the
-    adjoint fields are divergence free (asserted exactly), so the weak
-    derivative (L_ij T)(psi) reduces to the single integral above when
-    psi vanishes near the boundary (checked by shell sampling).
+    adjoint fields are divergence free (the weak suite decides it exactly),
+    so the weak derivative (L_ij T)(psi) reduces to the single integral
+    above when psi vanishes near the boundary (checked by shell sampling).
 
     Sampling is chunked; chunk c draws from default_rng([seed, c]) once for
     every (u, i, j), so a sharded parallel run recombines to the identical
     result.
     """
-    for i, j in pairs:
-        if adjoint_field_divergence(n, i, j) != 0:  # pragma: no cover - identity
-            raise CalculusError("adjoint field is not divergence free")
     check_boundary_decay(psi, n, quad)
     a, h, samples, seed = quad.half_width, cfg.h, quad.n_samples, quad.seed
     sums = np.zeros((len(densities), len(pairs), 2))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Union
@@ -21,13 +21,16 @@ from .calculus import (
     LEAK_RATIO,
     QUAD_CHUNK,
     SHELL_FRACTION,
+    CalculusError,
     FDConfig,
     FloatMatrix,
     QuadratureSpec,
+    _abs_max,
+    _contraction_residual,
+    _float_krylov_rows,
+    _reduced_system,
     adjoint_field_divergence,
-    full_identity_residual,
-    p_invariance_residual,
-    reduced_system_check,
+    lie_derivatives,
     weak_lie_derivative,
 )
 from .exactmat import (
@@ -242,6 +245,7 @@ def run_lemma_suite(
         raise SuiteConfigError("lemma suite needs fd.delta <= 1")
     rng = random.Random(_mix(seed, n, 2))
     fields = [random_invariant_field(n, rng) for _ in range(LEMMA_FIELDS)]
+    fields_json = [field_to_json(f) for f in fields]
     points = [_lemma_point(rng, n) for _ in range(samples)]
     rec_pres = PropertyRecord("p_invariance_of_invariant_fields")
     rec_lemma = PropertyRecord("last_row_derivatives_vanish")
@@ -250,37 +254,29 @@ def run_lemma_suite(
     rec_full = PropertyRecord("full_identity_arbitrary_fields")
     for x in points:
         fx = FloatMatrix.from_rat(x)
+        krylov = krylov_matrix(x).rows
+        exact_rows = [[float(e) for e in row] for row in krylov.rows]
+        abs_d = abs(float(determinant(krylov)))
+        rows = _float_krylov_rows(fx, abs_d, cfg)
         wit_x = {"matrix": matrix_to_json(x)}
-        km = krylov_matrix(x)
-        for f in fields:
-            wit = {**wit_x, "field": field_to_json(f)}
-            rec_pres.check_residual(
-                p_invariance_residual(f, fx, cfg), cfg.tau_res, wit
-            )
-            res = reduced_system_check(f, x, cfg)
-            rec_lemma.check_residual(
-                max(abs(s) for s in res.solution), cfg.tau_lemma, wit
-            )
-            rec_sys.check_residual(
-                max(abs(r) for r in res.residuals), cfg.tau_sys, wit
-            )
-            tie = max(
-                abs(
-                    res.residuals[k]
-                    - sum(
-                        float(km.rows.entry(k + 1, j + 1)) * res.solution[j]
-                        for j in range(n)
-                    )
-                )
-                for k in range(n)
-            )
-            rec_tie.check_residual(tie, 1e-10, wit)
+        for f, f_json in zip(fields, fields_json):
+            wit = {**wit_x, "field": f_json}
+            table = lie_derivatives(f, fx, cfg)
+            rec_pres.check_residual(_abs_max(table[:-1]), cfg.tau_res, wit)
+            res = _reduced_system(table, rows, abs_d, cfg)
+            rec_lemma.check_residual(_abs_max(res.solution), cfg.tau_lemma, wit)
+            rec_sys.check_residual(_abs_max(res.residuals), cfg.tau_sys, wit)
+            tie = [
+                r - sum(c * s for c, s in zip(row, res.solution))
+                for r, row in zip(res.residuals, exact_rows)
+            ]
+            rec_tie.check_residual(_abs_max(tie), 1e-10, wit)
         f_any = random_polynomial_field(n, rng)
+        wit_any = {**wit_x, "field": field_to_json(f_any)}
+        table = lie_derivatives(f_any, fx, cfg)
         for k in range(n):
             rec_full.check_residual(
-                full_identity_residual(f_any, fx, k, cfg),
-                cfg.tau_comb,
-                {**wit_x, "field": field_to_json(f_any), "k": k},
+                _contraction_residual(table, fx, k), cfg.tau_comb, {**wit_any, "k": k}
             )
     records = [rec_pres, rec_lemma, rec_sys, rec_tie, rec_full]
     config = {
@@ -288,15 +284,7 @@ def run_lemma_suite(
         "samples": samples,
         "seed": seed,
         "n_fields": LEMMA_FIELDS,
-        "fd": {
-            "h": cfg.h,
-            "scheme": cfg.scheme,
-            "tau_res": cfg.tau_res,
-            "tau_sys": cfg.tau_sys,
-            "tau_lemma": cfg.tau_lemma,
-            "tau_comb": cfg.tau_comb,
-            "delta": cfg.delta,
-        },
+        "fd": asdict(cfg),
     }
     return _finish("lemma", n, samples, seed, records, config)
 
@@ -391,16 +379,41 @@ def run_weak_suite(
     return _finish("weak", n, samples, seed, records, config)
 
 
-_SUITE_DEFAULTS = {
-    "identity": {"n": 3, "samples": 200},
-    "lemma": {"n": 2, "samples": 50},
-    "weak": {"n": 2, "samples": 1_000_000},
+_SUITE_KEYS = {
+    # suite: (its integer keys with their defaults, its sections with their keys)
+    "identity": ({"n": 3, "samples": 200, "seed": 0}, {}),
+    "lemma": ({"n": 2, "samples": 50, "seed": 0}, {"fd": set(asdict(FDConfig()))}),
+    "weak": (
+        {"n": 2, "samples": 1_000_000, "seed": 0},
+        {"fd": {"h"}, "quadrature": {"half_width"}},
+    ),
 }
+
+
+def _read_config(config: dict, suite: str) -> tuple:
+    """n, samples and seed of a config that holds only keys in the suite's table."""
+    ints, sections = _SUITE_KEYS[suite]
+    for key, value in config.items():
+        if key in ints:
+            if type(value) is not int:  # a bool is not a JSON integer
+                raise SuiteConfigError(f"{key} must be a JSON integer, got {value!r}")
+        elif key in sections:
+            if not isinstance(value, dict):
+                raise SuiteConfigError(f"{key} config must be a JSON object")
+            unknown = sorted(set(value) - sections[key])
+            if unknown:
+                raise SuiteConfigError(
+                    f"unknown {key} key {unknown[0]!r} for the {suite} suite"
+                )
+        elif key != "suite":
+            raise SuiteConfigError(f"unknown key {key!r} for the {suite} suite")
+    return tuple(config.get(key, default) for key, default in ints.items())
 
 
 def run_suite_from_config(config: dict) -> VerificationReport:
     """Dispatch {"suite": ..., "n": ..., "samples": ..., "seed": ...,
-    "fd": {...}, "quadrature": {...}} to the named suite."""
+    "fd": {...}, "quadrature": {...}} to the named suite; a key the suite
+    does not read is an error."""
     if not isinstance(config, dict):
         raise SuiteConfigError("config must be a JSON object")
     suite = config.get("suite")
@@ -408,17 +421,11 @@ def run_suite_from_config(config: dict) -> VerificationReport:
         raise SuiteConfigError(
             f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}"
         )
-    defaults = _SUITE_DEFAULTS[suite]
-    try:
-        n = int(config.get("n", defaults["n"]))
-        samples = int(config.get("samples", defaults["samples"]))
-        seed = int(config.get("seed", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SuiteConfigError(f"bad numeric config value: {exc}") from exc
+    n, samples, seed = _read_config(config, suite)
     if samples < 1:
         raise SuiteConfigError("samples must be >= 1")
     try:
-        fd_cfg = FDConfig(**config.get("fd", {})) if "fd" in config else FDConfig()
+        fd_cfg = FDConfig(**config.get("fd", {}))
     except (TypeError, ValueError, OverflowError) as exc:
         raise SuiteConfigError(f"bad fd config: {exc}") from exc
     if suite == "identity":
@@ -426,16 +433,16 @@ def run_suite_from_config(config: dict) -> VerificationReport:
             raise SuiteConfigError("identity suite needs n >= 1")
         return run_identity_suite(n, samples, seed)
     if suite == "lemma":
-        return run_lemma_suite(n, samples, seed, fd_cfg)
+        try:
+            return run_lemma_suite(n, samples, seed, fd_cfg)
+        except CalculusError as exc:  # a step that throws x +- hv out of range
+            raise SuiteConfigError(f"bad fd config: {exc}") from exc
     if n != 2:
         raise SuiteConfigError("weak suite supports n = 2 only")
     if seed < 0:
         raise SuiteConfigError("weak suite needs seed >= 0")
-    quad = config.get("quadrature", {})
-    if not isinstance(quad, dict):
-        raise SuiteConfigError("quadrature config must be a JSON object")
     try:
-        half_width = float(quad.get("half_width", 2.0))
+        half_width = float(config.get("quadrature", {}).get("half_width", 2.0))
         volume = (2.0 * half_width) ** (n * n)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SuiteConfigError(f"bad quadrature half_width: {exc}") from exc

@@ -21,12 +21,13 @@ from affinv.calculus import (
     fd_directional,
     full_identity_residual,
     lie_derivative,
+    lie_derivatives,
     p_invariance_residual,
     reduced_system_check,
     weak_lie_derivative,
     weak_lie_derivative_grid,
 )
-from affinv.exactmat import RatMatrix, power
+from affinv.exactmat import RatMatrix, commutator, power
 from affinv.fields import (
     Add,
     Const,
@@ -120,6 +121,40 @@ class TestLieDerivative:
         assert lie_derivative(Var(1, 2), 1, 2, x, CFG) == 0.0
 
 
+class TestLieDerivatives:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_table_matches_fd_directional_bit_for_bit(self, n):
+        rng = random.Random(223 + n)
+        fields = [
+            random_invariant_field(n, rng),
+            random_polynomial_field(n, rng),
+            bump_field(n, 2, prefactor=Pk(1)),
+            Const(3),
+        ]
+        for _ in range(3):
+            x = _lemma_point(rng, n)
+            fx = FloatMatrix.from_rat(x)
+            for phi in fields:
+                table = lie_derivatives(phi, fx, CFG)
+                assert table.shape == (n, n)
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        v = FloatMatrix.from_rat(commutator(basis_matrix(n, i, j), x))
+                        ref = fd_directional(phi, fx, v, CFG)
+                        assert table[i - 1, j - 1].hex() == ref.hex()
+
+    def test_constant_field_reads_zero_everywhere(self):
+        # a constant tree evaluates to one float, which the table broadcasts
+        x = FloatMatrix([[1, 2], [3, 4]])
+        assert lie_derivatives(Const(3), x, CFG).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert p_invariance_residual(Const(3), x, CFG) == 0.0
+        assert full_identity_residual(Const(3), x, 1, CFG) == 0.0
+
+    def test_shift_out_of_float_range_rejected(self):
+        with pytest.raises(CalculusError):
+            lie_derivatives(Pk(2), FloatMatrix([[1, 2], [3, 4]]), FDConfig(h=1.7e308))
+
+
 class TestPInvarianceResidual:
     def test_invariant_fields_below_tolerance(self):
         rng = random.Random(197)
@@ -135,6 +170,14 @@ class TestPInvarianceResidual:
 
     def test_n1_empty_range(self):
         assert p_invariance_residual(Pk(1), FloatMatrix([[3.0]]), CFG) == 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_derivative_is_the_residual(self):
+        # at diag(1, 2) the direction [E_11, x] is 0, so L_11 = 0 comes first;
+        # along [E_12, x] the step overflows (x_12 +- h)^2 to inf - inf = NaN
+        x = FloatMatrix([[1.0, 0.0], [0.0, 2.0]])
+        res = p_invariance_residual(Pow(Var(1, 2), 2), x, FDConfig(h=1e300))
+        assert math.isnan(res)
 
 
 class TestFullIdentityResidual:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 from pathlib import Path
 
@@ -171,6 +172,12 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False
         assert any(p["failures"] > 0 and p["witness"] for p in report["properties"])
+        # a NaN derivative that is not the first of its maximum still counts
+        [pres] = [
+            p for p in report["properties"]
+            if p["name"] == "p_invariance_of_invariant_fields"
+        ]
+        assert pres["failures"] > 0 and math.isnan(pres["worst_residual"])
 
     @pytest.mark.parametrize(
         "cfg",
@@ -187,17 +194,57 @@ class TestVerify:
             '{"suite":"weak","quadrature":{"half_width":1e-200}}',
             '{"suite":"weak","seed":-1}',
             '{"suite":"lemma","fd":{"delta":2}}',
+            '{"suite":"lemma","n":3,"samples":3,"seed":0,"fd":{"h":1.7e308}}',
+            '{"suite":"identity","n":2.7}',
+            '{"suite":"identity","n":"3"}',
+            '{"suite":"identity","samples":true}',
+            '{"suite":"lemma","seed":null}',
         ],
     )
     def test_bad_numeric_config_exits_2_with_one_error_line(
         self, cfg, monkeypatch, capsys
     ):
+        self._assert_one_error_line(cfg, monkeypatch, capsys)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            '{"suite":"identity","n":1,"sampels":3}',
+            '{"suite":"identity","fd":{"h":1e-5}}',
+            '{"suite":"identity","quadrature":{"half_width":2}}',
+            '{"suite":"lemma","quadrature":{"half_width":2}}',
+            '{"suite":"lemma","fd":{"hh":1e-5}}',
+            '{"suite":"lemma","fd":[1]}',
+            '{"suite":"weak","fd":{"tau_res":1e-3}}',
+            '{"suite":"weak","quadrature":{"n_samples":5}}',
+        ],
+    )
+    def test_key_outside_the_suite_table_exits_2_with_one_error_line(
+        self, cfg, monkeypatch, capsys
+    ):
+        self._assert_one_error_line(cfg, monkeypatch, capsys)
+
+    @staticmethod
+    def _assert_one_error_line(cfg, monkeypatch, capsys):
         code = run_cli(["verify", "-"], cfg, monkeypatch)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            '{"suite":"lemma","n":2,"samples":1,"seed":1,'
+            '"fd":{"scheme":"central","h":1e-5,"delta":0.5}}',
+            '{"suite":"weak","n":2,"samples":20000,"seed":5,'
+            '"fd":{"h":1e-5},"quadrature":{"half_width":2}}',
+        ],
+    )
+    def test_every_key_in_the_suite_table_is_accepted(self, cfg, monkeypatch, capsys):
+        assert run_cli(["verify", "-"], cfg, monkeypatch) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 class TestSympoly:
