@@ -6,8 +6,8 @@ input or config (including a dimension above the symbolic bound), 3
 conjugation requested on a non-regular matrix.
 
 The environment variable AFFINV_NMAX overrides the symbolic feasibility
-bound (default 4).  All JSON output is emitted with sorted keys and fixed
-indentation so identical inputs produce byte-identical files.
+bound (default 4, at most 5).  All JSON output is emitted with sorted keys
+and fixed indentation so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ import sys
 from . import __version__
 from .exactmat import (
     MatrixJSONError,
+    RatVector,
     char_poly,
     format_rational,
     matrix_from_json,
     matrix_to_json,
     min_poly,
 )
-from .krylov import conjugate_into_omega, krylov_determinant
+from .krylov import _conjugator, _krylov_dependence
 from .report import SuiteConfigError, run_suite_from_config
 from .sympoly import (
     DEFAULT_N_MAX,
@@ -87,13 +88,15 @@ def _emit_result(payload: dict, render, args):
 
 
 def cmd_analyze(args) -> int:
+    """One Krylov elimination gives D and, if D != 0, both polynomials; else one
+    min_poly serves the search after e_n, and char_poly runs if not regular."""
     try:
         x = matrix_from_json(_read_json(args.input))
     except MatrixJSONError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    d = krylov_determinant(x)
-    mp = min_poly(x)
+    d, cp = _krylov_dependence(RatVector.unit(x.n, x.n), x)
+    mp = min_poly(x) if cp is None else cp
     regular = mp.degree == x.n
     conjugator = None
     if args.conjugate:
@@ -105,14 +108,14 @@ def cmd_analyze(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_NOT_REGULAR
-        conjugator = conjugate_into_omega(x, seed=args.seed)
+        conjugator = _conjugator(x, d, mp, args.seed)
     try:
         result = {
             "D": format_rational(d),
             "in_omega": d != 0,
             "regular": regular,
             "min_poly": mp.to_strings(),
-            "char_poly": char_poly(x).to_strings(),
+            "char_poly": (mp if regular else char_poly(x)).to_strings(),
             "conjugator": None if conjugator is None else matrix_to_json(conjugator),
             "sign_convention": "(-1)^(n(n-1)/2)",
         }

@@ -69,13 +69,13 @@ def _matmul(a, b) -> list[list]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _krylov_rows(w, x) -> list:
-    """The rows w, wx, ..., wx^(n-1) of a row w and an n x n nested
-    sequence x, over the same scalars as ``_matmul``.  Never forms matrix
-    powers: each row is the previous row times x, n * n^2 scalar
-    multiplications in total."""
+def _krylov_rows(w, x, count: int | None = None) -> list:
+    """The rows w, wx, ..., wx^(count-1), count = n by default, of a row w and
+    an n x n nested sequence x, over the same scalars as ``_matmul``.  Never
+    forms matrix powers: each row is the previous row times x, n^2 scalar
+    multiplications per row."""
     rows = [w]
-    for _ in range(len(x) - 1):
+    for _ in range((count or len(x)) - 1):
         rows.append(_matmul(rows[-1:], x)[0])
     return rows
 
@@ -496,7 +496,7 @@ def rank(x: RatMatrix) -> int:
 def _integer_multiple(x: RatMatrix) -> tuple[RatMatrix, int]:
     """(q x, q) for the least q > 0 that makes q x an integer matrix."""
     q = lcm(*[e.denominator for row in x.rows for e in row])
-    return x.scale(q), q
+    return (x, 1) if q == 1 else (x.scale(q), q)
 
 
 def char_poly(x: RatMatrix) -> UniPoly:

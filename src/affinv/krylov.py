@@ -25,8 +25,9 @@ from .exactmat import (
     RatVector,
     SingularMatrixError,
     UniPoly,
+    _fraction_free_reduce,
+    _integer_multiple,
     _krylov_rows,
-    _row_rank,
     determinant,
     inverse,
     min_poly,
@@ -112,6 +113,23 @@ def krylov_determinant(x: RatMatrix) -> Fraction:
     return determinant(krylov_matrix(x).rows)
 
 
+def _krylov_dependence(w: RatVector, x: RatMatrix) -> tuple[Fraction, UniPoly | None]:
+    """D_w(x) = det(w, wx, ..., wx^(n-1)) for an integer row w and, if it is
+    nonzero, the characteristic polynomial of x (else None), by Krylov's
+    method: eliminates the columns w (qx)^k, k <= n, of the integer multiple
+    q x, pivoting in the first n; sign * last = q^(n(n-1)/2) D_w(x), and
+    column n / last is the c in w (qx)^n = sum c_k w (qx)^k: for w cyclic,
+    t^n - sum c_k t^k = det(t - qx), whose t^i coefficient is q^(n-i) x's."""
+    n = x.n
+    xq, q = _integer_multiple(x)
+    cols = [list(col) for col in zip(*_krylov_rows(w.entries, xq.rows, n + 1))]
+    pivots, sign, last = _fraction_free_reduce(cols, n)
+    if len(pivots) < n:
+        return Fraction(0), None
+    coeffs = [Fraction(-cols[i][n], last * q ** (n - i)) for i in range(n)]
+    return Fraction(sign * last, q ** (n * (n - 1) // 2)), UniPoly(coeffs + [1])
+
+
 def pairing_matrix(x: RatMatrix) -> RatMatrix:
     """The matrix with (k+1, j) entry tr(x^k E_jn), built from explicit
     matrix powers and literal trace pairings.
@@ -136,7 +154,7 @@ def pairing_determinant(x: RatMatrix) -> Fraction:
 
 def in_omega(x: RatMatrix) -> bool:
     """Exact test D(x) != 0, i.e. e_n is a cyclic row vector for x."""
-    return krylov_determinant(x) != 0
+    return _krylov_dependence(RatVector.unit(x.n, x.n), x)[0] != 0
 
 
 def companion(spec: CompanionSpec) -> RatMatrix:
@@ -209,12 +227,19 @@ def find_cyclic_row(
     random draws, which has probability zero in exact arithmetic but
     remains reportable.
     """
+    return _cyclic_row(x, in_omega(x), None, seed, max_tries)
+
+
+def _cyclic_row(x: RatMatrix, d, mp, seed: int, max_tries: int):
+    """find_cyclic_row given d, true iff D(x) != 0, and mp = min_poly(x) or None."""
     n = x.n
-    for i in [n] + list(range(1, n)):
+    if d:
+        return RatVector.unit(n, n)
+    for i in range(1, n):
         w = RatVector.unit(n, i)
-        if determinant(krylov_rows(w, x)) != 0:
+        if _krylov_dependence(w, x)[0] != 0:
             return w
-    mp = min_poly(x)
+    mp = min_poly(x) if mp is None else mp
     if mp.degree < n:
         return NotRegular(min_poly=mp)
     rng = random.Random(seed)
@@ -225,24 +250,9 @@ def find_cyclic_row(
         w = RatVector([rng.randint(-m, m) for _ in range(n)])
         if w.is_zero():
             continue
-        if determinant(krylov_rows(w, x)) != 0:
+        if _krylov_dependence(w, x)[0] != 0:
             return w
     raise SearchExhausted(f"no cyclic row found in {max_tries} random draws")
-
-
-def _complete_to_invertible(w: RatVector) -> RatMatrix:
-    """Deterministic completion: standard basis rows are added greedily in
-    index order while they grow the rank, then w goes in as the last row."""
-    n = w.n
-    chosen: list[RatVector] = []
-    for i in range(1, n + 1):
-        if len(chosen) == n - 1:
-            break
-        candidate = RatVector.unit(n, i)
-        sub = [v.entries for v in chosen + [candidate, w]]
-        if _row_rank(sub) == len(sub):
-            chosen.append(candidate)
-    return RatMatrix.from_rows(chosen + [w])
 
 
 def conjugate_into_omega(
@@ -257,12 +267,21 @@ def conjugate_into_omega(
     is w, so that e_n (g x g^-1)^k = w x^k g^-1 and the Krylov determinant
     picks up only the factor det(g^-1).
     """
-    w = find_cyclic_row(x, seed=seed, max_tries=max_tries)
+    return _conjugator(x, in_omega(x), None, seed, max_tries)
+
+
+def _conjugator(x: RatMatrix, d, mp, seed: int = 0, max_tries: int = 64):
+    """conjugate_into_omega for x with d and mp as for _cyclic_row."""
+    if d:
+        return RatMatrix.identity(x.n)
+    w = _cyclic_row(x, d, mp, seed, max_tries)
     if isinstance(w, NotRegular):
         return w
-    if w == RatVector.unit(x.n, x.n):
-        return RatMatrix.identity(x.n)
-    g = _complete_to_invertible(w)
+    # the standard basis rows but e_k, for the last k with w_k != 0, in index
+    # order, then w: det g = +-w_k != 0
+    n, k = x.n, max(i for i, e in enumerate(w.entries) if e != 0)
+    units = [[int(j == i) for j in range(n)] for i in range(n) if i != k]
+    g = RatMatrix(units + [w.entries])
     conjugated = g * x * inverse(g)
     if not in_omega(conjugated):  # pragma: no cover - guarded by construction
         raise AssertionError("postcondition D(g x g^-1) != 0 failed")

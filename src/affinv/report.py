@@ -16,6 +16,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Union
 
+import numpy as np
+
 from . import __version__
 from .calculus import (
     LEAK_RATIO,
@@ -215,13 +217,15 @@ def run_identity_suite(n: int, samples: int, seed: int) -> VerificationReport:
     )
 
 
-def _lemma_point(rng: random.Random, n: int) -> RatMatrix:
-    """Integer entries in [-2, 2] and D(x) != 0; exact D keeps the point at
-    least 1 away from the hypersurface, well beyond the delta cutoff."""
+def _lemma_point(rng: random.Random, n: int) -> tuple:
+    """Integer x in [-2, 2]^(n x n) with D(x) != 0, its Krylov rows and D(x);
+    exact D keeps x at least 1 away from the hypersurface, beyond the cutoff."""
     while True:
         x = _rand_matrix(rng, n, -2, 2)
-        if krylov_determinant(x) != 0:
-            return x
+        krylov = krylov_matrix(x).rows
+        d = determinant(krylov)
+        if d != 0:
+            return x, krylov, d
 
 
 def run_lemma_suite(
@@ -252,11 +256,10 @@ def run_lemma_suite(
     rec_sys = PropertyRecord("reduced_system_residuals")
     rec_tie = PropertyRecord("float_residuals_tie_to_exact_krylov")
     rec_full = PropertyRecord("full_identity_arbitrary_fields")
-    for x in points:
+    for x, krylov, d in points:
         fx = FloatMatrix.from_rat(x)
-        krylov = krylov_matrix(x).rows
         exact_rows = [[float(e) for e in row] for row in krylov.rows]
-        abs_d = abs(float(determinant(krylov)))
+        abs_d = abs(float(d))
         rows = _float_krylov_rows(fx, abs_d, cfg)
         wit_x = {"matrix": matrix_to_json(x)}
         for f, f_json in zip(fields, fields_json):
@@ -410,6 +413,7 @@ def _read_config(config: dict, suite: str) -> tuple:
     return tuple(config.get(key, default) for key, default in ints.items())
 
 
+@np.errstate(all="ignore")  # an overflow fails its check with a NaN and a witness
 def run_suite_from_config(config: dict) -> VerificationReport:
     """Dispatch {"suite": ..., "n": ..., "samples": ..., "seed": ...,
     "fd": {...}, "quadrature": {...}} to the named suite; a key the suite
@@ -450,4 +454,6 @@ def run_suite_from_config(config: dict) -> VerificationReport:
         raise SuiteConfigError(
             "quadrature half_width must be > 0 with a nonzero finite box volume"
         )
+    if not half_width * (1.0 + 2.0 * fd_cfg.h) < math.inf:  # >= |x +- h[E_ij, x]|
+        raise SuiteConfigError(f"bad fd config: x +- hv overflows at h = {fd_cfg.h:g}")
     return run_weak_suite(samples, seed, half_width=half_width, cfg=fd_cfg)

@@ -226,10 +226,12 @@ def symbolic_krylov_determinant(n: int, n_max: int | None = None) -> MultiPoly:
     exact layer's row builder over MultiPoly entries.  The first row is e_n
     itself, so the n x n determinant collapses to a single (n-1) x (n-1)
     cofactor, which is then expanded recursively.  Guarded by ``n_max``
-    (default 4) because the expansion is meant for desk-scale dimensions
-    only.
+    (default 4, at most 5: D_6 does not fit in desk-scale memory) because the
+    expansion is meant for desk-scale dimensions only.
     """
     bound = DEFAULT_N_MAX if n_max is None else n_max
+    if bound > 5:
+        raise FeasibilityBoundError(f"bound {bound} is above the ceiling 5")
     if n < 1:
         raise SympolyError(f"dimension {n} must be >= 1")
     if n > bound:

@@ -75,7 +75,7 @@ class TestFdDirectional:
     def test_p2_gradient_pairing(self):
         rng = random.Random(181)
         for _ in range(5):
-            x = _lemma_point(rng, 3)
+            x = _lemma_point(rng, 3)[0]
             v = _rand_matrix(rng, 3, -2, 2)
             expected = float(trace_form(x, v))
             got = fd_directional(Pk(2), FloatMatrix.from_rat(x), FloatMatrix.from_rat(v), CFG)
@@ -111,7 +111,7 @@ class TestLieDerivative:
         rng = random.Random(193)
         for n in (2, 3):
             f = random_invariant_field(n, rng)
-            x = FloatMatrix.from_rat(_lemma_point(rng, n))
+            x = FloatMatrix.from_rat(_lemma_point(rng, n)[0])
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     assert abs(lie_derivative(f, i, j, x, CFG)) <= CFG.tau_res
@@ -132,7 +132,7 @@ class TestLieDerivatives:
             Const(3),
         ]
         for _ in range(3):
-            x = _lemma_point(rng, n)
+            x = _lemma_point(rng, n)[0]
             fx = FloatMatrix.from_rat(x)
             for phi in fields:
                 table = lie_derivatives(phi, fx, CFG)
@@ -161,7 +161,7 @@ class TestPInvarianceResidual:
         for n in (2, 3):
             for _ in range(10):
                 f = random_invariant_field(n, rng)
-                x = FloatMatrix.from_rat(_lemma_point(rng, n))
+                x = FloatMatrix.from_rat(_lemma_point(rng, n)[0])
                 assert p_invariance_residual(f, x, CFG) <= CFG.tau_res
 
     def test_coordinate_field_detected(self):
@@ -186,7 +186,7 @@ class TestFullIdentityResidual:
         for n in (2, 3):
             for _ in range(10):
                 f = random_polynomial_field(n, rng)
-                x = FloatMatrix.from_rat(_lemma_point(rng, n))
+                x = FloatMatrix.from_rat(_lemma_point(rng, n)[0])
                 for k in range(n):
                     assert full_identity_residual(f, x, k, CFG) <= CFG.tau_comb
 
@@ -222,7 +222,7 @@ class TestReducedSystem:
         for n in (2, 3):
             for _ in range(5):
                 f = random_invariant_field(n, rng)
-                x = _lemma_point(rng, n)
+                x = _lemma_point(rng, n)[0]
                 res = reduced_system_check(f, x, CFG)
                 km = krylov_matrix(x)
                 for k in range(n):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,29 @@ class TestVerify:
     @pytest.mark.parametrize(
         "cfg",
         [
+            '{"suite":"lemma","n":2,"samples":1,"fd":{"h":1e300}}',
+            '{"suite":"weak","samples":2000,"seed":1,"fd":{"h":1e300}}',
+        ],
+    )
+    def test_nan_report_writes_no_numpy_warning(self, cfg, monkeypatch, capsys):
+        # the NaN is reported as a failed check with its witness; numpy's
+        # overflow warnings would only repeat it, naming source lines
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["verify", "-"], cfg, monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == "" and caught == []
+        with warnings.catch_warnings():  # the same suite outside the CLI scope
+            warnings.simplefilter("ignore", RuntimeWarning)
+            direct = run_suite_from_config.__wrapped__(json.loads(cfg)).to_json()
+        report = json.loads(captured.out)  # compared as text, since NaN != NaN
+        assert json.dumps({**report, "timestamp": None}, sort_keys=True) == json.dumps(
+            {**direct, "timestamp": None}, sort_keys=True
+        )
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
             '{"suite":"weak","quadrature":{"half_width":-1}}',
             '{"suite":"weak","quadrature":{"half_width":NaN}}',
             '{"suite":"weak","quadrature":[1]}',
@@ -195,6 +219,7 @@ class TestVerify:
             '{"suite":"weak","seed":-1}',
             '{"suite":"lemma","fd":{"delta":2}}',
             '{"suite":"lemma","n":3,"samples":3,"seed":0,"fd":{"h":1.7e308}}',
+            '{"suite":"weak","samples":2000,"seed":1,"fd":{"h":1.7e308}}',
             '{"suite":"identity","n":2.7}',
             '{"suite":"identity","n":"3"}',
             '{"suite":"identity","samples":true}',
@@ -272,6 +297,17 @@ class TestSympoly:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: AFFINV_NMAX must be an integer\n"
+
+    def test_env_override_above_the_ceiling_exits_2_without_expanding(
+        self, capsys, monkeypatch
+    ):
+        # D_6 does not fit in desk-scale memory; n = 2 keeps this test instant
+        monkeypatch.setenv("AFFINV_NMAX", "6")
+        assert main(["sympoly", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_env_override_raises_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("AFFINV_NMAX", "5")

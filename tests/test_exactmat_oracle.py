@@ -2,7 +2,9 @@
 
 sympy shares no code with affinv, so it serves as an independent oracle
 for determinant, inverse, rank, char_poly, min_poly and solve_linear on
-hypothesis-drawn integer and rational matrices.  Uniform draws are almost
+hypothesis-drawn integer and rational matrices, and for the Krylov kernel
+behind ``analyze`` (D_w and the characteristic polynomial from one
+elimination) and the ``analyze`` JSON itself.  Uniform draws are almost
 always regular and of full rank, so low-rank products and non-regular
 Jordan forms are drawn as well, to reach the rank-deficient branches of
 the elimination kernel.  The same draws check the scalar contract:
@@ -10,6 +12,10 @@ entries are ``int`` when integral and ``Fraction`` otherwise, no float ever
 appears, and the public scalars are ``Fraction``.
 """
 
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -19,6 +25,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from affinv.cli import main  # noqa: E402
 from affinv.exactmat import (  # noqa: E402
     NO_SOLUTION,
     NON_UNIQUE,
@@ -28,7 +35,10 @@ from affinv.exactmat import (  # noqa: E402
     char_poly,
     commutator,
     determinant,
+    format_rational,
     inverse,
+    matrix_from_json,
+    matrix_to_json,
     min_poly,
     power,
     rank,
@@ -41,7 +51,13 @@ from affinv.invariants import (  # noqa: E402
     trace_form,
     trace_power,
 )
-from affinv.krylov import krylov_determinant, pairing_determinant  # noqa: E402
+from affinv.krylov import (  # noqa: E402
+    CompanionSpec,
+    _krylov_dependence,
+    companion,
+    krylov_determinant,
+    pairing_determinant,
+)
 
 ORACLE = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -358,3 +374,126 @@ def test_bool_entries_become_int():
 def test_integral_fraction_entries_are_stored_as_int():
     x = RatMatrix([[Fraction(4, 2), Fraction(1, 3)], [Fraction(0), 5]])
     assert [[type(e) for e in row] for row in x.rows] == [[int, Fraction], [int, int]]
+
+
+# --- the Krylov kernel behind `analyze`: one elimination of w, wx, ..., wx^n
+
+
+def _entries(n, entry):
+    return st.lists(entry, min_size=n, max_size=n)
+
+
+def companion_matrices(max_n=8):
+    return st.integers(1, max_n).flatmap(
+        lambda n: _entries(n, st.one_of(_int_entry, _rat_entry))
+    ).map(lambda alpha: companion(CompanionSpec(alpha)))
+
+
+@st.composite
+def off_locus_matrices(draw, max_n=8):
+    """u diag u^-1 with distinct eigenvalues and u in P (last row e_n):
+    regular, and D = det(u)^-1 D(diag) = 0 for n >= 2."""
+    n = draw(st.integers(2, max_n))
+    eigen = draw(
+        st.lists(st.one_of(_int_entry, _rat_entry), min_size=n, max_size=n, unique=True)
+    )
+    top = draw(_grid(n - 1, n, st.integers(-2, 2)))
+    u = sympy.Matrix(top + [[0] * (n - 1) + [1]])
+    assume(u.det() != 0)
+    d = sympy.diag(*[sympy.Rational(e.numerator, e.denominator) for e in eigen])
+    return from_sympy_matrix(u * d * u.inv())
+
+
+# each family is drawn on its own: under one_of, hypothesis rarely reached
+# the off-locus one, which is the only one that runs the conjugator search
+KERNEL_FAMILIES = {
+    "uniform": matrices(8),
+    "companion": companion_matrices(8),
+    "off_locus": off_locus_matrices(8),
+    "non_regular": non_regular_matrices(8),
+}
+
+
+def sympy_krylov_det(m, w) -> Fraction:
+    rows = [sympy.Matrix([list(w)])]
+    for _ in range(m.shape[0] - 1):
+        rows.append(rows[-1] * m)
+    return from_sympy(sympy.Matrix.vstack(*rows).det())
+
+
+def sympy_char_poly(m) -> list:
+    t = sympy.Symbol("t")
+    return [from_sympy(c) for c in reversed(m.charpoly(t).all_coeffs())]
+
+
+def sympy_is_regular(m) -> bool:
+    """I, m, ..., m^(n-1) are linearly independent."""
+    n = m.shape[0]
+    powers = [sympy.eye(n)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * m)
+    return sympy.Matrix.hstack(*(p.reshape(n * n, 1) for p in powers)).rank() == n
+
+
+KERNEL_ORACLE = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+@KERNEL_ORACLE
+@given(data=st.data())
+def test_krylov_dependence_matches_sympy(family, data):
+    x = data.draw(KERNEL_FAMILIES[family])
+    w = data.draw(_entries(x.n, st.integers(-2, 2)))
+    m = to_sympy(x)
+    for row in (w, [int(j == x.n - 1) for j in range(x.n)]):  # random w, then e_n
+        d, poly = _krylov_dependence(RatVector(row), x)
+        assert type(d) is Fraction
+        assert d == sympy_krylov_det(m, row)
+        if d == 0:
+            assert poly is None
+        else:
+            for c in poly.coeffs:
+                assert_exact_scalar(c)
+            assert list(poly.coeffs) == sympy_char_poly(m)
+
+
+def run_analyze(argv, stdin: str):
+    """(exit code, stdout) of the CLI with the given stdin."""
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+@KERNEL_ORACLE
+@given(data=st.data())
+def test_analyze_matches_sympy(family, data):
+    x = data.draw(KERNEL_FAMILIES[family])
+    m = to_sympy(x)
+    regular = sympy_is_regular(m)
+    char = [format_rational(c) for c in sympy_char_poly(m)]
+    e_n = [int(j == x.n - 1) for j in range(x.n)]
+    stdin = json.dumps(matrix_to_json(x))
+    for argv in (["analyze", "-"], ["analyze", "-", "--conjugate"]):
+        code, stdout = run_analyze(argv, stdin)
+        if "--conjugate" in argv and not regular:
+            assert code == 3 and stdout == ""
+            continue
+        assert code == 0
+        out = json.loads(stdout)
+        assert out["regular"] is regular
+        assert out["D"] == format_rational(sympy_krylov_det(m, e_n))
+        assert out["char_poly"] == char
+        if regular:
+            assert out["min_poly"] == char
+        else:
+            assert out["min_poly"] == [format_rational(c) for c in sympy_min_poly(m)]
+        if out["conjugator"] is not None:
+            g = to_sympy(matrix_from_json(out["conjugator"]))
+            assert g.det() != 0
+            assert sympy_krylov_det(g * m * g.inv(), e_n) != 0

@@ -7,6 +7,7 @@ from affinv.exactmat import (
     RatMatrix,
     RatVector,
     SingularMatrixError,
+    _row_rank,
     determinant,
     inverse,
     min_poly,
@@ -18,6 +19,7 @@ from affinv.krylov import (
     NotInPError,
     NotRegular,
     PGroupElement,
+    _conjugator,
     companion,
     companion_sign,
     conjugate_into_omega,
@@ -300,6 +302,35 @@ class TestConjugateIntoOmega:
                 assert isinstance(g, RatMatrix)
                 assert in_omega(g * x * inverse(g))
                 done += 1
+
+    def test_conjugator_rows_match_greedy_completion(self):
+        # reference: standard basis rows added in index order while they grow
+        # the rank, then the cyclic row w
+        def greedy(w):
+            chosen = []
+            for i in range(1, w.n + 1):
+                candidate = RatVector.unit(w.n, i).entries
+                grows = _row_rank(chosen + [candidate, w.entries]) == len(chosen) + 2
+                if len(chosen) < w.n - 1 and grows:
+                    chosen.append(candidate)
+            return RatMatrix(chosen + [w.entries])
+
+        rng = random.Random(163)
+        for n in (2, 3, 4, 5):
+            for _ in range(10):
+                y = _rand_p_element(rng, n).matrix
+                eigen = rng.sample(range(-9, 10), n)
+                diag = RatMatrix(
+                    [[eigen[i] * (i == j) for j in range(n)] for i in range(n)]
+                )
+                x = y * diag * inverse(y)  # regular, and D(x) = 0 as y is in P
+                seed = rng.randint(0, 10**6)
+                w = find_cyclic_row(x, seed=seed)
+                g = conjugate_into_omega(x, seed=seed)
+                assert w != RatVector.unit(n, n)
+                assert g == greedy(w)
+                # the analyze path: D and the minimal polynomial already known
+                assert _conjugator(x, Fraction(0), min_poly(x), seed) == g
 
     def test_block_repeated_structure_rejected(self):
         # two identical companion blocks: minimal polynomial degree n/2
