@@ -13,6 +13,7 @@ and fixed indentation so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -189,7 +190,9 @@ def cmd_sympoly(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state in it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="seed override")
     common.add_argument("--out", type=str, default=None, help="write JSON to file")

@@ -3,9 +3,11 @@
 Entries are stored integer-first: a Python ``int`` when the value is
 integral and a ``fractions.Fraction`` otherwise, so integer matrices run
 pure-int arithmetic and rational ones exactly the Fraction arithmetic.
-``determinant``, ``rank``, ``min_poly``, ``solve_linear`` and ``inverse``
-share one fraction-free elimination kernel on integer-scaled rows, whose
-divisions are all exact integer divisions; every other division goes
+``determinant``, ``rank``, ``solve_linear`` and ``inverse`` share one
+fraction-free elimination kernel on integer-scaled rows; ``min_poly`` and
+the Krylov dependence behind ``analyze`` share a chain kernel that reduces
+v, step(v), ... one at a time and stops at the first dependent vector.
+Their divisions are exact integer divisions; every other division goes
 through ``Fraction``.  So no float can appear, and equality tests
 (``determinant(x) != 0``, residual ``== 0``) are decisions, not tolerance
 checks.  Public scalar results (``determinant``,
@@ -69,13 +71,12 @@ def _matmul(a, b) -> list[list]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _krylov_rows(w, x, count: int | None = None) -> list:
-    """The rows w, wx, ..., wx^(count-1), count = n by default, of a row w and
-    an n x n nested sequence x, over the same scalars as ``_matmul``.  Never
-    forms matrix powers: each row is the previous row times x, n^2 scalar
-    multiplications per row."""
+def _krylov_rows(w, x) -> list:
+    """The rows w, wx, ..., wx^(n-1) of a row w and an n x n nested sequence
+    x, over the same scalars as ``_matmul``.  Never forms matrix powers: each
+    row is the previous row times x, n^2 scalar multiplications per row."""
     rows = [w]
-    for _ in range((count or len(x)) - 1):
+    for _ in range(len(x) - 1):
         rows.append(_matmul(rows[-1:], x)[0])
     return rows
 
@@ -472,6 +473,33 @@ def _fraction_free_reduce(rows: list[list[int]], ncols: int | None = None):
     return pivots, sign, prev
 
 
+def _chain_dependence(v: list[int], step, dim: int):
+    """First dependence in the chain v_0 = v, v_(k+1) = step(v_k) of integer
+    vectors, at most ``dim`` of them independent (Bareiss 1968, one row at a
+    time).  Each v_k, augmented with a unit entry at len(v) + k, is reduced as
+    it is formed against the pivot rows so far by row <- (p * row - row[c] *
+    pivot_row) // prev (p the pivot in column c, prev the one before); every
+    entry is a minor, so each division is exact.  Stops at the first v_m that
+    reduces to zero, forming no later vector, and returns (the pivot columns
+    in chain order, last pivot, y) with sum y_k v_k = 0 and y_m = last; for
+    m = len(v), det(v_0, ..., v_(m-1)) = sign(pivot column order) * last."""
+    stored: list[tuple[int, list[int]]] = []
+    for k in range(dim + 1):
+        row, prev = v + [0] * k + [1] + [0] * (dim - k), 1
+        for c, pivot_row in stored:
+            p, f = pivot_row[c], row[c]
+            row = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+            prev = p
+        for c in range(len(v)):
+            if row[c]:
+                break
+        else:
+            return [c for c, _ in stored], prev, row[len(v) : len(v) + k + 1]
+        stored.append((c, row))
+        v = step(v)
+    raise AssertionError(f"more than {dim} independent vectors")  # pragma: no cover
+
+
 def _row_rank(rows: Iterable[Sequence[Rat]]) -> int:
     """Exact rank of a list of rows (any shape)."""
     return len(_fraction_free_reduce(_integer_rows(rows)[0])[0])
@@ -518,26 +546,21 @@ def char_poly(x: RatMatrix) -> UniPoly:
 
 
 def min_poly(x: RatMatrix) -> UniPoly:
-    """Monic minimal polynomial.
-
-    Eliminates the n^2 x (n+1) integer matrix whose column k is (q x)^k
-    flattened, for the integer multiple q x of x.  Columns 0..m-1 are the
-    pivots, where m is the first power that depends on the lower ones,
-    i.e. the degree; in the reduced form column m holds the coefficients
-    of that dependence times the last pivot, and the coefficient of t^i
-    for x is that for q x divided by q^(m-i).
-    """
+    """Monic minimal polynomial: the chain kernel on vec(I) under
+    M -> M (q x), for the integer multiple q x of x, stops at the first power
+    m that depends on the lower ones, the degree, and forms no higher one; y
+    gives t^m + sum (y_i / last) t^i for q x, whose t^i coefficient is
+    q^(m-i) times that for x."""
     n = x.n
     xq, q = _integer_multiple(x)
-    powers = [RatMatrix.identity(n)]
-    for _ in range(n):
-        powers.append(powers[-1] * xq)
-    rows = [[p.rows[i][j] for p in powers] for i in range(n) for j in range(n)]
-    pivots, _, last = _fraction_free_reduce(rows)
+
+    def step(v):
+        return sum(_matmul([v[i : i + n] for i in range(0, n * n, n)], xq.rows), [])
+
+    ident = [int(i == j) for i in range(n) for j in range(n)]
+    pivots, last, y = _chain_dependence(ident, step, n)
     m = len(pivots)
-    return UniPoly(
-        [Fraction(-rows[i][m], last * q ** (m - i)) for i in range(m)] + [1]
-    )
+    return UniPoly([Fraction(y[i], last * q ** (m - i)) for i in range(m)] + [1])
 
 
 def solve_linear(a: RatMatrix, b: RatVector):

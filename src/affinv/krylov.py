@@ -25,9 +25,10 @@ from .exactmat import (
     RatVector,
     SingularMatrixError,
     UniPoly,
-    _fraction_free_reduce,
+    _chain_dependence,
     _integer_multiple,
     _krylov_rows,
+    _matmul,
     determinant,
     inverse,
     min_poly,
@@ -116,17 +117,20 @@ def krylov_determinant(x: RatMatrix) -> Fraction:
 def _krylov_dependence(w: RatVector, x: RatMatrix) -> tuple[Fraction, UniPoly | None]:
     """D_w(x) = det(w, wx, ..., wx^(n-1)) for an integer row w and, if it is
     nonzero, the characteristic polynomial of x (else None), by Krylov's
-    method: eliminates the columns w (qx)^k, k <= n, of the integer multiple
-    q x, pivoting in the first n; sign * last = q^(n(n-1)/2) D_w(x), and
-    column n / last is the c in w (qx)^n = sum c_k w (qx)^k: for w cyclic,
-    t^n - sum c_k t^k = det(t - qx), whose t^i coefficient is q^(n-i) x's."""
+    method: runs the chain kernel on w under v -> v (q x) for the integer
+    multiple q x, which stops at the first dependent row, deg mu_w; if that
+    is row n, sign * last = q^(n(n-1)/2) D_w(x) and the dependence
+    sum y_k w (qx)^k = 0 gives det(t - qx) = sum (y_k / last) t^k, whose t^i
+    coefficient is q^(n-i) x's."""
     n = x.n
     xq, q = _integer_multiple(x)
-    cols = [list(col) for col in zip(*_krylov_rows(w.entries, xq.rows, n + 1))]
-    pivots, sign, last = _fraction_free_reduce(cols, n)
+    pivots, last, y = _chain_dependence(
+        list(w.entries), lambda v: _matmul([v], xq.rows)[0], n
+    )
     if len(pivots) < n:
         return Fraction(0), None
-    coeffs = [Fraction(-cols[i][n], last * q ** (n - i)) for i in range(n)]
+    sign = (-1) ** sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
+    coeffs = [Fraction(y[i], last * q ** (n - i)) for i in range(n)]
     return Fraction(sign * last, q ** (n * (n - 1) // 2)), UniPoly(coeffs + [1])
 
 

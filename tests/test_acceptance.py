@@ -6,6 +6,7 @@ tolerances are pinned here; the library suites cover the same ground with
 configurable parameters.
 """
 
+import io
 import json
 import random
 import time
@@ -270,8 +271,6 @@ def test_criterion_10_weak_form():
 
 
 def test_criterion_11_cli_determinism(tmp_path, monkeypatch, capsys):
-    import io
-
     from affinv.cli import main
     from affinv.report import run_suite_from_config
 
@@ -297,3 +296,31 @@ def test_criterion_11_cli_determinism(tmp_path, monkeypatch, capsys):
         assert target.read_bytes() == (GOLDEN / f"sympoly_n{n}.json").read_bytes()
     capsys.readouterr()
     _report(11, "seeded reports byte-identical; golden files reproduced")
+
+
+# analyze --conjugate outputs that run the random-row search (e_n and every
+# other unit row fail on these off-locus inputs), a rational input, the
+# exit-3 message of a non-regular input and one --markdown rendering: input
+# stem, extra argv, exit code, golden file (stdout, or stderr on exit 3)
+SEARCH_GOLDENS = [
+    ("analyze_offlocus_n6", [], 0, "analyze_offlocus_n6.json"),
+    ("analyze_offlocus_n6", ["--markdown"], 0, "analyze_offlocus_n6.md"),
+    ("analyze_offlocus_n12", ["--seed", "7"], 0, "analyze_offlocus_n12.json"),
+    ("analyze_rational_n5", [], 0, "analyze_rational_n5.json"),
+    ("analyze_nonregular_n5", [], 3, "analyze_nonregular_n5.stderr"),
+]
+
+
+@pytest.mark.parametrize("stem, extra, code, golden", SEARCH_GOLDENS)
+def test_conjugator_search_goldens(stem, extra, code, golden, monkeypatch, capsys):
+    from affinv.cli import main
+
+    stdin_text = (GOLDEN / f"{stem}.input.json").read_text()
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    assert main(["analyze", "-", "--conjugate", *extra]) == code
+    out, err = capsys.readouterr()
+    expected = (GOLDEN / golden).read_text()
+    assert (out, err) == ((expected, "") if code == 0 else ("", expected))
+    if golden.endswith(".json"):  # the cyclic row found is not a unit row
+        last_row = json.loads(out)["conjugator"]["entries"][-1]
+        assert [e for e in last_row if e != "0"] != ["1"]

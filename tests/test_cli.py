@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import re
 import warnings
 from pathlib import Path
 
@@ -104,6 +105,37 @@ class TestAnalyze:
         assert code == 0
         out = capsys.readouterr().out
         assert "| D | -3 |" in out
+
+
+def test_parser_built_once_carries_no_state_between_calls(monkeypatch, capsys):
+    """One cached parser serves every call; each result equals that of a call
+    on a freshly built parser, so an argparse error, an analyze with --seed
+    and a verify without it leave nothing behind."""
+    from affinv.cli import build_parser
+
+    calls = [
+        (["analyze", "--no-such-flag"], None),
+        (["analyze", "-", "--conjugate", "--seed", "3"], '{"n":2,"entries":[["1","0"],["0","2"]]}'),
+        (["verify", "-"], '{"suite":"identity","n":2,"samples":3,"seed":5}'),
+    ]
+
+    def call(argv, stdin_text):
+        try:
+            code = run_cli(argv, stdin_text, monkeypatch)
+        except SystemExit as exc:  # argparse's own exit
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out), err
+
+    reused = [call(*c) for c in calls]
+    assert build_parser() is build_parser()
+    fresh = []
+    for c in calls:
+        build_parser.cache_clear()
+        fresh.append(call(*c))
+    assert [r[0] for r in reused] == [2, 0, 0]
+    assert json.loads(reused[2][1])["seed"] == 5
+    assert reused == fresh
 
 
 class TestVerify:

@@ -4,16 +4,18 @@ sympy shares no code with affinv, so it serves as an independent oracle
 for determinant, inverse, rank, char_poly, min_poly and solve_linear on
 hypothesis-drawn integer and rational matrices, and for the Krylov kernel
 behind ``analyze`` (D_w and the characteristic polynomial from one
-elimination) and the ``analyze`` JSON itself.  Uniform draws are almost
-always regular and of full rank, so low-rank products and non-regular
-Jordan forms are drawn as well, to reach the rank-deficient branches of
-the elimination kernel.  The same draws check the scalar contract:
+chain) and the ``analyze`` JSON itself.  Uniform draws are almost always
+regular and of full rank, so low-rank products and non-regular Jordan
+forms are drawn as well, to reach the rank-deficient branches of the
+elimination kernel, and chains whose first dependence comes at each power
+1..n, to check that the chain kernel stops exactly there.  The same draws check the scalar contract:
 entries are ``int`` when integral and ``Fraction`` otherwise, no float ever
 appears, and the public scalars are ``Fraction``.
 """
 
 import io
 import json
+import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -24,6 +26,7 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from sympy.combinatorics import Permutation  # noqa: E402
 
 from affinv.cli import main  # noqa: E402
 from affinv.exactmat import (  # noqa: E402
@@ -32,6 +35,8 @@ from affinv.exactmat import (  # noqa: E402
     RatMatrix,
     RatVector,
     SingularMatrixError,
+    _chain_dependence,
+    _matmul,
     char_poly,
     commutator,
     determinant,
@@ -497,3 +502,120 @@ def test_analyze_matches_sympy(family, data):
             g = to_sympy(matrix_from_json(out["conjugator"]))
             assert g.det() != 0
             assert sympy_krylov_det(g * m * g.inv(), e_n) != 0
+
+
+# The chain kernel stops at the first dependent vector, so it is checked on
+# chains whose first dependence comes at every power 1..n: low-degree
+# (derogatory) x for min_poly, and rows w inside an invariant subspace.
+
+
+@st.composite
+def low_degree_matrices(draw, d, max_n=8):
+    """U J U^-1 / s, d < n <= max_n, with J in Jordan form whose minimal
+    polynomial has degree d.  Blocks of sizes s_1 + ... + s_k = d carry k
+    distinct eigenvalues; the other n - d dimensions are blocks no larger
+    than the first block of the same eigenvalue.  U is unimodular and the
+    scale s in 1..3 makes the entries rational."""
+    n = draw(st.integers(d + 1, max_n))
+    k = draw(st.integers(1, d))
+    cut_points = st.sets(st.integers(1, max(d - 1, 1)), min_size=k - 1, max_size=k - 1)
+    cuts = sorted(draw(cut_points))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+    eigen = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k, unique=True))
+    blocks = list(zip(sizes, eigen))
+    while sum(size for size, _ in blocks) < n:
+        i = draw(st.integers(0, k - 1))
+        room = n - sum(size for size, _ in blocks)
+        blocks.append((draw(st.integers(1, min(sizes[i], room))), eigen[i]))
+    small = st.integers(-2, 2)
+    u = _unimodular(n, draw(_grid(n, n, small)), draw(_grid(n, n, small)))
+    j = _jordan(n, draw(st.permutations(blocks)))
+    return from_sympy_matrix(u * j * u.inv() / draw(st.integers(1, 3)))
+
+
+@st.composite
+def invariant_subspace_rows(draw, d, max_n=8):
+    """(x, w), d <= n <= max_n, with x = U^-1 B U / s, B block lower
+    triangular with a d x d leading block, and w = (u, 0) U: span(e_1, ...,
+    e_d) U is invariant under x, so the chain w, wx, ... is dependent at
+    power d at the latest (for d = n, at power n, so D_w != 0 is drawn).
+    U is unimodular or a permutation; the latter keeps zeros in w and x, so
+    that the pivot columns of the chain come out of order too."""
+    n = draw(st.integers(max(d, 2), max_n))
+    b = draw(_grid(n, n, st.integers(-3, 3)))
+    for i in range(d):
+        b[i][d:] = [0] * (n - d)
+    u = draw(_entries(d, st.integers(-2, 2)))
+    assume(any(u))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        g = sympy.Matrix(n, n, lambda i, j: int(perm[i] == j))
+    else:
+        small = st.integers(-2, 2)
+        g = _unimodular(n, draw(_grid(n, n, small)), draw(_grid(n, n, small)))
+    x = g.inv() * sympy.Matrix(b) * g / draw(st.integers(1, 3))
+    w = sympy.Matrix([u + [0] * (n - d)]) * g
+    return from_sympy_matrix(x), [int(e) for e in w]
+
+
+def sympy_chain(m, w, count):
+    """The rows w, wm, ..., wm^(count-1) as one sympy matrix."""
+    rows = [sympy.Matrix([list(w)])]
+    for _ in range(count - 1):
+        rows.append(rows[-1] * m)
+    return sympy.Matrix.vstack(*rows)
+
+
+# few examples per power d, so that every d = 1..7 (8 for rows) is reached
+CHAIN_ORACLE = settings(max_examples=8, deadline=None, derandomize=True)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@CHAIN_ORACLE
+@given(data=st.data())
+def test_min_poly_of_low_degree_matrices_matches_sympy(d, data):
+    x = data.draw(low_degree_matrices(d))
+    p = min_poly(x)
+    assert p.degree == d
+    assert list(p.coeffs) == sympy_min_poly(to_sympy(x))
+
+
+@pytest.mark.parametrize(
+    "family, d",
+    [("invariant_subspace", d) for d in range(1, 9)]
+    + [("low_degree", d) for d in range(1, 8)],
+)
+@CHAIN_ORACLE
+@given(data=st.data())
+def test_chain_kernel_stops_at_the_first_dependence(family, d, data):
+    if family == "low_degree":
+        x = data.draw(low_degree_matrices(d))
+        w = data.draw(_entries(x.n, st.integers(-2, 2)))
+        assume(any(w))
+    else:
+        x, w = data.draw(invariant_subspace_rows(d))
+    n = x.n
+    q = math.lcm(*(e.denominator for row in x.rows for e in row))
+    mq = to_sympy(x) * q
+    chain = sympy_chain(mq, w, n + 1)
+    xq = [[int(e) for e in row] for row in mq.tolist()]
+    formed = []  # every vector the kernel forms after w
+
+    def step(v):
+        formed.append(_matmul([v], xq)[0])
+        return formed[-1]
+
+    pivots, last, y = _chain_dependence(list(w), step, n)
+    m = chain.rank()  # the dimension of the Krylov space: the first dependence
+    assert len(formed) == m  # w (qx)^m is the last vector formed
+    assert len(pivots) == len(set(pivots)) == m
+    assert len(y) == m + 1 and y[m] == last != 0
+    assert sympy.Matrix([y]) * chain[: m + 1, :] == sympy.zeros(1, n)
+    if m == n:
+        sign = Permutation(pivots).signature()
+        assert sign * last == chain[:n, :].det()
+    d_w, poly = _krylov_dependence(RatVector(w), x)
+    assert d_w == sympy_krylov_det(to_sympy(x), w)
+    assert (poly is None) == (m < n)
+    if poly is not None:
+        assert list(poly.coeffs) == sympy_char_poly(to_sympy(x))
