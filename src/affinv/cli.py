@@ -70,11 +70,15 @@ def _dump(obj: dict) -> str:
 
 
 def _emit(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_BAD_INPUT)
 
 
 def _emit_result(payload: dict, render, args):

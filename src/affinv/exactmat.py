@@ -3,17 +3,20 @@
 Entries are stored integer-first: a Python ``int`` when the value is
 integral and a ``fractions.Fraction`` otherwise, so integer matrices run
 pure-int arithmetic and rational ones exactly the Fraction arithmetic.
-``determinant``, ``rank``, ``solve_linear`` and ``inverse`` share one
-fraction-free elimination kernel on integer-scaled rows; ``min_poly`` and
-the Krylov dependence behind ``analyze`` share a chain kernel that reduces
-v, step(v), ... one at a time and stops at the first dependent vector.
-Their divisions are exact integer divisions; every other division goes
-through ``Fraction``.  So no float can appear, and equality tests
-(``determinant(x) != 0``, residual ``== 0``) are decisions, not tolerance
-checks.  Public scalar results (``determinant``,
-``RatMatrix.trace``) are always ``Fraction``.  Matrices and vectors are
-immutable; every operation returns a fresh value and is safe to call
-concurrently.
+Every exact elimination runs through one fraction-free kernel,
+``_eliminate``, which reduces integer vectors one at a time as they are
+drawn; each job scales its input once to an integer multiple q x and is a
+caller of the kernel: ``determinant`` and ``rank`` draw the rows,
+``solve_linear`` the columns of [a | b], ``inverse`` the rows and then the
+unit rows, and ``min_poly`` and the Krylov dependence behind ``analyze`` draw
+the lazy chain of ``_krylov_rows`` (the only place v -> v x is written) and
+stop at its first dependent vector.  The kernel's divisions are exact
+integer divisions; every other division goes through ``Fraction``.  So no
+float can appear, and equality tests (``determinant(x) != 0``, residual
+``== 0``) are decisions, not tolerance checks.  Public scalar results
+(``determinant``, ``RatMatrix.trace``) are always ``Fraction``.  Matrices
+and vectors are immutable; every operation returns a fresh value and is
+safe to call concurrently.
 
 Index convention: documentation and all JSON interfaces are 1-based (entry
 ``(i, j)`` with ``1 <= i, j <= n``); internal storage is 0-based row-major.
@@ -25,6 +28,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -71,14 +75,14 @@ def _matmul(a, b) -> list[list]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _krylov_rows(w, x) -> list:
-    """The rows w, wx, ..., wx^(n-1) of a row w and an n x n nested sequence
-    x, over the same scalars as ``_matmul``.  Never forms matrix powers: each
-    row is the previous row times x, n^2 scalar multiplications per row."""
-    rows = [w]
-    for _ in range(len(x) - 1):
-        rows.append(_matmul(rows[-1:], x)[0])
-    return rows
+def _krylov_rows(w, x):
+    """The lazy chain w, wx, wx^2, ... for nested sequences w (one row, or the
+    identity for the powers of x) and x, over the same scalars as
+    ``_matmul``.  Each term is the previous one times x, formed only when
+    drawn."""
+    while True:
+        yield w
+        w = _matmul(w, x)
 
 
 def parse_rational(text) -> Fraction:
@@ -415,116 +419,97 @@ def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return a * b - b * a
 
 
-def _integer_rows(rows: Iterable[Sequence[Rat]]) -> tuple[list[list[int]], int]:
-    """Scale each row by the lcm of its denominators; return the integer rows
-    and the product of the scales."""
-    scale = 1
-    out = []
-    for row in rows:
-        d = lcm(*[e.denominator for e in row])
-        if d == 1:
-            out.append(list(row))
-        else:
-            scale *= d
-            out.append([e.numerator * (d // e.denominator) for e in row])
-    return out, scale
+def _integer_multiple(rows: Sequence[Sequence[Rat]]) -> tuple[Sequence, int]:
+    """(q rows, q) for the least q > 0 that makes q rows integer; the entries
+    stay ``int``."""
+    q = lcm(*[e.denominator for row in rows for e in row])
+    if q == 1:
+        return rows, 1
+    return [[e.numerator * (q // e.denominator) for e in row] for row in rows], q
 
 
-def _fraction_free_reduce(rows: list[list[int]], ncols: int | None = None):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integer rows,
-    in place; pivots are sought in the first ``ncols`` columns (all by
-    default).
+def _eliminate(vectors: Iterable[Sequence[int]], ncols: int):
+    """Fraction-free elimination (Bareiss 1968), one integer vector at a time.
 
-    Each step with pivot p replaces every other row by
-    (p * row - row[c] * pivot_row) // prev, where prev is the previous
-    pivot; every entry stays a minor of the input, so each division is
-    exact.  On return the pivot rows come first, in column order, and all
-    rows equal ``last`` times the reduced row echelon form of the input.
-    Returns (pivot columns, row-swap sign, last pivot); with a full-rank
-    square input the determinant is sign * last.
+    Each vector drawn is reduced against the independent ones stored so far
+    by row <- (p * row - row[c] * pivot_row) // prev, for the pivot p in
+    column c and the pivot prev before it; every entry is a minor of the
+    input, so each division is exact.  Yields (pivot column, reduced row) for
+    each vector: its pivot column is its first nonzero entry among the first
+    ``ncols``, and it is stored; a vector that reduces to zero there is
+    dependent, yields None and is not stored.  Entries past ``ncols`` ride
+    along, so a unit index appended to each vector records the dependence
+    coefficients.  A caller that stops at a vector draws no later one.  The
+    pivot of the k-th independent vector is the minor of the first k in
+    their pivot columns, so for n independent vectors of length n,
+    det(v_1..v_n) = sign(pivot-column order) * last pivot.
     """
-    m = len(rows)
-    ncols = len(rows[0]) if ncols is None else ncols
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        for p in range(r, m):
-            if rows[p][c]:
-                break
-        else:
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            sign = -sign
-        pivot_row = rows[r]
-        pivot = pivot_row[c]
-        for i in range(m):
-            if i != r:
-                f = rows[i][c]
-                rows[i] = [
-                    (pivot * a - f * b) // prev for a, b in zip(rows[i], pivot_row)
-                ]
-        prev = pivot
-        pivots.append(c)
-        if len(pivots) == m:
-            break
-    return pivots, sign, prev
-
-
-def _chain_dependence(v: list[int], step, dim: int):
-    """First dependence in the chain v_0 = v, v_(k+1) = step(v_k) of integer
-    vectors, at most ``dim`` of them independent (Bareiss 1968, one row at a
-    time).  Each v_k, augmented with a unit entry at len(v) + k, is reduced as
-    it is formed against the pivot rows so far by row <- (p * row - row[c] *
-    pivot_row) // prev (p the pivot in column c, prev the one before); every
-    entry is a minor, so each division is exact.  Stops at the first v_m that
-    reduces to zero, forming no later vector, and returns (the pivot columns
-    in chain order, last pivot, y) with sum y_k v_k = 0 and y_m = last; for
-    m = len(v), det(v_0, ..., v_(m-1)) = sign(pivot column order) * last."""
-    stored: list[tuple[int, list[int]]] = []
-    for k in range(dim + 1):
-        row, prev = v + [0] * k + [1] + [0] * (dim - k), 1
+    stored: list[tuple[int, Sequence[int]]] = []
+    for row in vectors:
+        prev = 1
         for c, pivot_row in stored:
             p, f = pivot_row[c], row[c]
-            row = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+            if f or p != prev:  # else the step leaves the row as it is
+                row = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
             prev = p
-        for c in range(len(v)):
+        for c in range(ncols):
             if row[c]:
+                stored.append((c, row))
                 break
         else:
-            return [c for c, _ in stored], prev, row[len(v) : len(v) + k + 1]
-        stored.append((c, row))
-        v = step(v)
+            c = None
+        yield c, row
+
+
+def _with_units(vectors: Iterable[Sequence[int]], m: int):
+    """The first m vectors, each followed by its unit index: e_k of length m
+    for the k-th; no later vector is drawn."""
+    for k, v in zip(range(m), vectors):
+        yield [*v, *[0] * k, 1, *[0] * (m - 1 - k)]
+
+
+def _order_sign(pivots: Sequence[int]) -> int:
+    """The sign of the permutation that sorts ``pivots``."""
+    return (-1) ** sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
+
+
+def _chain_dependence(vectors: Iterable[Sequence[int]], ncols: int, dim: int):
+    """First dependence among the integer vectors v_0, v_1, ... drawn from
+    ``vectors``, at most ``dim`` of them independent: ``_eliminate`` on the
+    vectors with unit indices, stopped at the first v_m that reduces to zero,
+    so no later vector is drawn.  Returns (the pivot columns in draw order,
+    last pivot, y) with sum y_k v_k = 0 and y_m = last."""
+    pivots: list[int] = []
+    for c, row in _eliminate(_with_units(vectors, dim + 1), ncols):
+        if c is None:
+            y = row[ncols : ncols + len(pivots) + 1]
+            return pivots, y[-1], y
+        pivots.append(c)
     raise AssertionError(f"more than {dim} independent vectors")  # pragma: no cover
 
 
-def _row_rank(rows: Iterable[Sequence[Rat]]) -> int:
+def _row_rank(rows: Sequence[Sequence[Rat]]) -> int:
     """Exact rank of a list of rows (any shape)."""
-    return len(_fraction_free_reduce(_integer_rows(rows)[0])[0])
+    scaled, _ = _integer_multiple(rows)
+    return sum(c is not None for c, _ in _eliminate(scaled, len(rows[0])))
 
 
 def determinant(x: RatMatrix) -> Fraction:
-    """Exact determinant: sign * last pivot of the fraction-free elimination
-    of the integer-scaled rows, divided by the row scales."""
-    rows, scale = _integer_rows(x.rows)
-    pivots, sign, last = _fraction_free_reduce(rows)
-    if len(pivots) < x.n:
-        return Fraction(0)
-    return Fraction(sign * last, scale)
+    """Exact determinant of the integer multiple q x, eliminated row by row:
+    sign(pivot-column order) * last pivot / q^n, or 0 at the first dependent
+    row."""
+    rows, q = _integer_multiple(x.rows)
+    pivots = []
+    for c, row in _eliminate(rows, x.n):
+        if c is None:
+            return Fraction(0)
+        pivots.append(c)
+    return Fraction(_order_sign(pivots) * row[c], q**x.n)
 
 
 def rank(x: RatMatrix) -> int:
-    """Exact rank over the rationals: the number of pivots of the
-    fraction-free elimination."""
+    """Exact rank over the rationals: the number of independent rows."""
     return _row_rank(x.rows)
-
-
-def _integer_multiple(x: RatMatrix) -> tuple[RatMatrix, int]:
-    """(q x, q) for the least q > 0 that makes q x an integer matrix."""
-    q = lcm(*[e.denominator for row in x.rows for e in row])
-    return (x, 1) if q == 1 else (x.scale(q), q)
 
 
 def char_poly(x: RatMatrix) -> UniPoly:
@@ -534,7 +519,8 @@ def char_poly(x: RatMatrix) -> UniPoly:
     times that of x, so rational input costs int arithmetic too.
     """
     n = x.n
-    xq, q = _integer_multiple(x)
+    rows, q = _integer_multiple(x.rows)
+    xq = RatMatrix(rows)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     m = RatMatrix.zeros(n)
@@ -546,19 +532,16 @@ def char_poly(x: RatMatrix) -> UniPoly:
 
 
 def min_poly(x: RatMatrix) -> UniPoly:
-    """Monic minimal polynomial: the chain kernel on vec(I) under
-    M -> M (q x), for the integer multiple q x of x, stops at the first power
-    m that depends on the lower ones, the degree, and forms no higher one; y
-    gives t^m + sum (y_i / last) t^i for q x, whose t^i coefficient is
-    q^(m-i) times that for x."""
+    """Monic minimal polynomial from the chain I, qx, (qx)^2, ... of powers of
+    the integer multiple q x, flattened to vectors: the chain kernel stops
+    at the first power m that depends on the lower ones, the degree, so no
+    higher one is formed; y gives t^m + sum (y_i / last) t^i for q x, whose
+    t^i coefficient is q^(m-i) times that for x."""
     n = x.n
-    xq, q = _integer_multiple(x)
-
-    def step(v):
-        return sum(_matmul([v[i : i + n] for i in range(0, n * n, n)], xq.rows), [])
-
-    ident = [int(i == j) for i in range(n) for j in range(n)]
-    pivots, last, y = _chain_dependence(ident, step, n)
+    xq, q = _integer_multiple(x.rows)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    powers = (sum(p, []) for p in _krylov_rows(ident, xq))
+    pivots, last, y = _chain_dependence(powers, n * n, n)
     m = len(pivots)
     return UniPoly([Fraction(y[i], last * q ** (m - i)) for i in range(m)] + [1])
 
@@ -568,34 +551,36 @@ def solve_linear(a: RatMatrix, b: RatVector):
 
     Returns the unique RatVector solution when det(a) != 0, the NO_SOLUTION
     sentinel when the system is inconsistent, and NON_UNIQUE when it is
-    consistent but underdetermined.  Eliminates [a | b] with pivots taken
-    in the columns of a only.
+    consistent but underdetermined.  Eliminates the columns of the integer
+    multiple of [a | b], then b, each with a unit index: b dependent on the
+    columns of a gives sum y_k a_k + last b = 0, so s_k = -y_k / last.
     """
     n = a.n
     if b.n != n:
         raise DimensionMismatchError(f"matrix size {n} vs vector length {b.n}")
-    rows, _ = _integer_rows(row + (be,) for row, be in zip(a.rows, b.entries))
-    pivots, _, last = _fraction_free_reduce(rows, n)
-    r = len(pivots)
-    if any(row[n] != 0 for row in rows[r:]):
+    rows, _ = _integer_multiple([row + (be,) for row, be in zip(a.rows, b.entries)])
+    *columns, (b_pivot, y) = _eliminate(_with_units(zip(*rows), n + 1), n)
+    if b_pivot is not None:
         return NO_SOLUTION
-    if r < n:
+    if any(c is None for c, _ in columns):
         return NON_UNIQUE
-    return RatVector(Fraction(row[n], last) for row in rows)
+    return RatVector(Fraction(-e, y[2 * n]) for e in y[n : 2 * n])
 
 
 def inverse(x: RatMatrix) -> RatMatrix:
-    """Exact inverse: eliminates [x | I] with pivots taken in the columns of
-    x, leaving [d I | d x^-1] for the last pivot d; raises
+    """Exact inverse: eliminates the rows of the integer multiple q x with
+    unit indices, then reduces each e_j against them without storing it:
+    sum y_k (q x)_k + last e_j = 0, so row j of x^-1 is -q y / last.  Raises
     SingularMatrixError when det = 0."""
     n = x.n
-    rows, _ = _integer_rows(
-        row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(x.rows)
-    )
-    pivots, _, last = _fraction_free_reduce(rows, n)
+    rows, q = _integer_multiple(x.rows)
+    units = ([int(i == j) for i in range(n)] + [0] * n for j in range(n))
+    reduced = _eliminate(chain(_with_units(rows, n), units), n)
+    pivots = [row[c] for c, row in islice(reduced, n) if c is not None]
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return RatMatrix([[Fraction(e, last) for e in row[n:]] for row in rows])
+    last = pivots[-1]
+    return RatMatrix([[Fraction(-q * e, last) for e in row[n:]] for _, row in reduced])
 
 
 def matrix_to_json(x: RatMatrix) -> dict:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Sequence, Union
 
 from .exactmat import (
@@ -28,7 +29,7 @@ from .exactmat import (
     _chain_dependence,
     _integer_multiple,
     _krylov_rows,
-    _matmul,
+    _order_sign,
     determinant,
     inverse,
     min_poly,
@@ -88,7 +89,8 @@ class PGroupElement:
 
 def krylov_rows(w: RatVector, x: RatMatrix) -> RatMatrix:
     """The rows w, wx, ..., wx^(n-1), top to bottom."""
-    return RatMatrix(_krylov_rows(w.entries, x.rows))
+    rows = chain.from_iterable(_krylov_rows([w.entries], x.rows))
+    return RatMatrix(islice(rows, x.n))
 
 
 @dataclass(frozen=True)
@@ -117,21 +119,20 @@ def krylov_determinant(x: RatMatrix) -> Fraction:
 def _krylov_dependence(w: RatVector, x: RatMatrix) -> tuple[Fraction, UniPoly | None]:
     """D_w(x) = det(w, wx, ..., wx^(n-1)) for an integer row w and, if it is
     nonzero, the characteristic polynomial of x (else None), by Krylov's
-    method: runs the chain kernel on w under v -> v (q x) for the integer
-    multiple q x, which stops at the first dependent row, deg mu_w; if that
-    is row n, sign * last = q^(n(n-1)/2) D_w(x) and the dependence
+    method: the chain kernel draws w, w (qx), w (qx)^2, ... for the integer
+    multiple q x and stops at the first dependent row, deg mu_w; if that is
+    row n, sign * last = q^(n(n-1)/2) D_w(x) and the dependence
     sum y_k w (qx)^k = 0 gives det(t - qx) = sum (y_k / last) t^k, whose t^i
     coefficient is q^(n-i) x's."""
     n = x.n
-    xq, q = _integer_multiple(x)
-    pivots, last, y = _chain_dependence(
-        list(w.entries), lambda v: _matmul([v], xq.rows)[0], n
-    )
+    xq, q = _integer_multiple(x.rows)
+    rows = chain.from_iterable(_krylov_rows([w.entries], xq))
+    pivots, last, y = _chain_dependence(rows, n, n)
     if len(pivots) < n:
         return Fraction(0), None
-    sign = (-1) ** sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
     coeffs = [Fraction(y[i], last * q ** (n - i)) for i in range(n)]
-    return Fraction(sign * last, q ** (n * (n - 1) // 2)), UniPoly(coeffs + [1])
+    d_w = Fraction(_order_sign(pivots) * last, q ** (n * (n - 1) // 2))
+    return d_w, UniPoly(coeffs + [1])
 
 
 def pairing_matrix(x: RatMatrix) -> RatMatrix:

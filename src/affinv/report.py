@@ -394,7 +394,8 @@ _SUITE_KEYS = {
 
 
 def _read_config(config: dict, suite: str) -> tuple:
-    """n, samples and seed of a config that holds only keys in the suite's table."""
+    """n, samples and seed of a config that holds only keys in the suite's table,
+    with a JSON number for every section value but ``fd.scheme``."""
     ints, sections = _SUITE_KEYS[suite]
     for key, value in config.items():
         if key in ints:
@@ -408,6 +409,12 @@ def _read_config(config: dict, suite: str) -> tuple:
                 raise SuiteConfigError(
                     f"unknown {key} key {unknown[0]!r} for the {suite} suite"
                 )
+            for name, number in value.items():
+                # a bool or a string is not a JSON number
+                if name != "scheme" and type(number) not in (int, float):
+                    raise SuiteConfigError(
+                        f"{key} {name} must be a JSON number, got {number!r}"
+                    )
         elif key != "suite":
             raise SuiteConfigError(f"unknown key {key!r} for the {suite} suite")
     return tuple(config.get(key, default) for key, default in ints.items())

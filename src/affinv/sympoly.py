@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Mapping, Sequence
 
 from .exactmat import RatMatrix, _krylov_rows, format_rational, parse_rational
@@ -240,7 +241,7 @@ def symbolic_krylov_determinant(n: int, n_max: int | None = None) -> MultiPoly:
     if n == 1:
         return MultiPoly.const(nvars, 1)
     e_n = [MultiPoly.const(nvars, int(j == n - 1)) for j in range(n)]
-    rows = _krylov_rows(e_n, generic_matrix(n))
+    rows = list(islice(chain.from_iterable(_krylov_rows([e_n], generic_matrix(n))), n))
     # expand along the first row e_n: single nonzero entry at column n,
     # cofactor sign (-1)^(1+n)
     minor = [r[: n - 1] for r in rows[1:]]

@@ -256,6 +256,13 @@ class TestVerify:
             '{"suite":"identity","n":"3"}',
             '{"suite":"identity","samples":true}',
             '{"suite":"lemma","seed":null}',
+            '{"suite":"weak","samples":10,"seed":1,"quadrature":{"half_width":"2"}}',
+            '{"suite":"weak","samples":10,"seed":1,"quadrature":{"half_width":true}}',
+            '{"suite":"weak","samples":10,"seed":1,"fd":{"h":false}}',
+            '{"suite":"lemma","fd":{"h":true}}',
+            '{"suite":"lemma","fd":{"delta":true}}',
+            '{"suite":"lemma","fd":{"tau_res":"1e-6"}}',
+            '{"suite":"lemma","fd":{"tau_comb":[1]}}',
         ],
     )
     def test_bad_numeric_config_exits_2_with_one_error_line(
@@ -302,6 +309,28 @@ class TestVerify:
     def test_every_key_in_the_suite_table_is_accepted(self, cfg, monkeypatch, capsys):
         assert run_cli(["verify", "-"], cfg, monkeypatch) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "argv, stdin_text",
+    [
+        (["analyze", "-"], GENERIC_2X2),
+        (["analyze", "-", "--markdown"], GENERIC_2X2),
+        (["verify", "-"], '{"suite":"identity","n":1,"samples":1}'),
+        (["sympoly", "--n", "2"], None),
+    ],
+)
+def test_unwritable_out_exits_2_with_one_error_line(
+    argv, stdin_text, target, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "absent" / "x.json" if target == "missing" else tmp_path
+    code = run_cli(argv + ["--out", str(out)], stdin_text, monkeypatch)
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
+    assert "--markdown" in argv or captured.out == ""
 
 
 class TestSympoly:

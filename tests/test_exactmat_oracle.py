@@ -36,7 +36,8 @@ from affinv.exactmat import (  # noqa: E402
     RatVector,
     SingularMatrixError,
     _chain_dependence,
-    _matmul,
+    _eliminate,
+    _krylov_rows,
     char_poly,
     commutator,
     determinant,
@@ -80,10 +81,31 @@ def _square(entry, n):
     return _grid(n, n, entry).map(RatMatrix)
 
 
+def _permuted_triangular(n):
+    """Rows of an upper triangular matrix with a nonzero diagonal, permuted:
+    the first nonzero entry of row i, its pivot column, is in column perm[i],
+    so the pivot columns come out of order, as odd and even permutations."""
+    nonzero = _int_entry.filter(bool)
+
+    def build(perm, upper, diagonal):
+        rows = [[0] * i + [diagonal[i]] + upper[i][i + 1 :] for i in range(n)]
+        return RatMatrix([rows[perm.index(i)] for i in range(n)])
+
+    return st.builds(
+        build,
+        st.permutations(range(n)),
+        _grid(n, n, st.one_of(_int_entry, _rat_entry)),
+        st.lists(nonzero, min_size=n, max_size=n),
+    )
+
+
 def matrices(max_n=6):
-    """Integer or rational (p/q, q <= 9) matrices with 1 <= n <= max_n."""
+    """Integer or rational (p/q, q <= 9) matrices with 1 <= n <= max_n, dense
+    or permuted triangular."""
     return st.integers(1, max_n).flatmap(
-        lambda n: st.one_of(_square(_int_entry, n), _square(_rat_entry, n))
+        lambda n: st.one_of(
+            _square(_int_entry, n), _square(_rat_entry, n), _permuted_triangular(n)
+        )
     )
 
 
@@ -599,15 +621,17 @@ def test_chain_kernel_stops_at_the_first_dependence(family, d, data):
     mq = to_sympy(x) * q
     chain = sympy_chain(mq, w, n + 1)
     xq = [[int(e) for e in row] for row in mq.tolist()]
-    formed = []  # every vector the kernel forms after w
+    formed = []  # every vector the lazy chain forms, w first
 
-    def step(v):
-        formed.append(_matmul([v], xq)[0])
-        return formed[-1]
+    def rows():
+        for (v,) in _krylov_rows([w], xq):
+            formed.append(v)
+            yield v
 
-    pivots, last, y = _chain_dependence(list(w), step, n)
+    pivots, last, y = _chain_dependence(rows(), n, n)
     m = chain.rank()  # the dimension of the Krylov space: the first dependence
-    assert len(formed) == m  # w (qx)^m is the last vector formed
+    assert len(formed) == m + 1  # w (qx)^m is the last vector formed
+    assert sympy.Matrix(formed) == chain[: m + 1, :]
     assert len(pivots) == len(set(pivots)) == m
     assert len(y) == m + 1 and y[m] == last != 0
     assert sympy.Matrix([y]) * chain[: m + 1, :] == sympy.zeros(1, n)
@@ -619,3 +643,26 @@ def test_chain_kernel_stops_at_the_first_dependence(family, d, data):
     assert (poly is None) == (m < n)
     if poly is not None:
         assert list(poly.coeffs) == sympy_char_poly(to_sympy(x))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_eliminate_draws_nothing_after_the_dependence_its_caller_stops_at(data):
+    n = data.draw(st.integers(2, 8))
+    k = data.draw(st.integers(1, n - 1))
+    rows = data.draw(_grid(n, n))
+    rows[k] = list(rows[data.draw(st.integers(0, k - 1))])  # row k repeats one
+    drawn = []
+
+    def counting():
+        for row in rows:
+            drawn.append(row)
+            yield row
+
+    for c, _ in _eliminate(counting(), n):
+        if c is None:
+            break
+    # the first row that depends on the earlier ones, at k at the latest
+    first = next(i for i in range(n) if sympy.Matrix(rows[: i + 1]).rank() <= i)
+    assert first <= k
+    assert len(drawn) == first + 1
