@@ -3,14 +3,13 @@
 Entries are stored integer-first: a Python ``int`` when the value is
 integral and a ``fractions.Fraction`` otherwise, so integer matrices run
 pure-int arithmetic and rational ones exactly the Fraction arithmetic.
-Every exact elimination runs through one fraction-free kernel,
-``_eliminate``, which reduces integer vectors one at a time as they are
-drawn; each job scales its input once to an integer multiple q x and is a
-caller of the kernel: ``determinant`` and ``rank`` draw the rows,
-``solve_linear`` the columns of [a | b], ``inverse`` the rows and then the
-unit rows, and ``min_poly`` and the Krylov dependence behind ``analyze`` draw
-the lazy chain of ``_krylov_rows`` (the only place v -> v x is written) and
-stop at its first dependent vector.  The kernel's divisions are exact
+Every exact elimination runs through one fraction-free kernel, ``_eliminate``,
+which reduces integer vectors one at a time as they are drawn.  Each job scales
+its input once to an integer multiple q x and feeds the kernel: ``determinant``
+and ``rank`` the rows, ``solve_linear`` the columns of [a | b], ``inverse`` the
+rows and then the unit rows; ``min_poly`` and the Krylov dependence behind
+``analyze`` draw the lazy chain ``_krylov_rows`` (the only place v -> v x is
+written) up to its first dependent vector.  The kernel's divisions are exact
 integer divisions; every other division goes through ``Fraction``.  So no
 float can appear, and equality tests (``determinant(x) != 0``, residual
 ``== 0``) are decisions, not tolerance checks.  Public scalar results
@@ -77,9 +76,8 @@ def _matmul(a, b) -> list[list]:
 
 def _krylov_rows(w, x):
     """The lazy chain w, wx, wx^2, ... for nested sequences w (one row, or the
-    identity for the powers of x) and x, over the same scalars as
-    ``_matmul``.  Each term is the previous one times x, formed only when
-    drawn."""
+    identity for the powers of x) and x, over the same scalars as ``_matmul``;
+    each term is the previous one times x, formed only when drawn."""
     while True:
         yield w
         w = _matmul(w, x)
@@ -462,8 +460,7 @@ def _eliminate(vectors: Iterable[Sequence[int]], ncols: int):
 
 
 def _with_units(vectors: Iterable[Sequence[int]], m: int):
-    """The first m vectors, each followed by its unit index: e_k of length m
-    for the k-th; no later vector is drawn."""
+    """The first m vectors, the k-th followed by e_k of length m, its unit index."""
     for k, v in zip(range(m), vectors):
         yield [*v, *[0] * k, 1, *[0] * (m - 1 - k)]
 

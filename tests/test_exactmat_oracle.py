@@ -645,7 +645,7 @@ def test_chain_kernel_stops_at_the_first_dependence(family, d, data):
         assert list(poly.coeffs) == sympy_char_poly(to_sympy(x))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@ORACLE
 @given(data=st.data())
 def test_eliminate_draws_nothing_after_the_dependence_its_caller_stops_at(data):
     n = data.draw(st.integers(2, 8))
