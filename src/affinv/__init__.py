@@ -39,7 +39,6 @@ from .invariants import (  # noqa: F401
 )
 from .krylov import (  # noqa: F401
     CompanionSpec,
-    KrylovMatrix,
     NotRegular,
     PGroupElement,
     companion,
@@ -50,7 +49,7 @@ from .krylov import (  # noqa: F401
     in_omega,
     is_regular,
     krylov_determinant,
-    krylov_matrix,
+    krylov_rows,
     p_check,
     pairing_determinant,
     transformation_law,

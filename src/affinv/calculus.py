@@ -85,8 +85,8 @@ class FDConfig:
         )
         if not all(math.isfinite(v) for v in limits):
             raise CalculusError("h, tau_* and delta must be finite")
-        if self.h <= 0 or self.tau_res <= 0 or self.delta <= 0:
-            raise CalculusError("h, tau_res and delta must be positive")
+        if not all(v > 0 for v in limits):
+            raise CalculusError("h, tau_* and delta must be positive")
         if self.scheme != "central":
             raise CalculusError(f"unsupported scheme {self.scheme!r}")
 

@@ -197,9 +197,10 @@ def cmd_sympoly(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves no state in it."""
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", type=str, default=None, help="write JSON to file")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--seed", type=int, default=None, help="seed override")
-    common.add_argument("--out", type=str, default=None, help="write JSON to file")
     common.add_argument(
         "--markdown", action="store_true", help="render human-readable output"
     )
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.set_defaults(func=cmd_verify)
 
     p_sp = sub.add_parser(
-        "sympoly", parents=[common], help="export the symbolic determinant"
+        "sympoly", parents=[output], help="export the symbolic determinant"
     )
     p_sp.add_argument("--n", type=int, required=True, help="matrix dimension")
     p_sp.set_defaults(func=cmd_sympoly)
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None and getattr(args, "func", None) is cmd_analyze:
+    if args.func is cmd_analyze and args.seed is None:
         args.seed = 0
     try:
         return args.func(args)

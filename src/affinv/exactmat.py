@@ -7,15 +7,16 @@ Every exact elimination runs through one fraction-free kernel, ``_eliminate``,
 which reduces integer vectors one at a time as they are drawn.  Each job scales
 its input once to an integer multiple q x and feeds the kernel: ``determinant``
 and ``rank`` the rows, ``solve_linear`` the columns of [a | b], ``inverse`` the
-rows and then the unit rows; ``min_poly`` and the Krylov dependence behind
-``analyze`` draw the lazy chain ``_krylov_rows`` (the only place v -> v x is
-written) up to its first dependent vector.  The kernel's divisions are exact
-integer divisions; every other division goes through ``Fraction``.  So no
-float can appear, and equality tests (``determinant(x) != 0``, residual
-``== 0``) are decisions, not tolerance checks.  Public scalar results
-(``determinant``, ``RatMatrix.trace``) are always ``Fraction``.  Matrices
-and vectors are immutable; every operation returns a fresh value and is
-safe to call concurrently.
+rows and then the unit rows; ``min_poly`` and the Krylov dependence behind D
+and ``analyze`` draw the lazy chain ``_krylov_rows`` (the only place v -> v x is
+written) up to its first dependent vector.  ``char_poly`` interpolates
+det(tI - q x) from its ``determinant`` at t = 0..n with one ``solve_linear``.
+The kernel's divisions are exact integer divisions; every other division goes
+through ``Fraction``.  So no float can appear, and equality tests
+(``determinant(x) != 0``, residual ``== 0``) are decisions, not tolerance
+checks.  Public scalar results (``determinant``, ``RatMatrix.trace``) are
+always ``Fraction``.  Matrices and vectors are immutable; every operation
+returns a fresh value and is safe to call concurrently.
 
 Index convention: documentation and all JSON interfaces are 1-based (entry
 ``(i, j)`` with ``1 <= i, j <= n``); internal storage is 0-based row-major.
@@ -510,21 +511,22 @@ def rank(x: RatMatrix) -> int:
 
 
 def char_poly(x: RatMatrix) -> UniPoly:
-    """Monic characteristic polynomial det(tI - x) via Faddeev-LeVerrier.
+    """Monic characteristic polynomial det(tI - x) by interpolation.
 
-    Runs on the integer matrix q x, whose coefficient of t^i is q^(n-i)
-    times that of x, so rational input costs int arithmetic too.
+    ``determinant`` gives det(tI - q x) at t = 0..n for the integer multiple
+    q x, and one ``solve_linear`` on the Vandermonde system gives its
+    coefficients, of which that of t^i is q^(n-i) times that of x, so
+    rational input costs int arithmetic too.
     """
     n = x.n
     rows, q = _integer_multiple(x.rows)
-    xq = RatMatrix(rows)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = RatMatrix.zeros(n)
-    ident = RatMatrix.identity(n)
-    for k in range(1, n + 1):
-        m = xq * m + ident.scale(coeffs[n - k + 1])
-        coeffs[n - k] = Fraction(-1, k) * (xq * m).trace()
+    points = range(n + 1)
+    values = []
+    for t in points:
+        shifted = [[t * (i == j) - e for j, e in enumerate(r)] for i, r in enumerate(rows)]
+        values.append(determinant(RatMatrix(shifted)))
+    vandermonde = RatMatrix([[t**i for i in points] for t in points])
+    coeffs = solve_linear(vandermonde, RatVector(values)).entries
     return UniPoly(Fraction(c, q ** (n - i)) for i, c in enumerate(coeffs))
 
 

@@ -15,7 +15,7 @@ and P is the trivial group.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Sequence, Union
@@ -93,27 +93,10 @@ def krylov_rows(w: RatVector, x: RatMatrix) -> RatMatrix:
     return RatMatrix(islice(rows, x.n))
 
 
-@dataclass(frozen=True)
-class KrylovMatrix:
-    """Rows e_n x^k, k = 0..n-1, top to bottom, derived from the matrix they
-    come from, so they satisfy the row recurrence by construction."""
-
-    base: RatMatrix
-    rows: RatMatrix = field(init=False)
-
-    def __post_init__(self):
-        n = self.base.n
-        object.__setattr__(self, "rows", krylov_rows(RatVector.unit(n, n), self.base))
-
-
-def krylov_matrix(x: RatMatrix) -> KrylovMatrix:
-    """The Krylov rows of e_n for x."""
-    return KrylovMatrix(x)
-
-
 def krylov_determinant(x: RatMatrix) -> Fraction:
-    """D(x), the determinant of the Krylov rows of e_n."""
-    return determinant(krylov_matrix(x).rows)
+    """D(x), the determinant of the Krylov rows of e_n, from the chain kernel
+    of ``_krylov_dependence``: 0 at the first dependent row e_n x^k."""
+    return _krylov_dependence(RatVector.unit(x.n, x.n), x)[0]
 
 
 def _krylov_dependence(w: RatVector, x: RatMatrix) -> tuple[Fraction, UniPoly | None]:
@@ -139,8 +122,10 @@ def pairing_matrix(x: RatMatrix) -> RatMatrix:
     """The matrix with (k+1, j) entry tr(x^k E_jn), built from explicit
     matrix powers and literal trace pairings.
 
-    An independent construction of the same matrix as krylov_matrix; the
-    two determinants are compared exactly in the verification suites.
+    An independent construction of the same matrix as the Krylov rows
+    krylov_rows(e_n, x), by powers instead of the chain and with its own
+    ``determinant`` call; the verification suites compare its determinant
+    with krylov_determinant exactly.
     """
     n = x.n
     rows = []
@@ -159,7 +144,7 @@ def pairing_determinant(x: RatMatrix) -> Fraction:
 
 def in_omega(x: RatMatrix) -> bool:
     """Exact test D(x) != 0, i.e. e_n is a cyclic row vector for x."""
-    return _krylov_dependence(RatVector.unit(x.n, x.n), x)[0] != 0
+    return krylov_determinant(x) != 0
 
 
 def companion(spec: CompanionSpec) -> RatMatrix:

@@ -37,6 +37,8 @@ from .calculus import (
 )
 from .exactmat import (
     RatMatrix,
+    RatVector,
+    SingularMatrixError,
     determinant,
     format_rational,
     matrix_to_json,
@@ -61,7 +63,7 @@ from .krylov import (
     homogeneity_check,
     is_regular,
     krylov_determinant,
-    krylov_matrix,
+    krylov_rows,
     p_check,
     pairing_determinant,
     transformation_law,
@@ -168,9 +170,10 @@ def _rand_p_element(rng: random.Random, n: int):
     while True:
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
         rows.append([0] * (n - 1) + [1])
-        y = RatMatrix(rows)
-        if determinant(y) != 0:
-            return p_check(y)
+        try:
+            return p_check(RatMatrix(rows))
+        except SingularMatrixError:  # draw again
+            pass
 
 
 def run_identity_suite(n: int, samples: int, seed: int) -> VerificationReport:
@@ -222,7 +225,7 @@ def _lemma_point(rng: random.Random, n: int) -> tuple:
     exact D keeps x at least 1 away from the hypersurface, beyond the cutoff."""
     while True:
         x = _rand_matrix(rng, n, -2, 2)
-        krylov = krylov_matrix(x).rows
+        krylov = krylov_rows(RatVector.unit(n, n), x)
         d = determinant(krylov)
         if d != 0:
             return x, krylov, d

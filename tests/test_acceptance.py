@@ -298,16 +298,20 @@ def test_criterion_11_cli_determinism(tmp_path, monkeypatch, capsys):
     _report(11, "seeded reports byte-identical; golden files reproduced")
 
 
-# analyze --conjugate outputs that run the random-row search (e_n and every
-# other unit row fail on these off-locus inputs), a rational input, the
-# exit-3 message of a non-regular input and one --markdown rendering: input
-# stem, extra argv, exit code, golden file (stdout, or stderr on exit 3)
+# analyze outputs: with --conjugate, ones that run the random-row search (e_n
+# and every other unit row fail on these off-locus inputs), a rational input,
+# the exit-3 message of a non-regular input and one --markdown rendering;
+# without it, the char_poly of a nilpotent and of a rational non-regular input
+# (a Jordan form conjugated by a p/q matrix in P): input stem, extra argv, exit
+# code, golden file (stdout, or stderr on exit 3)
 SEARCH_GOLDENS = [
-    ("analyze_offlocus_n6", [], 0, "analyze_offlocus_n6.json"),
-    ("analyze_offlocus_n6", ["--markdown"], 0, "analyze_offlocus_n6.md"),
-    ("analyze_offlocus_n12", ["--seed", "7"], 0, "analyze_offlocus_n12.json"),
-    ("analyze_rational_n5", [], 0, "analyze_rational_n5.json"),
-    ("analyze_nonregular_n5", [], 3, "analyze_nonregular_n5.stderr"),
+    ("analyze_offlocus_n6", ["--conjugate"], 0, "analyze_offlocus_n6.json"),
+    ("analyze_offlocus_n6", ["--conjugate", "--markdown"], 0, "analyze_offlocus_n6.md"),
+    ("analyze_offlocus_n12", ["--conjugate", "--seed", "7"], 0, "analyze_offlocus_n12.json"),
+    ("analyze_rational_n5", ["--conjugate"], 0, "analyze_rational_n5.json"),
+    ("analyze_nonregular_n5", ["--conjugate"], 3, "analyze_nonregular_n5.stderr"),
+    ("analyze_nonregular_n5", [], 0, "analyze_nonregular_n5.json"),
+    ("analyze_nonregular_rational_n5", [], 0, "analyze_nonregular_rational_n5.json"),
 ]
 
 
@@ -317,10 +321,11 @@ def test_conjugator_search_goldens(stem, extra, code, golden, monkeypatch, capsy
 
     stdin_text = (GOLDEN / f"{stem}.input.json").read_text()
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
-    assert main(["analyze", "-", "--conjugate", *extra]) == code
+    assert main(["analyze", "-", *extra]) == code
     out, err = capsys.readouterr()
     expected = (GOLDEN / golden).read_text()
     assert (out, err) == ((expected, "") if code == 0 else ("", expected))
-    if golden.endswith(".json"):  # the cyclic row found is not a unit row
+    if golden.endswith(".json") and "--conjugate" in extra:
+        # the cyclic row found is not a unit row
         last_row = json.loads(out)["conjugator"]["entries"][-1]
         assert [e for e in last_row if e != "0"] != ["1"]

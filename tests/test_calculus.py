@@ -27,7 +27,7 @@ from affinv.calculus import (
     weak_lie_derivative,
     weak_lie_derivative_grid,
 )
-from affinv.exactmat import RatMatrix, commutator, power
+from affinv.exactmat import RatMatrix, RatVector, commutator, power
 from affinv.fields import (
     Add,
     Const,
@@ -40,7 +40,7 @@ from affinv.fields import (
     random_polynomial_field,
 )
 from affinv.invariants import basis_matrix, trace_form
-from affinv.krylov import CompanionSpec, companion, krylov_matrix
+from affinv.krylov import CompanionSpec, companion, krylov_rows
 from affinv.report import _lemma_point, _rand_matrix, invariant_density
 
 CFG = FDConfig()
@@ -224,10 +224,10 @@ class TestReducedSystem:
                 f = random_invariant_field(n, rng)
                 x = _lemma_point(rng, n)[0]
                 res = reduced_system_check(f, x, CFG)
-                km = krylov_matrix(x)
+                rows = krylov_rows(RatVector.unit(n, n), x)
                 for k in range(n):
                     tied = sum(
-                        float(km.rows.entry(k + 1, j + 1)) * res.solution[j]
+                        float(rows.entry(k + 1, j + 1)) * res.solution[j]
                         for j in range(n)
                     )
                     assert res.residuals[k] == pytest.approx(tied, abs=1e-12)
@@ -237,6 +237,13 @@ class TestConfigValidation:
     def test_bad_step(self):
         with pytest.raises(CalculusError):
             FDConfig(h=0.0)
+
+    @pytest.mark.parametrize(
+        "bad", [{"tau_sys": -1}, {"tau_lemma": -1e-9}, {"tau_comb": 0}]
+    )
+    def test_non_positive_tolerance(self, bad):
+        with pytest.raises(CalculusError):
+            FDConfig(**bad)
 
     def test_bad_scheme(self):
         with pytest.raises(CalculusError):

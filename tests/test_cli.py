@@ -263,6 +263,9 @@ class TestVerify:
             '{"suite":"lemma","fd":{"delta":true}}',
             '{"suite":"lemma","fd":{"tau_res":"1e-6"}}',
             '{"suite":"lemma","fd":{"tau_comb":[1]}}',
+            '{"suite":"lemma","n":2,"samples":1,"fd":{"tau_sys":-1}}',
+            '{"suite":"lemma","n":2,"samples":1,"fd":{"tau_lemma":-1e-9}}',
+            '{"suite":"lemma","n":2,"samples":1,"fd":{"tau_comb":0}}',
         ],
     )
     def test_bad_numeric_config_exits_2_with_one_error_line(
@@ -383,3 +386,14 @@ class TestSympoly:
         main(["sympoly", "--n", "3", "--out", str(a)])
         main(["sympoly", "--n", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--markdown"], ["--seed", "3"]])
+    def test_analyze_and_verify_flags_exit_2_through_argparse(self, flag, capsys):
+        # --out stays: test_golden_outputs writes every golden through it
+        with pytest.raises(SystemExit) as exc:
+            main(["sympoly", "--n", "2", *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith("affinv: error: unrecognized")

@@ -61,6 +61,7 @@ from affinv.krylov import (  # noqa: E402
     CompanionSpec,
     _krylov_dependence,
     companion,
+    in_omega,
     krylov_determinant,
     pairing_determinant,
 )
@@ -265,11 +266,26 @@ def test_min_poly_matches_sympy(x):
     assert list(p.coeffs) == sympy_min_poly(to_sympy(x))
 
 
+def bordered_half(x: RatMatrix) -> RatMatrix:
+    """[[x / 2, 0], [e_n, 0]], whose e_(n+1) chain is e_(n+1) and then that of
+    x / 2 with a 0 appended: a p/q input with D = (-1)^n D(x / 2), whose chain
+    has n more inversions in its pivot order than that of x."""
+    n = x.n
+    rows = [[*row, 0] for row in x.scale(Fraction(1, 2)).rows]
+    return RatMatrix(rows + [[int(j == n - 1) for j in range(n + 1)]])
+
+
 def assert_kernel_matches_sympy(x: RatMatrix):
     m = to_sympy(x)
     assert determinant(x) == from_sympy(m.det())
     assert rank(x) == m.rank()
     assert list(min_poly(x).coeffs) == sympy_min_poly(m)
+    for y in (x, bordered_half(x)):
+        my = to_sympy(y)
+        assert list(char_poly(y).coeffs) == sympy_char_poly(my)
+        d = sympy_krylov_det(my, [int(j == y.n - 1) for j in range(y.n)])
+        assert krylov_determinant(y) == d
+        assert in_omega(y) is (d != 0)
     if m.det() == 0:
         with pytest.raises(SingularMatrixError):
             inverse(x)
