@@ -11,8 +11,9 @@ rows and then the unit rows; ``min_poly`` and the Krylov dependence behind D
 and ``analyze`` draw the lazy chain ``_krylov_rows`` (the only place v -> v x is
 written) up to its first dependent vector.  ``char_poly`` interpolates
 det(tI - q x) from its ``determinant`` at t = 0..n with one ``solve_linear``.
-The kernel's divisions are exact integer divisions; every other division goes
-through ``Fraction``.  So no float can appear, and equality tests
+A product multiplies the integer multiples qa a and qb b and divides once by
+qa qb.  The kernel's divisions are exact integer divisions; every other
+division goes through ``Fraction``.  So no float can appear, and equality tests
 (``determinant(x) != 0``, residual ``== 0``) are decisions, not tolerance
 checks.  Public scalar results (``determinant``, ``RatMatrix.trace``) are
 always ``Fraction``.  Matrices and vectors are immutable; every operation
@@ -68,20 +69,25 @@ def _exact_scalar(value: Rat) -> Rat:
 
 def _matmul(a, b) -> list[list]:
     """Product of two nested sequences (lists of rows) over any scalars with
-    + and *: Python numbers, numpy arrays, MultiPoly.  Each entry is
-    ``sum(map(mul, row, col))``, summed from 0 left to right, so float and
-    numpy results are deterministic."""
-    cols = tuple(zip(*b))
+    + and *: Python numbers, numpy arrays, MultiPoly."""
+    return _times_columns(a, tuple(zip(*b)))
+
+
+def _times_columns(a, cols) -> list[list]:
+    """a times the matrix with columns ``cols``: each entry is ``sum(map(mul,
+    row, col))``, summed from 0 left to right, so float and numpy results are
+    deterministic."""
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _krylov_rows(w, x):
     """The lazy chain w, wx, wx^2, ... for nested sequences w (one row, or the
     identity for the powers of x) and x, over the same scalars as ``_matmul``;
-    each term is the previous one times x, formed only when drawn."""
+    each term is formed only when drawn, from the columns of x taken once."""
+    cols = tuple(zip(*x))
     while True:
         yield w
-        w = _matmul(w, x)
+        w = _times_columns(w, cols)
 
 
 def parse_rational(text) -> Fraction:
@@ -256,7 +262,11 @@ class RatMatrix:
         if not isinstance(other, RatMatrix):
             return NotImplemented
         self._check_dim(other)
-        return RatMatrix(_matmul(self.rows, other.rows))
+        (a, qa), (b, qb) = _integer_multiple(self.rows), _integer_multiple(other.rows)
+        product, q = _matmul(a, b), qa * qb
+        if q > 1:
+            product = [[Fraction(e, q) for e in row] for row in product]
+        return RatMatrix(product)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatMatrix) and self.rows == other.rows
@@ -420,8 +430,8 @@ def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 def _integer_multiple(rows: Sequence[Sequence[Rat]]) -> tuple[Sequence, int]:
     """(q rows, q) for the least q > 0 that makes q rows integer; the entries
-    stay ``int``."""
-    q = lcm(*[e.denominator for row in rows for e in row])
+    stay ``int``, and only the ``Fraction`` ones are asked for a denominator."""
+    q = lcm(*[e.denominator for row in rows for e in row if type(e) is not int])
     if q == 1:
         return rows, 1
     return [[e.numerator * (q // e.denominator) for e in row] for row in rows], q

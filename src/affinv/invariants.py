@@ -17,7 +17,6 @@ from .exactmat import (
     DimensionMismatchError,
     ExactmatError,
     RatMatrix,
-    _exact_scalar,
     commutator,
     power,
 )
@@ -94,25 +93,24 @@ def basis_bracket(x: RatMatrix, i: int, j: int) -> RatMatrix:
     return RatMatrix(acc)
 
 
-def basis_expansion_residual(x: RatMatrix, k: int) -> RatMatrix:
+def basis_expansion_residual(x: RatMatrix, k: int, xk=None) -> RatMatrix:
     """Brute-force sum over all n^2 basis pairs of
     tr(x^k E_ji) [E_ij, x]; identically the zero matrix.
 
     The sum telescopes to [x^k, x] = 0, but it is assembled literally,
-    pair by pair: each coefficient is the trace pairing itself and each
-    bracket is added entry by entry, so exact cancellation is what the
-    suites certify.
+    pair by pair: each coefficient tr(x^k E_ji) is read as the entry
+    (x^k)_ij (``entry_bracket_pairing`` computes the pairing itself) and
+    each bracket is added entry by entry, so exact cancellation is what the
+    suites certify.  ``xk``, if given, is x^k from the caller's power
+    chain; otherwise it is ``power(x, k)``.
     """
     if k < 0:
         raise ExactmatError(f"power index {k} must be >= 0")
     n = x.n
-    xk = power(x, k)
+    xk = power(x, k) if xk is None else xk
     acc = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            # trace_form returns a Fraction; as an int when integral, the
-            # accumulation stays pure-int on integer input
-            coef = _exact_scalar(trace_form(xk, basis_matrix(n, j, i)))
+    for i, row in enumerate(xk.rows, 1):
+        for j, coef in enumerate(row, 1):
             if coef != 0:
                 _add_basis_bracket(acc, x, i, j, coef)
     return RatMatrix(acc)

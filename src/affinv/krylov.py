@@ -15,7 +15,7 @@ and P is the trivial group.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Sequence, Union
@@ -75,16 +75,25 @@ class PGroupElement:
     """Invertible matrix whose last row is (0, ..., 0, 1)."""
 
     matrix: RatMatrix
+    _det: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate_p(self.matrix)
+        y, n = self.matrix, self.matrix.n
+        last = y.rows[n - 1]
+        if any(last[j] != 0 for j in range(n - 1)) or last[n - 1] != 1:
+            raise NotInPError(f"last row {[str(e) for e in last]} is not e_n")
+        det = determinant(y)
+        if det == 0:
+            raise SingularMatrixError("matrix in P candidate is singular")
+        object.__setattr__(self, "_det", det)
 
     @property
     def n(self) -> int:
         return self.matrix.n
 
     def det(self) -> Fraction:
-        return determinant(self.matrix)
+        """det(y), the nonzero determinant found when y was validated."""
+        return self._det
 
 
 def krylov_rows(w: RatVector, x: RatMatrix) -> RatMatrix:
@@ -171,36 +180,31 @@ def is_regular(x: RatMatrix) -> bool:
     return min_poly(x).degree == x.n
 
 
-def _validate_p(y: RatMatrix):
-    n = y.n
-    last = y.rows[n - 1]
-    if any(last[j] != 0 for j in range(n - 1)) or last[n - 1] != 1:
-        raise NotInPError(f"last row {[str(e) for e in last]} is not e_n")
-    if determinant(y) == 0:
-        raise SingularMatrixError("matrix in P candidate is singular")
-
-
 def p_check(y: RatMatrix) -> PGroupElement:
     """Wrap y after verifying last row = e_n and det(y) != 0."""
     return PGroupElement(matrix=y)
 
 
 def transformation_law(
-    x: RatMatrix, y: Union[PGroupElement, RatMatrix]
+    x: RatMatrix, y: Union[PGroupElement, RatMatrix], d=None
 ) -> tuple[Fraction, Fraction]:
-    """Return (D(y x y^-1), det(y)^-1 D(x)); the two are equal for y in P."""
+    """Return (D(y x y^-1), det(y)^-1 D(x)); the two are equal for y in P.
+    ``d``, if given, is the D(x) that the caller holds."""
     if isinstance(y, RatMatrix):
         y = p_check(y)
     ym = y.matrix
     conjugated = ym * x * inverse(ym)
-    return krylov_determinant(conjugated), krylov_determinant(x) / y.det()
+    d = krylov_determinant(x) if d is None else d
+    return krylov_determinant(conjugated), d / y.det()
 
 
-def homogeneity_check(x: RatMatrix, t) -> tuple[Fraction, Fraction]:
-    """Return (D(t x), t^(n(n-1)/2) D(x)); the two are equal."""
+def homogeneity_check(x: RatMatrix, t, d=None) -> tuple[Fraction, Fraction]:
+    """Return (D(t x), t^(n(n-1)/2) D(x)); the two are equal.  ``d``, if
+    given, is the D(x) that the caller holds."""
     t = Fraction(t)
     e = x.n * (x.n - 1) // 2
-    return krylov_determinant(x.scale(t)), t**e * krylov_determinant(x)
+    d = krylov_determinant(x) if d is None else d
+    return krylov_determinant(x.scale(t)), t**e * d
 
 
 def find_cyclic_row(

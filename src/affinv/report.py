@@ -39,6 +39,7 @@ from .exactmat import (
     RatMatrix,
     RatVector,
     SingularMatrixError,
+    _krylov_rows,
     determinant,
     format_rational,
     matrix_to_json,
@@ -179,7 +180,9 @@ def _rand_p_element(rng: random.Random, n: int):
 def run_identity_suite(n: int, samples: int, seed: int) -> VerificationReport:
     """Exact-layer properties: basis expansion, dual determinant
     constructions, homogeneity, the mirabolic transformation law, the
-    regularity inclusion, and the companion sign."""
+    regularity inclusion, and the companion sign.  Each sample computes each
+    exact value once: the powers x^0..x^(n-1) from one chain, D(x) once for
+    every check that uses it, det(y) once at validation."""
     rng = random.Random(_mix(seed, n, 1))
     rec_basis = PropertyRecord("basis_expansion_zero")
     rec_dets = PropertyRecord("krylov_vs_pairing_determinant")
@@ -190,18 +193,18 @@ def run_identity_suite(n: int, samples: int, seed: int) -> VerificationReport:
     for _ in range(samples):
         x = _rand_matrix(rng, n)
         wit = {"matrix": matrix_to_json(x)}
-        for k in range(n):
-            rec_basis.check_exact(
-                basis_expansion_residual(x, k).is_zero(), {**wit, "k": k}
-            )
+        powers = _krylov_rows(RatMatrix.identity(n).rows, x.rows)
+        for k, xk in zip(range(n), powers):
+            residual = basis_expansion_residual(x, k, RatMatrix(xk))
+            rec_basis.check_exact(residual.is_zero(), {**wit, "k": k})
         d = krylov_determinant(x)
         rec_dets.check_exact(d == pairing_determinant(x), wit)
         t = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        lhs, rhs = homogeneity_check(x, t)
+        lhs, rhs = homogeneity_check(x, t, d)
         rec_hom.check_exact(lhs == rhs, {**wit, "t": format_rational(t)})
         if n >= 2:
             y = _rand_p_element(rng, n)
-            a, b = transformation_law(x, y)
+            a, b = transformation_law(x, y, d)
             same_omega = (a != 0) == (d != 0)
             rec_law.check_exact(
                 a == b and same_omega, {**wit, "y": matrix_to_json(y.matrix)}
@@ -386,11 +389,18 @@ def run_weak_suite(
 
 
 _SUITE_KEYS = {
-    # suite: (its integer keys with their defaults, its sections with their keys)
-    "identity": ({"n": 3, "samples": 200, "seed": 0}, {}),
-    "lemma": ({"n": 2, "samples": 50, "seed": 0}, {"fd": set(asdict(FDConfig()))}),
+    # suite: (its integer keys with their defaults and inclusive ranges, its
+    # sections with their keys)
+    "identity": (
+        {"n": (3, 1, 12), "samples": (200, 1, 10**4), "seed": (0, -math.inf, math.inf)},
+        {},
+    ),
+    "lemma": (
+        {"n": (2, 2, 5), "samples": (50, 1, 10**3), "seed": (0, -math.inf, math.inf)},
+        {"fd": set(asdict(FDConfig()))},
+    ),
     "weak": (
-        {"n": 2, "samples": 1_000_000, "seed": 0},
+        {"n": (2, 2, 2), "samples": (10**6, 1, 10**7), "seed": (0, 0, math.inf)},
         {"fd": {"h"}, "quadrature": {"half_width"}},
     ),
 }
@@ -398,12 +408,18 @@ _SUITE_KEYS = {
 
 def _read_config(config: dict, suite: str) -> tuple:
     """n, samples and seed of a config that holds only keys in the suite's table,
-    with a JSON number for every section value but ``fd.scheme``."""
+    each in its range, with a JSON number for every section value but
+    ``fd.scheme``."""
     ints, sections = _SUITE_KEYS[suite]
     for key, value in config.items():
         if key in ints:
             if type(value) is not int:  # a bool is not a JSON integer
                 raise SuiteConfigError(f"{key} must be a JSON integer, got {value!r}")
+            _, low, high = ints[key]
+            if not low <= value <= high:
+                raise SuiteConfigError(
+                    f"{key} must be in [{low}, {high}] for the {suite} suite, got {value}"
+                )
         elif key in sections:
             if not isinstance(value, dict):
                 raise SuiteConfigError(f"{key} config must be a JSON object")
@@ -420,7 +436,7 @@ def _read_config(config: dict, suite: str) -> tuple:
                     )
         elif key != "suite":
             raise SuiteConfigError(f"unknown key {key!r} for the {suite} suite")
-    return tuple(config.get(key, default) for key, default in ints.items())
+    return tuple(config.get(key, spec[0]) for key, spec in ints.items())
 
 
 @np.errstate(all="ignore")  # an overflow fails its check with a NaN and a witness
@@ -436,25 +452,17 @@ def run_suite_from_config(config: dict) -> VerificationReport:
             f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}"
         )
     n, samples, seed = _read_config(config, suite)
-    if samples < 1:
-        raise SuiteConfigError("samples must be >= 1")
     try:
         fd_cfg = FDConfig(**config.get("fd", {}))
     except (TypeError, ValueError, OverflowError) as exc:
         raise SuiteConfigError(f"bad fd config: {exc}") from exc
     if suite == "identity":
-        if n < 1:
-            raise SuiteConfigError("identity suite needs n >= 1")
         return run_identity_suite(n, samples, seed)
     if suite == "lemma":
         try:
             return run_lemma_suite(n, samples, seed, fd_cfg)
         except CalculusError as exc:  # a step that throws x +- hv out of range
             raise SuiteConfigError(f"bad fd config: {exc}") from exc
-    if n != 2:
-        raise SuiteConfigError("weak suite supports n = 2 only")
-    if seed < 0:
-        raise SuiteConfigError("weak suite needs seed >= 0")
     try:
         half_width = float(config.get("quadrature", {}).get("half_width", 2.0))
         volume = (2.0 * half_width) ** (n * n)

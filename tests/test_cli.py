@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from affinv.cli import main
-from affinv.report import run_suite_from_config
+from affinv.report import _SUITE_KEYS, SuiteConfigError, _read_config, run_suite_from_config
 
+ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
 GENERIC_2X2 = '{"n":2,"entries":[["1","2"],["3","4"]]}'
@@ -161,6 +162,13 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["seed"] == 99
 
+    def test_identity_report_golden(self, monkeypatch, capsys):
+        # the report minus its timestamp line pins every count and verdict
+        cfg = '{"suite":"identity","n":4,"samples":20,"seed":7}'
+        assert run_cli(["verify", "-"], cfg, monkeypatch) == 0
+        out = re.sub(r'\n  "timestamp": "[^"]*",', "", capsys.readouterr().out)
+        assert out.encode() == (GOLDEN / "identity_n4_s20_seed7.json").read_bytes()
+
     def test_determinism_modulo_timestamp(self):
         cfg = {"suite": "identity", "n": 3, "samples": 10, "seed": 42}
         a = run_suite_from_config(cfg).to_json()
@@ -290,6 +298,46 @@ class TestVerify:
         self, cfg, monkeypatch, capsys
     ):
         self._assert_one_error_line(cfg, monkeypatch, capsys)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            '{"suite":"identity","n":13,"samples":1}',
+            '{"suite":"identity","n":1,"samples":10001}',
+            '{"suite":"lemma","n":6,"samples":1}',
+            '{"suite":"lemma","n":2,"samples":1001}',
+        ],
+    )
+    def test_value_above_the_suite_bound_exits_2_with_one_error_line(
+        self, cfg, monkeypatch, capsys
+    ):
+        self._assert_one_error_line(cfg, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("suite", sorted(_SUITE_KEYS))
+    def test_integer_keys_are_read_only_inside_their_range(self, suite):
+        ints = _SUITE_KEYS[suite][0]
+        for index, (key, (_, low, high)) in enumerate(ints.items()):
+            for value in (low, high):
+                if math.isfinite(value):
+                    assert _read_config({key: value}, suite)[index] == value
+            for value in (low - 1, high + 1, low - 10**100, high + 10**100):
+                if math.isfinite(value):
+                    with pytest.raises(SuiteConfigError, match=f"^{key} must be in"):
+                        _read_config({key: value}, suite)
+
+    def test_bounds_admit_every_documented_and_benchmarked_config(self, monkeypatch):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        configs = [json.loads(c) for c in re.findall(r"'(\{\"suite\"[^']*\})'", readme)]
+        assert len(configs) >= 3
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = pytest.importorskip("workloads")
+        for workload in workloads.WORKLOADS.values():
+            for rid in workload.pool():
+                request = workloads.build(rid)
+                if request.argv[0] == "verify":
+                    configs.append(json.loads(request.stdin))
+        for config in configs:
+            _read_config(config, config["suite"])
 
     @staticmethod
     def _assert_one_error_line(cfg, monkeypatch, capsys):

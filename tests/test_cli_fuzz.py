@@ -5,7 +5,9 @@ locus, and not regular when an entry repeats), whose JSON is mutated: ragged
 rows, bools, floats, ``p/0``, long digit strings under the int
 string-conversion limit, wrong ``n``, extra keys and truncated text.
 ``verify`` gets small configs (n <= 3, samples <= 3, weak samples <= 2000)
-with wrong types, out-of-range values, unknown keys and bad sections.
+with wrong types, out-of-range values (among them n and samples one past the
+suite's upper bound, which must be refused before anything runs), unknown
+keys and bad sections.
 Whatever the input, the exit code is 0, 1, 2 or 3; stderr never holds a
 traceback; exit 2 (and exit 3, a non-regular matrix under ``--conjugate``)
 comes with exactly one ``error:`` line and nothing else, exits 0 and 1 with
@@ -25,6 +27,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from affinv.cli import main  # noqa: E402
+from affinv.report import _SUITE_KEYS  # noqa: E402
 
 FUZZ = settings(deadline=None, derandomize=True)
 
@@ -77,6 +80,12 @@ def analyze_inputs(draw, mutation):
 _bad_int = st.sampled_from(["2", 2.0, True, None, [2], -1, 0, 4])
 
 
+def _past_the_bound(suite, key):
+    """The suite's upper bound for key plus one (the identity table's for an
+    unknown suite)."""
+    return _SUITE_KEYS.get(suite, _SUITE_KEYS["identity"])[0][key][2] + 1
+
+
 def _mostly(draw, good, bad):
     """A draw from ``good``, or about one time in four from ``bad``."""
     return draw(bad) if draw(st.integers(0, 3)) == 3 else draw(good)
@@ -92,6 +101,9 @@ def verify_configs(draw, suite):
         "samples": _mostly(draw, st.integers(1, max_samples), _bad_int),
         "seed": _mostly(draw, st.integers(0, 50), _bad_int),
     }
+    if draw(st.integers(0, 3)) == 3:
+        key = draw(st.sampled_from(["n", "samples"]))
+        cfg[key] = _past_the_bound(suite, key)
     for key in ("n", "seed"):  # each is optional
         if draw(st.integers(0, 3)) == 3:
             del cfg[key]

@@ -54,6 +54,7 @@ from affinv.invariants import (  # noqa: E402
     basis_bracket,
     basis_expansion_residual,
     basis_matrix,
+    entry_bracket_pairing,
     trace_form,
     trace_power,
 )
@@ -367,6 +368,40 @@ def test_sparse_bracket_equals_dense_commutator(x):
             bracket = basis_bracket(x, i, j)
             assert_exact_matrix(bracket)
             assert bracket == commutator(basis_matrix(x.n, i, j), x)
+
+
+def _same_size_pairs(max_n=6):
+    """Two matrices of one size n <= max_n, each integer, rational (p/q) or
+    permuted triangular with mixed entries, drawn independently."""
+
+    def pair(n):
+        one = st.one_of(
+            _square(_int_entry, n), _square(_rat_entry, n), _permuted_triangular(n)
+        )
+        return st.tuples(one, one)
+
+    return st.integers(1, max_n).flatmap(pair)
+
+
+@ORACLE
+@given(_same_size_pairs())
+def test_product_matches_sympy(pair):
+    a, b = pair
+    product = a * b
+    assert_exact_matrix(product)
+    assert product == from_sympy_matrix(to_sympy(a) * to_sympy(b))
+
+
+@ORACLE
+@given(matrices(max_n=5))
+def test_power_chain_entries_are_the_trace_pairings(x):
+    """(x^k)_ij, which the identity suite reads off the chain of powers as the
+    coefficient of [E_ij, x], equals the dense pairing tr(x^k E_ji), k <= n."""
+    powers = _krylov_rows(RatMatrix.identity(x.n).rows, x.rows)
+    for k, xk in zip(range(x.n + 1), powers):
+        for i in range(1, x.n + 1):
+            for j in range(1, x.n + 1):
+                assert xk[i - 1][j - 1] == entry_bracket_pairing(x, k, i, j)
 
 
 @ORACLE

@@ -1,5 +1,10 @@
 import math
+from fractions import Fraction
 
+import pytest
+
+from affinv import invariants, krylov, report
+from affinv.exactmat import RatVector, matrix_from_json
 from affinv.report import PropertyRecord
 
 
@@ -32,3 +37,72 @@ class TestPropertyRecord:
         rec.check_residual(0.5, 1.0, {"k": 1})
         assert rec.failures == 1
         assert math.isnan(rec.worst_residual)
+
+
+def test_identity_suite_computes_d_once_per_sample_and_det_once_per_p_element(
+    monkeypatch,
+):
+    chains, det_args, p_elements = [], [], []
+    chain, det, rand_p = krylov._krylov_dependence, krylov.determinant, report._rand_p_element
+
+    def counted_chain(w, x):
+        chains.append(w)
+        return chain(w, x)
+
+    def counted_det(x):
+        det_args.append(x)
+        return det(x)
+
+    def recorded_p_element(rng, n):
+        p_elements.append(rand_p(rng, n))
+        return p_elements[-1]
+
+    monkeypatch.setattr(krylov, "_krylov_dependence", counted_chain)
+    monkeypatch.setattr(krylov, "determinant", counted_det)
+    monkeypatch.setattr(report, "_rand_p_element", recorded_p_element)
+    assert report.run_identity_suite(4, 3, 7).passed
+    # per sample: D(x), D(t x), D(y x y^-1) and D of the companion matrix
+    assert len(chains) == 12
+    assert all(w == RatVector.unit(4, 4) for w in chains)
+    assert len(p_elements) == 3
+    assert [sum(a is y.matrix for a in det_args) for y in p_elements] == [1, 1, 1]
+
+
+def _failing(report_, name):
+    (record,) = [p for p in report_.properties if p.name == name]
+    assert record.failures > 0 and record.witness is not None
+    return record.witness
+
+
+def test_basis_expansion_with_a_sign_flipped_bracket_fails_with_a_witness(monkeypatch):
+    def flipped(acc, x, i, j, coef):  # -E_ij x - x E_ij in place of [E_ij, x]
+        for b, e in enumerate(x.rows[j - 1]):
+            acc[i - 1][b] -= coef * e
+        for acc_row, x_row in zip(acc, x.rows):
+            acc_row[j - 1] -= coef * x_row[i - 1]
+
+    monkeypatch.setattr(invariants, "_add_basis_bracket", flipped)
+    witness = _failing(report.run_identity_suite(3, 3, 0), "basis_expansion_zero")
+    x = matrix_from_json(witness["matrix"])
+    assert not invariants.basis_expansion_residual(x, witness["k"]).is_zero()
+    monkeypatch.undo()
+    assert invariants.basis_expansion_residual(x, witness["k"]).is_zero()
+
+
+@pytest.mark.parametrize(
+    "check, name",
+    [
+        ("homogeneity_check", "homogeneity_degree"),
+        ("transformation_law", "mirabolic_transformation_law"),
+    ],
+)
+def test_a_wrong_d_handed_to_a_check_fails_with_a_witness(check, name, monkeypatch):
+    true_check = getattr(report, check)
+    monkeypatch.setattr(report, check, lambda x, other, d: true_check(x, other, d + 1))
+    witness = _failing(report.run_identity_suite(3, 3, 0), name)
+    x = matrix_from_json(witness["matrix"])
+    other = Fraction(witness["t"]) if "t" in witness else matrix_from_json(witness["y"])
+    lhs, rhs = true_check(x, other)
+    assert lhs == rhs
+    lhs, rhs = true_check(x, other, krylov.krylov_determinant(x) + 1)
+    assert lhs != rhs
