@@ -39,8 +39,8 @@ from .invariants import (  # noqa: F401
 )
 from .krylov import (  # noqa: F401
     CompanionSpec,
-    NotRegular,
     PGroupElement,
+    analyze,
     companion,
     companion_sign,
     conjugate_into_omega,
@@ -50,7 +50,6 @@ from .krylov import (  # noqa: F401
     is_regular,
     krylov_determinant,
     krylov_rows,
-    p_check,
     pairing_determinant,
     transformation_law,
 )

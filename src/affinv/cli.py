@@ -21,14 +21,11 @@ import sys
 from . import __version__
 from .exactmat import (
     MatrixJSONError,
-    RatVector,
-    char_poly,
     format_rational,
     matrix_from_json,
     matrix_to_json,
-    min_poly,
 )
-from .krylov import _conjugator, _krylov_dependence
+from .krylov import analyze
 from .report import SuiteConfigError, run_suite_from_config
 from .sympoly import (
     DEFAULT_N_MAX,
@@ -93,35 +90,32 @@ def _emit_result(payload: dict, render, args):
 
 
 def cmd_analyze(args) -> int:
-    """One Krylov elimination gives D and, if D != 0, both polynomials; else one
-    min_poly serves the search after e_n, and char_poly runs if not regular."""
+    """D, both polynomials and, with --conjugate, a conjugator, from
+    ``krylov.analyze``; exit 3 if a conjugator is asked for but x is not
+    regular."""
     try:
         x = matrix_from_json(_read_json(args.input))
     except MatrixJSONError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    d, cp = _krylov_dependence(RatVector.unit(x.n, x.n), x)
-    mp = min_poly(x) if cp is None else cp
-    regular = mp.degree == x.n
-    conjugator = None
-    if args.conjugate:
-        if not regular:
-            print(
-                "error: matrix is not regular (minimal polynomial degree "
-                f"{mp.degree} < {x.n}); no conjugate has a nonzero "
-                "Krylov determinant",
-                file=sys.stderr,
-            )
-            return EXIT_NOT_REGULAR
-        conjugator = _conjugator(x, d, mp, args.seed)
+    found = analyze(x, args.conjugate, args.seed)
+    if args.conjugate and not found.regular:
+        print(
+            "error: matrix is not regular (minimal polynomial degree "
+            f"{found.min_poly.degree} < {x.n}); no conjugate has a nonzero "
+            "Krylov determinant",
+            file=sys.stderr,
+        )
+        return EXIT_NOT_REGULAR
+    g = found.conjugator
     try:
         result = {
-            "D": format_rational(d),
-            "in_omega": d != 0,
-            "regular": regular,
-            "min_poly": mp.to_strings(),
-            "char_poly": (mp if regular else char_poly(x)).to_strings(),
-            "conjugator": None if conjugator is None else matrix_to_json(conjugator),
+            "D": format_rational(found.d),
+            "in_omega": found.d != 0,
+            "regular": found.regular,
+            "min_poly": found.min_poly.to_strings(),
+            "char_poly": found.char_poly.to_strings(),
+            "conjugator": None if g is None else matrix_to_json(g),
             "sign_convention": "(-1)^(n(n-1)/2)",
         }
     except MatrixJSONError as exc:  # a value too long to write
@@ -199,11 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves no state in it."""
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", type=str, default=None, help="write JSON to file")
-    common = argparse.ArgumentParser(add_help=False, parents=[output])
-    common.add_argument("--seed", type=int, default=None, help="seed override")
-    common.add_argument(
-        "--markdown", action="store_true", help="render human-readable output"
-    )
+
+    # one --seed per command: analyze searches with 0 unless given one, and
+    # verify keeps the config's seed
+    def common(seed):
+        parent = argparse.ArgumentParser(add_help=False, parents=[output])
+        parent.add_argument("--seed", type=int, default=seed, help="seed override")
+        parent.add_argument(
+            "--markdown", action="store_true", help="render human-readable output"
+        )
+        return parent
+
     parser = argparse.ArgumentParser(
         prog="affinv",
         description=(
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser(
-        "analyze", parents=[common], help="analyze a matrix JSON file"
+        "analyze", parents=[common(0)], help="analyze a matrix JSON file"
     )
     p_an.add_argument("input", nargs="?", default=None, help="path or - for stdin")
     p_an.add_argument(
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_vf = sub.add_parser(
-        "verify", parents=[common], help="run a verification suite from config JSON"
+        "verify", parents=[common(None)], help="run a verification suite from config JSON"
     )
     p_vf.add_argument("config", nargs="?", default=None, help="path or - for stdin")
     p_vf.set_defaults(func=cmd_verify)
@@ -242,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_analyze and args.seed is None:
-        args.seed = 0
     try:
         return args.func(args)
     except SystemExit as exc:  # raised by input helpers; normalize to a code

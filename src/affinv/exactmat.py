@@ -198,10 +198,6 @@ class RatMatrix:
     def zeros(cls, n: int) -> "RatMatrix":
         return cls([[0] * n for _ in range(n)])
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[RatVector]) -> "RatMatrix":
-        return cls([r.entries for r in rows])
-
     def entry(self, i: int, j: int) -> Rat:
         """1-based entry access."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -307,38 +303,11 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return UniPoly(merged)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if not self.coeffs or not other.coeffs:
-            return UniPoly([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
 
     def __call__(self, t: Rat) -> Fraction:
         t = _exact_scalar(t)
@@ -346,37 +315,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
-
-    def at_matrix(self, x: RatMatrix) -> RatMatrix:
-        """Substitute a matrix for the variable (Horner over matrices)."""
-        acc = RatMatrix.zeros(x.n)
-        for c in reversed(self.coeffs):
-            acc = acc * x + RatMatrix.identity(x.n).scale(c)
-        return acc
-
-    def divmod(self, divisor: "UniPoly"):
-        """Exact polynomial division; returns (quotient, remainder)."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dcs = divisor.coeffs
-        dd = len(dcs) - 1
-        lead = dcs[-1]
-        q = [0] * max(0, len(rem) - dd)
-        while len(rem) - 1 >= dd and rem:
-            shift = len(rem) - 1 - dd
-            factor = Fraction(rem[-1], lead)
-            q[shift] = factor
-            for i, c in enumerate(dcs):
-                rem[shift + i] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UniPoly(q), UniPoly(rem)
-
-    def divides(self, other: "UniPoly") -> bool:
-        """True when ``other`` is an exact multiple of this polynomial."""
-        _, r = other.divmod(self)
-        return r.is_zero()
 
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]

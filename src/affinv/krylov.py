@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Sequence, Union
@@ -30,6 +31,7 @@ from .exactmat import (
     _integer_multiple,
     _krylov_rows,
     _order_sign,
+    char_poly,
     determinant,
     inverse,
     min_poly,
@@ -43,15 +45,10 @@ class NotInPError(ExactmatError):
 
 
 class SearchExhausted(ExactmatError):
-    """Random cyclic-row search hit its retry budget on a regular matrix."""
+    """Random cyclic-row search hit its retry budget."""
 
 
-@dataclass(frozen=True)
-class NotRegular:
-    """Returned when no cyclic row exists; carries the minimal polynomial
-    whose degree < n witnesses the failure."""
-
-    min_poly: UniPoly
+MAX_TRIES = 64  # random rows find_cyclic_row draws before SearchExhausted
 
 
 @dataclass(frozen=True)
@@ -180,18 +177,13 @@ def is_regular(x: RatMatrix) -> bool:
     return min_poly(x).degree == x.n
 
 
-def p_check(y: RatMatrix) -> PGroupElement:
-    """Wrap y after verifying last row = e_n and det(y) != 0."""
-    return PGroupElement(matrix=y)
-
-
 def transformation_law(
     x: RatMatrix, y: Union[PGroupElement, RatMatrix], d=None
 ) -> tuple[Fraction, Fraction]:
     """Return (D(y x y^-1), det(y)^-1 D(x)); the two are equal for y in P.
     ``d``, if given, is the D(x) that the caller holds."""
     if isinstance(y, RatMatrix):
-        y = p_check(y)
+        y = PGroupElement(matrix=y)
     ym = y.matrix
     conjugated = ym * x * inverse(ym)
     d = krylov_determinant(x) if d is None else d
@@ -207,38 +199,64 @@ def homogeneity_check(x: RatMatrix, t, d=None) -> tuple[Fraction, Fraction]:
     return krylov_determinant(x.scale(t)), t**e * d
 
 
-def find_cyclic_row(
-    x: RatMatrix, seed: int = 0, max_tries: int = 64
-) -> Union[RatVector, NotRegular]:
-    """Search for a row w with det(w, wx, ..., wx^(n-1)) != 0.
+@dataclass(frozen=True)
+class Analysis:
+    """What ``analyze`` found for x: D(x), the minimal polynomial and, if a
+    conjugator was asked for and x is regular, g with D(g x g^-1) != 0
+    (the identity when D(x) != 0), else None."""
 
-    Tries e_n first, then the remaining standard basis rows; a cyclic row
-    proves x regular.  If none is cyclic, returns NotRegular (with the
-    minimal polynomial as witness) when the minimal polynomial has degree
-    < n, since no cyclic row exists then, and otherwise tries random
-    integer rows with entries in [-m, m], doubling m every eight draws;
-    deterministic given the seed.  Raises SearchExhausted after max_tries
-    random draws, which has probability zero in exact arithmetic but
-    remains reportable.
-    """
-    return _cyclic_row(x, in_omega(x), None, seed, max_tries)
+    x: RatMatrix
+    d: Fraction
+    min_poly: UniPoly
+    conjugator: RatMatrix | None
+
+    @property
+    def regular(self) -> bool:
+        """The minimal polynomial has degree n; only then does a cyclic row,
+        and so a conjugate in the locus, exist."""
+        return self.min_poly.degree == self.x.n
+
+    @cached_property
+    def char_poly(self) -> UniPoly:
+        """The minimal polynomial when x is regular, else computed on first
+        read."""
+        return self.min_poly if self.regular else char_poly(self.x)
 
 
-def _cyclic_row(x: RatMatrix, d, mp, seed: int, max_tries: int):
-    """find_cyclic_row given d, true iff D(x) != 0, and mp = min_poly(x) or None."""
+def analyze(x: RatMatrix, conjugate: bool = False, seed: int = 0) -> Analysis:
+    """D(x), both polynomials and, with ``conjugate``, a conjugator into the
+    locus, in this order: the e_n chain gives D and, when D != 0, the
+    characteristic polynomial, which is then the minimal one; if D = 0,
+    ``min_poly``; if a conjugator is asked for and x is regular with D = 0,
+    ``find_cyclic_row`` with the seed and ``conjugate_into_omega``.  A
+    non-regular x is never searched."""
     n = x.n
-    if d:
-        return RatVector.unit(n, n)
+    d, mp = _krylov_dependence(RatVector.unit(n, n), x)
+    if mp is None:
+        mp = min_poly(x)
+    g = None
+    if conjugate and mp.degree == n:
+        g = RatMatrix.identity(n)
+        if not d:
+            g = conjugate_into_omega(x, find_cyclic_row(x, seed))
+    return Analysis(x, d, mp, g)
+
+
+def find_cyclic_row(x: RatMatrix, seed: int = 0) -> RatVector:
+    """A row w with det(w, wx, ..., wx^(n-1)) != 0 for a regular x with
+    D(x) = 0: the unit rows e_1, ..., e_(n-1) in order, then random integer
+    rows with entries in [-m, m], m doubling every eight draws, deterministic
+    given the seed.  Raises SearchExhausted after MAX_TRIES random draws,
+    which has probability zero in exact arithmetic for a regular x but is
+    certain for a non-regular one."""
+    n = x.n
     for i in range(1, n):
         w = RatVector.unit(n, i)
         if _krylov_dependence(w, x)[0] != 0:
             return w
-    mp = min_poly(x) if mp is None else mp
-    if mp.degree < n:
-        return NotRegular(min_poly=mp)
     rng = random.Random(seed)
     m = 1
-    for tries in range(max_tries):
+    for tries in range(MAX_TRIES):
         if tries and tries % 8 == 0:
             m *= 2
         w = RatVector([rng.randint(-m, m) for _ in range(n)])
@@ -246,37 +264,17 @@ def _cyclic_row(x: RatMatrix, d, mp, seed: int, max_tries: int):
             continue
         if _krylov_dependence(w, x)[0] != 0:
             return w
-    raise SearchExhausted(f"no cyclic row found in {max_tries} random draws")
+    raise SearchExhausted(f"no cyclic row found in {MAX_TRIES} random draws")
 
 
-def conjugate_into_omega(
-    x: RatMatrix, seed: int = 0, max_tries: int = 64
-) -> Union[RatMatrix, NotRegular]:
-    """Find invertible g with D(g x g^-1) != 0, verified exactly.
-
-    Returns the identity when the cyclic row found is e_n, i.e. when
-    D(x) != 0 already, and NotRegular when the minimal polynomial of x has
-    degree < n (no conjugate of x ever has a nonzero Krylov determinant).
-    Otherwise completes the cyclic row w to an invertible g whose last row
-    is w, so that e_n (g x g^-1)^k = w x^k g^-1 and the Krylov determinant
-    picks up only the factor det(g^-1).
-    """
-    return _conjugator(x, in_omega(x), None, seed, max_tries)
-
-
-def _conjugator(x: RatMatrix, d, mp, seed: int = 0, max_tries: int = 64):
-    """conjugate_into_omega for x with d and mp as for _cyclic_row."""
-    if d:
-        return RatMatrix.identity(x.n)
-    w = _cyclic_row(x, d, mp, seed, max_tries)
-    if isinstance(w, NotRegular):
-        return w
-    # the standard basis rows but e_k, for the last k with w_k != 0, in index
-    # order, then w: det g = +-w_k != 0
+def conjugate_into_omega(x: RatMatrix, w: RatVector) -> RatMatrix:
+    """The invertible g whose last row is the cyclic row w of x, completed
+    by the standard basis rows but e_k, for the last k with w_k != 0, in
+    index order (det g = +-w_k).  Then e_n (g x g^-1)^k = w x^k g^-1, so
+    D(g x g^-1) = det(g)^-1 det(w, wx, ..., wx^(n-1)) != 0, checked exactly."""
     n, k = x.n, max(i for i, e in enumerate(w.entries) if e != 0)
     units = [[int(j == i) for j in range(n)] for i in range(n) if i != k]
     g = RatMatrix(units + [w.entries])
-    conjugated = g * x * inverse(g)
-    if not in_omega(conjugated):  # pragma: no cover - guarded by construction
+    if not in_omega(g * x * inverse(g)):  # pragma: no cover - guarded by construction
         raise AssertionError("postcondition D(g x g^-1) != 0 failed")
     return g

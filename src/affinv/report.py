@@ -59,13 +59,13 @@ from .fields import (
 from .invariants import basis_expansion_residual
 from .krylov import (
     CompanionSpec,
+    PGroupElement,
     companion,
     companion_sign,
     homogeneity_check,
     is_regular,
     krylov_determinant,
     krylov_rows,
-    p_check,
     pairing_determinant,
     transformation_law,
 )
@@ -172,7 +172,7 @@ def _rand_p_element(rng: random.Random, n: int):
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
         rows.append([0] * (n - 1) + [1])
         try:
-            return p_check(RatMatrix(rows))
+            return PGroupElement(matrix=RatMatrix(rows))
         except SingularMatrixError:  # draw again
             pass
 

@@ -27,10 +27,9 @@ from affinv.fields import Pk, random_invariant_field
 from affinv.invariants import basis_expansion_residual, trace_form
 from affinv.krylov import (
     CompanionSpec,
-    NotRegular,
+    analyze,
     companion,
     companion_sign,
-    conjugate_into_omega,
     homogeneity_check,
     in_omega,
     is_regular,
@@ -161,16 +160,15 @@ def test_criterion_06_saturation():
             x = _rand_matrix(rng, n)
             if min_poly(x).degree < n:
                 continue
-            g = conjugate_into_omega(x, seed=rng.randint(0, 1 << 30))
-            assert isinstance(g, RatMatrix)
+            g = analyze(x, conjugate=True, seed=rng.randint(0, 1 << 30)).conjugator
             assert determinant(g) != 0
             assert in_omega(g * x * inverse(g))
             done += 1
         for _ in range(100):
             x = _block_repeated_nonregular(rng, n)
             assert not is_regular(x)
-            res = conjugate_into_omega(x, seed=rng.randint(0, 1 << 30))
-            assert isinstance(res, NotRegular)
+            res = analyze(x, conjugate=True, seed=rng.randint(0, 1 << 30))
+            assert not res.regular and res.conjugator is None
             assert res.min_poly.degree < n
     _report(6, "regular matrices conjugate into the locus; non-regular never do")
 

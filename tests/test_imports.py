@@ -3,7 +3,8 @@
 Every name a module imports must be used in that module (the re-exports of
 ``__init__`` excepted), and every private ``_name`` defined in a module or
 class must be referenced somewhere in ``src/``, so leftovers of a refactor
-show up as failures.
+show up as failures.  The command-line module reaches the library through
+public names only.
 """
 
 import ast
@@ -73,3 +74,14 @@ def test_every_private_name_is_referenced():
                     if d.startswith("_") and not d.endswith("__") and d not in used:
                         dead.append(f"{name}: {d}")
     assert dead == []
+
+
+def test_cli_imports_no_private_name():
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(_trees()["cli.py"])
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

@@ -1,8 +1,13 @@
+import hashlib
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from affinv import krylov
+from affinv.cli import main
 from affinv.exactmat import (
     RatMatrix,
     RatVector,
@@ -10,24 +15,25 @@ from affinv.exactmat import (
     _row_rank,
     determinant,
     inverse,
+    matrix_to_json,
     min_poly,
     power,
 )
 from affinv.krylov import (
     CompanionSpec,
     NotInPError,
-    NotRegular,
     PGroupElement,
-    _conjugator,
+    SearchExhausted,
+    analyze,
     companion,
     companion_sign,
     conjugate_into_omega,
     find_cyclic_row,
     homogeneity_check,
     in_omega,
+    is_regular,
     krylov_determinant,
     krylov_rows,
-    p_check,
     pairing_determinant,
     transformation_law,
 )
@@ -139,22 +145,16 @@ class TestOmega:
             for _ in range(20):
                 x = _rand_matrix(rng, n)
                 if in_omega(x):
-                    from affinv.krylov import is_regular
-
                     assert is_regular(x)
 
     def test_strictness_witness(self):
         # Jordan blocks are regular with D = 0: inclusion is strict
-        from affinv.krylov import is_regular
-
         for n in range(2, 7):
             j = jordan_nilpotent(n)
             assert is_regular(j)
             assert not in_omega(j)
 
     def test_identity_not_regular(self):
-        from affinv.krylov import is_regular
-
         for n in (2, 3, 4):
             assert not is_regular(RatMatrix.identity(n))
         assert is_regular(RatMatrix.identity(1))
@@ -185,24 +185,24 @@ class TestCompanion:
 
 class TestPGroup:
     def test_identity_valid(self):
-        assert p_check(RatMatrix.identity(3)).det() == 1
+        assert PGroupElement(matrix=RatMatrix.identity(3)).det() == 1
 
     def test_valid_element(self):
-        y = p_check(RatMatrix([[2, 5], [0, 1]]))
+        y = PGroupElement(matrix=RatMatrix([[2, 5], [0, 1]]))
         assert y.det() == 2
 
     def test_wrong_last_row(self):
         with pytest.raises(NotInPError):
-            p_check(RatMatrix([[1, 0], [1, 1]]))
+            PGroupElement(matrix=RatMatrix([[1, 0], [1, 1]]))
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            p_check(RatMatrix([[0, 0, 1], [0, 0, 2], [0, 0, 1]]))
+            PGroupElement(matrix=RatMatrix([[0, 0, 1], [0, 0, 2], [0, 0, 1]]))
 
     def test_n1_trivial_group(self):
-        assert p_check(RatMatrix([[1]])).n == 1
+        assert PGroupElement(matrix=RatMatrix([[1]])).n == 1
         with pytest.raises(NotInPError):
-            p_check(RatMatrix([[2]]))
+            PGroupElement(matrix=RatMatrix([[2]]))
 
     def test_direct_construction_validates(self):
         with pytest.raises(NotInPError):
@@ -241,45 +241,53 @@ class TestTransformationLaw:
 
 
 class TestCyclicRowSearch:
-    def test_companion_first_try(self):
-        x = companion(CompanionSpec([1, 1, 1]))
-        assert find_cyclic_row(x) == RatVector.unit(3, 3)
-
     def test_diagonal_needs_search(self):
         x = RatMatrix([[1, 0], [0, 2]])
         w = find_cyclic_row(x, seed=5)
-        assert isinstance(w, RatVector)
-        rows = RatMatrix.from_rows([w, w * x])
-        assert determinant(rows) != 0
+        assert w != RatVector.unit(2, 2)
+        assert determinant(RatMatrix([w.entries, (w * x).entries])) != 0
 
-    def test_scalar_matrix_not_regular(self):
-        res = find_cyclic_row(RatMatrix.identity(2))
-        assert isinstance(res, NotRegular)
-        assert res.min_poly.degree == 1
+    def test_unit_row_before_random_rows(self):
+        # e_1 is cyclic for this off-locus matrix, so no random row is drawn
+        x = RatMatrix([[1, 1], [0, 2]])
+        assert krylov_determinant(x) == 0
+        assert find_cyclic_row(x) == RatVector.unit(2, 1)
 
-    def test_exhausted_budget_reported(self):
-        from affinv.krylov import SearchExhausted
-
-        # regular, deterministic prefixes fail, and zero random draws allowed
-        x = RatMatrix([[1, 0], [0, 2]])
+    def test_exhausted_budget_reported(self, monkeypatch):
+        # regular, every unit row fails, and zero random draws allowed
+        monkeypatch.setattr(krylov, "MAX_TRIES", 0)
         with pytest.raises(SearchExhausted):
-            find_cyclic_row(x, seed=0, max_tries=0)
+            analyze(RatMatrix([[1, 0], [0, 2]]), conjugate=True)
 
 
-class TestConjugateIntoOmega:
-    def test_short_circuit_inside_omega(self):
+class TestAnalyze:
+    def test_inside_omega_short_circuits(self):
         x = RatMatrix([[1, 2], [3, 4]])
-        assert conjugate_into_omega(x) == RatMatrix.identity(2)
+        found = analyze(x, conjugate=True)
+        assert (found.d, found.regular) == (-3, True)
+        assert found.conjugator == RatMatrix.identity(2)
+        assert found.char_poly == found.min_poly == min_poly(x)
+
+    def test_companion_needs_no_search(self):
+        found = analyze(companion(CompanionSpec([1, 1, 1])), conjugate=True)
+        assert found.d == companion_sign(3)
+        assert found.conjugator == RatMatrix.identity(3)
+
+    def test_no_conjugator_unless_asked(self):
+        found = analyze(RatMatrix([[1, 0], [0, 2]]))
+        assert found.regular and found.d == 0 and found.conjugator is None
 
     def test_diag_example(self):
         x = RatMatrix([[1, 0], [0, 2]])
-        g = conjugate_into_omega(x, seed=1)
-        assert isinstance(g, RatMatrix)
+        g = analyze(x, conjugate=True, seed=1).conjugator
         assert determinant(g) != 0
         assert in_omega(g * x * inverse(g))
 
-    def test_identity_not_regular(self):
-        assert isinstance(conjugate_into_omega(RatMatrix.identity(2)), NotRegular)
+    def test_scalar_matrix_not_regular(self):
+        found = analyze(RatMatrix.identity(2), conjugate=True)
+        assert not found.regular and found.conjugator is None
+        assert found.min_poly.degree == 1
+        assert found.char_poly.degree == 2
 
     def test_random_regular_matrices(self):
         rng = random.Random(157)
@@ -289,8 +297,7 @@ class TestConjugateIntoOmega:
                 x = _rand_matrix(rng, n)
                 if min_poly(x).degree < n:
                     continue
-                g = conjugate_into_omega(x, seed=rng.randint(0, 10**6))
-                assert isinstance(g, RatMatrix)
+                g = analyze(x, conjugate=True, seed=rng.randint(0, 10**6)).conjugator
                 assert in_omega(g * x * inverse(g))
                 done += 1
 
@@ -317,16 +324,12 @@ class TestConjugateIntoOmega:
                 x = y * diag * inverse(y)  # regular, and D(x) = 0 as y is in P
                 seed = rng.randint(0, 10**6)
                 w = find_cyclic_row(x, seed=seed)
-                g = conjugate_into_omega(x, seed=seed)
+                g = analyze(x, conjugate=True, seed=seed).conjugator
                 assert w != RatVector.unit(n, n)
-                assert g == greedy(w)
-                # the analyze path: D and the minimal polynomial already known
-                assert _conjugator(x, Fraction(0), min_poly(x), seed) == g
+                assert g == greedy(w) == conjugate_into_omega(x, w)
 
     def test_block_repeated_structure_rejected(self):
         # two identical companion blocks: minimal polynomial degree n/2
-        from affinv.krylov import is_regular
-
         block = companion(CompanionSpec([2, 1]))
         x = RatMatrix(
             [
@@ -337,4 +340,120 @@ class TestConjugateIntoOmega:
             ]
         )
         assert not is_regular(x)
-        assert isinstance(conjugate_into_omega(x), NotRegular)
+        found = analyze(x, conjugate=True)
+        assert not found.regular and found.conjugator is None
+        assert found.min_poly.degree == 2
+
+
+def _p_element(rng, n):
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n - 1)]
+        y = RatMatrix(rows + [[0] * (n - 1) + [1]])
+        if determinant(y) != 0:
+            return y
+
+
+def _invertible(rng, n):
+    while True:
+        y = RatMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if determinant(y) != 0:
+            return y
+
+
+def _scalar(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+
+
+def _digest_matrices():
+    """Integer, rational, off-locus y diag y^-1 with y in P and distinct
+    eigenvalues, and non-regular u J u^-1 with two Jordan blocks for one
+    eigenvalue, in turn; 300 of each, n = 1..6 (2..6 for the last two).
+    About a quarter of the off-locus ones fail every unit row and need
+    random rows."""
+    rng = random.Random(20261019)
+    out = []
+    for k in range(300):
+        n = 1 + k % 6
+        out.append(RatMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]))
+        out.append(RatMatrix([[_scalar(rng) for _ in range(n)] for _ in range(n)]))
+        n = 2 + k % 5
+        eigen = []
+        while len(eigen) < n:
+            e = _scalar(rng)
+            if e not in eigen:
+                eigen.append(e)
+        y = _p_element(rng, n)
+        diag = RatMatrix([[eigen[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        out.append(y * diag * inverse(y))
+        lam, cut = rng.randint(-3, 3), rng.randint(1, n - 1)
+        jordan = RatMatrix(
+            [[lam if i == j else int(j == i + 1 and j != cut) for j in range(n)] for i in range(n)]
+        )
+        u = _invertible(rng, n)
+        out.append(u * jordan * inverse(u))
+    return out
+
+
+# SHA-256 of (D, min_poly, char_poly, regular, conjugator rows) over the 1,200
+# digest matrices, each searched with its index as seed, recorded from the
+# command-line flow before analyze existed: it pins the search order (e_n,
+# the other unit rows, then random rows) and the random-row stream
+ANALYZE_DIGEST = "f89fa847c6fb7f82136594faaa9c4fb27186509230fbe80447d7a2c867d96692"
+
+
+def test_analyze_reproduces_the_recorded_digest():
+    digest = hashlib.sha256()
+    for seed, x in enumerate(_digest_matrices()):
+        found = analyze(x, conjugate=True, seed=seed)
+        g = found.conjugator
+        record = {
+            "D": str(found.d),
+            "min_poly": found.min_poly.to_strings(),
+            "char_poly": found.char_poly.to_strings(),
+            "regular": found.regular,
+            "conjugator": None if g is None else matrix_to_json(g)["entries"],
+        }
+        digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == ANALYZE_DIGEST
+
+
+def _count(monkeypatch, name):
+    """Record the arguments of every call of krylov's binding ``name``."""
+    calls, fn = [], getattr(krylov, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(krylov, name, counted)
+    return calls
+
+
+def _analyze_cli(monkeypatch, x, extra):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix_to_json(x))))
+    return main(["analyze", "-", *extra])
+
+
+@pytest.mark.parametrize("extra, code", [([], 0), (["--conjugate"], 3)])
+def test_non_regular_work_order(extra, code, monkeypatch, capsys):
+    chains, mins, chars = (
+        _count(monkeypatch, name) for name in ("_krylov_dependence", "min_poly", "char_poly")
+    )
+    x = RatMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 2]])  # (t - 2)^2 is minimal
+    assert _analyze_cli(monkeypatch, x, extra) == code
+    capsys.readouterr()
+    assert [w for w, _ in chains] == [RatVector.unit(3, 3)]
+    assert len(mins) == 1
+    assert len(chars) == (0 if code else 1)
+
+
+def test_regular_off_locus_work_order(monkeypatch, capsys):
+    chains, mins, chars = (
+        _count(monkeypatch, name) for name in ("_krylov_dependence", "min_poly", "char_poly")
+    )
+    x = RatMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])  # every unit row fails
+    assert _analyze_cli(monkeypatch, x, ["--conjugate"]) == 0
+    capsys.readouterr()
+    assert [w for w, _ in chains[:3]] == [RatVector.unit(3, i) for i in (3, 1, 2)]
+    assert len(chains) > 3
+    assert len(mins) == 1 and chars == []

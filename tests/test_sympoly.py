@@ -5,11 +5,11 @@ import pytest
 
 from affinv.exactmat import RatMatrix, determinant, inverse
 from affinv.krylov import (
+    PGroupElement,
     CompanionSpec,
     companion,
     companion_sign,
     krylov_determinant,
-    p_check,
 )
 from affinv.sympoly import (
     ALL_DEGREES,
@@ -141,7 +141,7 @@ class TestSymbolicDeterminant:
                 y = RatMatrix(rows)
                 if determinant(y) == 0:
                     continue
-                p_check(y)
+                PGroupElement(matrix=y)
                 yinv = inverse(y)
                 mapping = []
                 for i in range(1, n + 1):
