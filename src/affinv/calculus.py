@@ -105,16 +105,16 @@ class QuadratureSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.half_width <= 0 or self.n_samples < 1:
-            raise CalculusError("half_width must be > 0 and n_samples >= 1")
+        if not 0.0 < 2.0 * self.half_width < math.inf:  # NaN fails too
+            raise CalculusError("half_width must be > 0 with a finite box width 2a")
+        n, seed = self.n_samples, self.seed
+        if not (type(n) is type(seed) is int and n >= 1 and seed >= 0):  # bools fail
+            raise CalculusError("n_samples must be an integer >= 1 and seed one >= 0")
 
 
-def _evaluate(phi: ScalarField, arr: np.ndarray):
-    """phi on an (n, n) point or an (n, n, N) batch, fed entry by entry
-    (views along the sample axis for a batch)."""
-    n = arr.shape[0]
-    entries = [[arr[a, b] for b in range(n)] for a in range(n)]
-    return evaluate_on_entries(phi, entries, lift=float)
+def _entries(arr: np.ndarray) -> list:
+    """Entry lists of an (n, n) point or an (n, n, N) batch (sample-axis views)."""
+    return [list(row) for row in arr]
 
 
 def _adjoint_direction(arr: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -125,9 +125,24 @@ def _adjoint_direction(arr: np.ndarray, i: int, j: int) -> np.ndarray:
     return v
 
 
-def _central_difference(phi: ScalarField, plus, minus, h: float):
-    """(phi(x + hv) - phi(x - hv)) / 2h from the shifted points or batches."""
-    return (_evaluate(phi, plus) - _evaluate(phi, minus)) / (2.0 * h)
+def _shifted_entries(x: list, i: int, j: int, h: float) -> tuple:
+    """x +- hv for v = [E_ij, x] as entry lists: only row i and column j are
+    new, each v entry formed in _adjoint_direction's order, so both equal
+    x +- h * _adjoint_direction(x, i, j) bit for bit; the rest are x's own."""
+    plus, minus = [row[:] for row in x], [row[:] for row in x]
+    for a, row in enumerate(x):
+        for b, e in enumerate(row):
+            if a == i - 1 or b == j - 1:
+                v = 0.0 + x[j - 1][b] if a == i - 1 else 0.0
+                if b == j - 1:
+                    v = v - x[a][i - 1]
+                plus[a][b], minus[a][b] = e + h * v, e - h * v
+    return plus, minus
+
+
+def _central_difference(phi: ScalarField, plus: list, minus: list, h: float):
+    """(phi(x + hv) - phi(x - hv)) / 2h from the shifted entry lists."""
+    return (evaluate_on_entries(phi, plus) - evaluate_on_entries(phi, minus)) / (2.0 * h)
 
 
 def _point_difference(phi: ScalarField, arr: np.ndarray, v: np.ndarray, h: float):
@@ -136,7 +151,7 @@ def _point_difference(phi: ScalarField, arr: np.ndarray, v: np.ndarray, h: float
         plus, minus = arr + h * v, arr - h * v
     if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
         raise CalculusError(f"x +- hv leaves the float range at h = {h:g}")
-    return _central_difference(phi, plus, minus, h)
+    return _central_difference(phi, _entries(plus), _entries(minus), h)
 
 
 def _abs_max(values) -> float:
@@ -146,7 +161,7 @@ def _abs_max(values) -> float:
 
 def eval_field(phi: ScalarField, x: FloatMatrix) -> float:
     """Recursive evaluation; a pk(k) node evaluates tr(x^k)/k in floats."""
-    return float(_evaluate(phi, x.entries))
+    return float(evaluate_on_entries(phi, _entries(x.entries)))
 
 
 def fd_directional(
@@ -297,13 +312,13 @@ def check_boundary_decay(psi: ScalarField, n: int, quad: QuadratureSpec) -> floa
     rng = np.random.default_rng([quad.seed, _BOUNDARY_STREAM])
     m = 512
     interior = rng.uniform(-a, a, size=(n, n, m))
-    interior_max = float(np.max(np.abs(_evaluate(psi, interior))))
+    interior_max = float(np.max(np.abs(evaluate_on_entries(psi, _entries(interior)))))
     shell = rng.uniform(-a, a, size=(n, n, m))
     coords = rng.integers(0, n * n, size=m)
     signs = rng.choice([-1.0, 1.0], size=m)
     radii = rng.uniform(a * (1.0 - SHELL_FRACTION), a, size=m)
     shell[coords // n, coords % n, np.arange(m)] = signs * radii
-    shell_max = float(np.max(np.abs(_evaluate(psi, shell))))
+    shell_max = float(np.max(np.abs(evaluate_on_entries(psi, _entries(shell)))))
     scale = max(interior_max, 1e-12)
     ratio = shell_max / scale
     if ratio > LEAK_RATIO:
@@ -315,7 +330,7 @@ def check_boundary_decay(psi: ScalarField, n: int, quad: QuadratureSpec) -> floa
 
 def weak_lie_derivative(
     densities: Sequence[ScalarField],
-    psi: ScalarField,
+    psis: Sequence[ScalarField],
     pairs: Sequence[tuple],
     quad: QuadratureSpec = QuadratureSpec(),
     cfg: FDConfig = FDConfig(),
@@ -323,40 +338,41 @@ def weak_lie_derivative(
 ) -> list:
     """Monte-Carlo estimates of the weak derivative pairings
     -integral of u * (L_ij psi) over the box, with their standard errors:
-    ``results[d][p]`` for u = densities[d] and (i, j) = pairs[p].
+    ``results[m][d][p]`` for psi = psis[m], u = densities[d] and
+    (i, j) = pairs[p].
 
     Realizes each density u as a distribution T(psi) = integral(u psi); the
     adjoint fields are divergence free (the weak suite decides it exactly),
     so the weak derivative (L_ij T)(psi) reduces to the single integral
     above when psi vanishes near the boundary (checked by shell sampling).
 
-    Sampling is chunked; chunk c draws from default_rng([seed, c]) once for
-    every (u, i, j), so a sharded parallel run recombines to the identical
-    result.
+    Sampling is chunked; chunk c is drawn from default_rng([seed, c]) once
+    and shared by every (psi, u, i, j), so a sharded parallel run recombines
+    to the identical result.  Each density is evaluated once per chunk.
     """
-    check_boundary_decay(psi, n, quad)
+    for psi in psis:
+        check_boundary_decay(psi, n, quad)
     a, h, samples, seed = quad.half_width, cfg.h, quad.n_samples, quad.seed
-    sums = np.zeros((len(densities), len(pairs), 2))
+    sums = np.zeros((len(psis), len(densities), len(pairs), 2))
     for chunk_idx, start in enumerate(range(0, samples, QUAD_CHUNK), start=1):
         count = min(QUAD_CHUNK, samples - start)
         rng = np.random.default_rng([seed, chunk_idx])
-        block = rng.uniform(-a, a, size=(n, n, count))
-        lie_psi = []
-        for i, j in pairs:
-            v = _adjoint_direction(block, i, j)
-            lie_psi.append(_central_difference(psi, block + h * v, block - h * v, h))
-        for d, u in enumerate(densities):
-            u_vals = _evaluate(u, block)
-            for p, lie in enumerate(lie_psi):
-                vals = np.asarray(u_vals * lie, dtype=np.float64)
-                sums[d, p] += np.sum(vals), np.sum(vals * vals)
+        x = _entries(rng.uniform(-a, a, size=(n, n, count)))
+        u_vals = [evaluate_on_entries(u, x) for u in densities]
+        for p, (i, j) in enumerate(pairs):
+            plus, minus = _shifted_entries(x, i, j, h)
+            for m, psi in enumerate(psis):
+                lie = _central_difference(psi, plus, minus, h)
+                for d, u_val in enumerate(u_vals):
+                    vals = np.asarray(u_val * lie, dtype=np.float64)
+                    sums[m, d, p] += np.sum(vals), np.sum(vals * vals)
     mean = sums[..., 0] / samples
     var = np.maximum(sums[..., 1] / samples - mean * mean, 0.0)
     volume = (2.0 * a) ** (n * n)
     std_error = volume * np.sqrt(var / samples)
     return [
-        [WeakDerivativeResult(float(e), float(s), samples, seed) for e, s in zip(es, ss)]
-        for es, ss in zip(-volume * mean, std_error)
+        [[WeakDerivativeResult(e, s, samples, seed) for e, s in zip(*r)] for r in zip(*em)]
+        for em in zip((-volume * mean).tolist(), std_error.tolist())
     ]
 
 
@@ -379,7 +395,7 @@ def weak_lie_derivative_grid(
     block = np.stack(
         [g.ravel() for g in grids], axis=0
     ).reshape(n, n, points_per_axis**4)
-    v = _adjoint_direction(block, i, j)
-    lie_psi = _central_difference(psi, block + cfg.h * v, block - cfg.h * v, cfg.h)
-    u_vals = _evaluate(u, block)
+    x = _entries(block)
+    lie_psi = _central_difference(psi, *_shifted_entries(x, i, j, cfg.h), cfg.h)
+    u_vals = evaluate_on_entries(u, x)
     return float(-(step**4) * np.sum(np.asarray(u_vals * lie_psi)))

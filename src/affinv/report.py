@@ -349,11 +349,8 @@ def run_weak_suite(
         )
     u_wit = Var(1, 1)
     densities = [invariant_density(n), u_wit, Const(1)]
-    # results[m][d][p]; the Lebesgue density Const(1) is paired with psis[0] only
-    results = [
-        weak_lie_derivative(densities[: 3 if m == 0 else 2], psi, pairs, quad, cfg, n=n)
-        for m, psi in enumerate(psis)
-    ]
+    # results[m][d][p]; the Lebesgue density Const(1) is read with psis[0] only
+    results = weak_lie_derivative(densities, psis, pairs, quad, cfg, n=n)
     for m, by_density in enumerate(results):
         for (i, j), r in zip(pairs, by_density[0]):
             tol = max(3.0 * r.std_error, WEAK_ZERO_TOL_FLOOR)

@@ -249,9 +249,23 @@ class TestConfigValidation:
         with pytest.raises(CalculusError):
             FDConfig(scheme="forward")
 
-    def test_bad_box(self):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"half_width": -1.0},
+            {"half_width": math.nan},
+            {"half_width": math.inf},
+            {"half_width": 1e308},  # 2a overflows
+            {"n_samples": 1000.0},
+            {"n_samples": True},
+            {"seed": -1},
+        ],
+        ids=["negative_half_width", "nan_half_width", "inf_half_width", "overflowing_2a",
+             "float_n_samples", "bool_n_samples", "negative_seed"],
+    )
+    def test_bad_quadrature(self, bad):
         with pytest.raises(CalculusError):
-            QuadratureSpec(half_width=-1.0)
+            QuadratureSpec(**bad)
 
     def test_nonfinite_matrix_rejected(self):
         with pytest.raises(CalculusError):
@@ -278,35 +292,36 @@ class TestWeakDerivative:
 
     def test_lebesgue_density_annihilated(self):
         psi = bump_field(2, 2, prefactor=Pk(1))
-        [results] = weak_lie_derivative([Const(1)], psi, self.PAIRS, self.QUAD)
+        [[results]] = weak_lie_derivative([Const(1)], [psi], self.PAIRS, self.QUAD)
         for r in results:
             assert abs(r.estimate) <= max(4 * r.std_error, 1e-2)
 
     def test_invariant_density_annihilated(self):
         u = Add([Const(1), Mul([Const(Fraction(1, 2)), Pk(2)])])
         psi = bump_field(2, 2, prefactor=Var(1, 2))
-        [results] = weak_lie_derivative([u], psi, [(1, 1), (2, 1)], self.QUAD)
+        [[results]] = weak_lie_derivative([u], [psi], [(1, 1), (2, 1)], self.QUAD)
         for r in results:
             assert abs(r.estimate) <= max(4 * r.std_error, 1e-2)
 
     def test_noninvariant_witness_detected(self):
         psi = bump_field(2, 2, prefactor=Var(1, 2))
-        [[r]] = weak_lie_derivative([Var(1, 1)], psi, [(2, 1)], self.QUAD)
+        [[[r]]] = weak_lie_derivative([Var(1, 1)], [psi], [(2, 1)], self.QUAD)
         assert abs(r.estimate) > 20 * r.std_error
 
     def test_deterministic_given_seed(self):
         psi = bump_field(2, 2, prefactor=Pk(1))
         quad = QuadratureSpec(half_width=2.0, n_samples=30_000, seed=3)
-        r1 = weak_lie_derivative([Var(1, 1)], psi, [(1, 2)], quad)
-        r2 = weak_lie_derivative([Var(1, 1)], psi, [(1, 2)], quad)
+        r1 = weak_lie_derivative([Var(1, 1)], [psi], [(1, 2)], quad)
+        r2 = weak_lie_derivative([Var(1, 1)], [psi], [(1, 2)], quad)
         assert r1 == r2
 
     def test_one_pass_equals_single_calls(self, monkeypatch):
-        # two chunks, the second one short; every (density, pair) estimate
-        # of the shared pass must equal its own single-density, single-pair
-        # pass exactly, and the boundary check runs once per call
+        # two chunks, the second one short; every (psi, density, pair)
+        # estimate of the shared pass must equal its own single-psi,
+        # single-density, single-pair pass exactly, and the boundary check
+        # runs once per psi
         quad = QuadratureSpec(half_width=2.0, n_samples=QUAD_CHUNK + 1_000, seed=11)
-        psi = bump_field(2, 2, prefactor=Var(1, 2))
+        psis = [bump_field(2, 2, prefactor=p) for p in (Var(1, 2), Pk(2), Const(1))]
         densities = [invariant_density(2), Var(1, 1), Const(1)]
         checks = []
         real_check = calculus.check_boundary_decay
@@ -315,16 +330,35 @@ class TestWeakDerivative:
             "check_boundary_decay",
             lambda *args: checks.append(args) or real_check(*args),
         )
-        together = weak_lie_derivative(densities, psi, self.PAIRS, quad)
-        assert len(checks) == 1
-        assert [len(row) for row in together] == [4, 4, 4]
-        for u, row in zip(densities, together):
-            for pair, r in zip(self.PAIRS, row):
-                assert [[r]] == weak_lie_derivative([u], psi, [pair], quad)
+        together = weak_lie_derivative(densities, psis, self.PAIRS, quad)
+        assert [args[0] for args in checks] == psis
+        assert [[len(row) for row in by_d] for by_d in together] == [[4, 4, 4]] * 3
+        for psi, by_d in zip(psis, together):
+            for u, row in zip(densities, by_d):
+                for pair, r in zip(self.PAIRS, row):
+                    assert [[[r]]] == weak_lie_derivative([u], [psi], [pair], quad)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shifted_entries_equal_the_full_shift(self, n):
+        # bit for bit against x +- h [E_ij, x] on the whole block, with every
+        # entry outside row i and column j handed on as the block's own view
+        block = np.random.default_rng(n).uniform(-2.0, 2.0, size=(n, n, 64))
+        x = calculus._entries(block)
+        h = 1e-3
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                v = calculus._adjoint_direction(block, i, j)
+                plus, minus = calculus._shifted_entries(x, i, j, h)
+                for got, want in [(plus, block + h * v), (minus, block - h * v)]:
+                    assert np.stack([np.stack(row) for row in got]).tobytes() == want.tobytes()
+                    for a in range(n):
+                        for b in range(n):
+                            if a != i - 1 and b != j - 1:
+                                assert got[a][b] is x[a][b]
 
     def test_grid_cross_validation(self):
         psi = bump_field(2, 2, prefactor=Var(1, 2))
-        [[mc]] = weak_lie_derivative([Var(1, 1)], psi, [(2, 1)], self.QUAD)
+        [[[mc]]] = weak_lie_derivative([Var(1, 1)], [psi], [(2, 1)], self.QUAD)
         grid = weak_lie_derivative_grid(Var(1, 1), psi, 2, 1)
         tol = 0.03 * max(1.0, abs(mc.estimate)) + 5 * mc.std_error
         assert math.isclose(grid, mc.estimate, abs_tol=tol)

@@ -169,6 +169,17 @@ class TestVerify:
         out = re.sub(r'\n  "timestamp": "[^"]*",', "", capsys.readouterr().out)
         assert out.encode() == (GOLDEN / "identity_n4_s20_seed7.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "samples, seed, code",
+        [(200_000, 14, 1), (1_000_000, 4, 0)],  # one failing chunk with a witness; five chunks
+    )
+    def test_weak_report_golden(self, samples, seed, code, monkeypatch, capsys):
+        cfg = json.dumps({"suite": "weak", "n": 2, "samples": samples, "seed": seed})
+        assert run_cli(["verify", "-"], cfg, monkeypatch) == code
+        out = re.sub(r'\n  "timestamp": "[^"]*",', "", capsys.readouterr().out)
+        golden = GOLDEN / f"weak_n2_s{samples}_seed{seed}.json"
+        assert out.encode() == golden.read_bytes()
+
     def test_determinism_modulo_timestamp(self):
         cfg = {"suite": "identity", "n": 3, "samples": 10, "seed": 42}
         a = run_suite_from_config(cfg).to_json()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from affinv import invariants, krylov, report
+from affinv import calculus, invariants, krylov, report
 from affinv.exactmat import RatVector, matrix_from_json
 from affinv.report import PropertyRecord
 
@@ -106,3 +106,34 @@ def test_a_wrong_d_handed_to_a_check_fails_with_a_witness(check, name, monkeypat
     assert lhs == rhs
     lhs, rhs = true_check(x, other, krylov.krylov_determinant(x) + 1)
     assert lhs != rhs
+
+
+def test_weak_suite_draws_each_chunk_once_for_all_test_functions(monkeypatch):
+    # one 200,000-sample chunk: five boundary streams and one sampling
+    # stream; three densities evaluated once, then five test functions at
+    # the two shifted points of each of the four pairs, after the two
+    # boundary evaluations per test function
+    counts = {"default_rng": 0, "evaluate_on_entries": 0, "weak_lie_derivative": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        calculus.np.random, "default_rng", counted("default_rng", calculus.np.random.default_rng)
+    )
+    monkeypatch.setattr(
+        calculus,
+        "evaluate_on_entries",
+        counted("evaluate_on_entries", calculus.evaluate_on_entries),
+    )
+    monkeypatch.setattr(
+        report,
+        "weak_lie_derivative",
+        counted("weak_lie_derivative", report.weak_lie_derivative),
+    )
+    report.run_weak_suite(200_000, 0)
+    assert counts == {"default_rng": 6, "evaluate_on_entries": 53, "weak_lie_derivative": 1}
