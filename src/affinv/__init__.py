@@ -35,7 +35,6 @@ from .invariants import (  # noqa: F401
     gradient_commutator_residual,
     trace_form,
     trace_power,
-    trace_power_gradient,
 )
 from .krylov import (  # noqa: F401
     CompanionSpec,
@@ -73,7 +72,6 @@ from .calculus import (  # noqa: F401
     FDConfig,
     FloatMatrix,
     QuadratureSpec,
-    eval_field,
     fd_directional,
     full_identity_residual,
     lie_derivative,

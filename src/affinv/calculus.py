@@ -7,13 +7,15 @@ All derivative estimates use one central-difference kernel,
 (f(x+hv) - f(x-hv))/2h along the adjoint direction v = [E_ij, x], that
 works on an (n, n) point and on an (n, n, N) batch of samples alike.  At
 a point, where x +- hv must be finite, ``lie_derivatives`` stacks all n^2
-directions into one batch; every Lie-derivative check reads that table,
+directions into one batch.  Each point check (P-invariance, the full
+contraction identity, the reduced system) takes that table as its input,
 and its maxima keep a NaN.  The reduced system is checked at rational
 points only: its gate |D(x)| >= delta, which keeps it away from the
-hypersurface where finite differences degrade, is decided from the exact
-determinant.  Scalar fields built from trace powers are exactly invariant,
-so their Lie derivatives measure pure finite-difference noise; the default
-tolerances are sized for entries clamped to [-2, 2] at h = 1e-5.
+hypersurface where finite differences degrade, reads |D| from the exact
+determinant the caller holds.  Scalar fields built from trace powers are
+exactly invariant, so their Lie derivatives measure pure finite-difference
+noise; the default tolerances are sized for entries clamped to [-2, 2] at
+h = 1e-5.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 from .exactmat import RatMatrix
 from .fields import ScalarField, evaluate_on_entries
 from .invariants import basis_bracket, basis_matrix
-from .krylov import krylov_determinant
 
 
 class CalculusError(ValueError):
@@ -154,14 +155,9 @@ def _point_difference(phi: ScalarField, arr: np.ndarray, v: np.ndarray, h: float
     return _central_difference(phi, _entries(plus), _entries(minus), h)
 
 
-def _abs_max(values) -> float:
+def abs_max(values) -> float:
     """max |v| over values, 0.0 if none; unlike Python's max, a NaN wins."""
     return float(np.abs(np.asarray(values, dtype=np.float64)).max(initial=0.0))
-
-
-def eval_field(phi: ScalarField, x: FloatMatrix) -> float:
-    """Recursive evaluation; a pk(k) node evaluates tr(x^k)/k in floats."""
-    return float(evaluate_on_entries(phi, _entries(x.entries)))
 
 
 def fd_directional(
@@ -194,20 +190,23 @@ def lie_derivative(
     return float(lie_derivatives(phi, x, cfg)[i - 1, j - 1])
 
 
-def p_invariance_residual(
-    phi: ScalarField, x: FloatMatrix, cfg: FDConfig = FDConfig()
-) -> float:
-    """max |L_ij phi| over i = 1..n-1, j = 1..n; zero for n = 1.
+def p_invariance_residual(table: np.ndarray) -> float:
+    """max |L_ij phi| over i = 1..n-1, j = 1..n of a lie_derivatives table;
+    zero for n = 1.
 
     Small values certify local invariance under the subgroup that fixes
     the last basis row.  A NaN derivative is the residual.
     """
-    return _abs_max(lie_derivatives(phi, x, cfg)[:-1])
+    return abs_max(table[:-1])
 
 
-def _contraction_residual(table: np.ndarray, x: FloatMatrix, k: int) -> float:
-    """|sum_ij (x^k)_ij L_ij phi| from a lie_derivatives table, summed left to
-    right in row-major order."""
+def full_identity_residual(table: np.ndarray, x: FloatMatrix, k: int) -> float:
+    """|sum_ij (x^k)_ij L_ij phi| from a lie_derivatives table at x, summed
+    left to right in row-major order.
+
+    The underlying vector field sum_ij (x^k)_ij [E_ij, .] is [x^k, x] = 0,
+    so the residual is pure finite-difference error for every C^1 field.
+    """
     if not 0 <= k <= x.n - 1:
         raise CalculusError(f"power index {k} out of range 0..{x.n - 1}")
     total = 0.0
@@ -216,62 +215,34 @@ def _contraction_residual(table: np.ndarray, x: FloatMatrix, k: int) -> float:
     return float(abs(total))
 
 
-def full_identity_residual(
-    phi: ScalarField, x: FloatMatrix, k: int, cfg: FDConfig = FDConfig()
-) -> float:
-    """|sum_ij (x^k)_ij L_ij phi| at x.
-
-    The underlying vector field sum_ij (x^k)_ij [E_ij, .] is [x^k, x] = 0,
-    so the residual is pure finite-difference error for every C^1 field.
-    """
-    return _contraction_residual(lie_derivatives(phi, x, cfg), x, k)
-
-
 @dataclass(frozen=True)
 class ReducedSystemResult:
     residuals: tuple      # r_k = sum_j (x^k)_nj L_nj phi, k = 0..n-1
     solution: tuple       # s_j = L_nj phi, j = 1..n
-    lemma_pass: bool
-    abs_D: float
 
 
-def _float_krylov_rows(x: FloatMatrix, abs_d: float, cfg: FDConfig) -> list:
-    """Rows e_n x^k, k < n, of float powers of x, if its |D| passes delta."""
+def reduced_system_check(
+    table: np.ndarray, x: FloatMatrix, abs_d: float, cfg: FDConfig = FDConfig()
+) -> ReducedSystemResult:
+    """The n-unknown linear system in the last-row derivatives, read off a
+    lie_derivatives table at x.
+
+    Precondition (checked here): |D(x)| = abs_d >= delta, where the caller
+    takes abs_d from the exact determinant it holds.  Precondition
+    (caller-checked): phi should have p_invariance_residual <= tau_res,
+    otherwise the system says nothing about phi.  Wherever D != 0 the lemma
+    asserts max_k |r_k| <= tau_sys and max_j |s_j| <= tau_lemma.  The rows
+    e_n x^k of the residuals come from float powers of x, independently of
+    the exact Krylov rows.
+    """
     if abs_d < cfg.delta:
         raise PreconditionViolated(f"|D(x)| = {abs_d:.3g} < delta = {cfg.delta}")
     powers = [np.eye(x.n)]
     for _ in range(x.n - 1):
         powers.append(powers[-1] @ x.entries)
-    return [p[-1] for p in powers]
-
-
-def _reduced_system(table, rows, abs_d: float, cfg: FDConfig) -> ReducedSystemResult:
-    """The reduced system read off a lie_derivatives table."""
     solution = tuple(table[-1].tolist())
-    residuals = tuple(float(sum(c * s for c, s in zip(row, solution))) for row in rows)
-    ok = _abs_max(residuals) <= cfg.tau_sys and _abs_max(solution) <= cfg.tau_lemma
-    return ReducedSystemResult(residuals, solution, ok, abs_d)
-
-
-def reduced_system_check(
-    phi: ScalarField, x: RatMatrix, cfg: FDConfig = FDConfig()
-) -> ReducedSystemResult:
-    """Evaluate the n-unknown linear system in the last-row derivatives at
-    a rational point x.
-
-    Precondition (checked here): |D(x)| >= delta, decided from the exact
-    determinant (the lemma suite decides it once per point from the D it
-    holds).  Precondition (caller-checked): phi should have
-    p_invariance_residual <= tau_res, otherwise lemma_pass is vacuous.
-    lemma_pass certifies both max_k |r_k| <= tau_sys and max_j |s_j| <=
-    tau_lemma, NaN failing, the executable form of "all last-row Lie
-    derivatives vanish wherever D != 0".  The residuals r_k are formed
-    from float powers of x, independently of the exact Krylov rows.
-    """
-    abs_d = abs(float(krylov_determinant(x)))
-    fx = FloatMatrix.from_rat(x)
-    rows = _float_krylov_rows(fx, abs_d, cfg)
-    return _reduced_system(lie_derivatives(phi, fx, cfg), rows, abs_d, cfg)
+    residuals = tuple(float(sum(c * s for c, s in zip(p[-1], solution))) for p in powers)
+    return ReducedSystemResult(residuals, solution)
 
 
 def adjoint_field_divergence(n: int, i: int, j: int) -> Fraction:
@@ -300,32 +271,37 @@ class WeakDerivativeResult:
 _BOUNDARY_STREAM = 0
 
 
-def check_boundary_decay(psi: ScalarField, n: int, quad: QuadratureSpec) -> float:
-    """Verify psi is negligible on the outer shell of the box.
+def check_boundary_decay(
+    psis: Sequence[ScalarField], n: int, quad: QuadratureSpec
+) -> list:
+    """Verify each psi is negligible on the outer shell of the box.
 
-    Samples the shell (one coordinate forced within SHELL_FRACTION of the
-    wall) against interior samples; raises BoundaryLeak when the shell
-    maximum exceeds LEAK_RATIO times the interior maximum.  Returns the
-    measured ratio.
+    Draws one block of interior samples and one of shell samples (one
+    coordinate forced within SHELL_FRACTION of the wall), shared by every
+    psi; raises BoundaryLeak at the first psi, in order, whose shell maximum
+    exceeds LEAK_RATIO times its interior maximum.  Returns the measured
+    ratio of each psi.
     """
     a = quad.half_width
     rng = np.random.default_rng([quad.seed, _BOUNDARY_STREAM])
     m = 512
-    interior = rng.uniform(-a, a, size=(n, n, m))
-    interior_max = float(np.max(np.abs(evaluate_on_entries(psi, _entries(interior)))))
+    interior = _entries(rng.uniform(-a, a, size=(n, n, m)))
     shell = rng.uniform(-a, a, size=(n, n, m))
     coords = rng.integers(0, n * n, size=m)
     signs = rng.choice([-1.0, 1.0], size=m)
     radii = rng.uniform(a * (1.0 - SHELL_FRACTION), a, size=m)
     shell[coords // n, coords % n, np.arange(m)] = signs * radii
-    shell_max = float(np.max(np.abs(evaluate_on_entries(psi, _entries(shell)))))
-    scale = max(interior_max, 1e-12)
-    ratio = shell_max / scale
-    if ratio > LEAK_RATIO:
-        raise BoundaryLeak(
-            f"shell max {shell_max:.3g} vs interior max {interior_max:.3g}"
-        )
-    return ratio
+    shell = _entries(shell)
+    ratios = []
+    for psi in psis:
+        interior_max = float(np.max(np.abs(evaluate_on_entries(psi, interior))))
+        shell_max = float(np.max(np.abs(evaluate_on_entries(psi, shell))))
+        ratios.append(shell_max / max(interior_max, 1e-12))
+        if ratios[-1] > LEAK_RATIO:
+            raise BoundaryLeak(
+                f"shell max {shell_max:.3g} vs interior max {interior_max:.3g}"
+            )
+    return ratios
 
 
 def weak_lie_derivative(
@@ -350,8 +326,7 @@ def weak_lie_derivative(
     and shared by every (psi, u, i, j), so a sharded parallel run recombines
     to the identical result.  Each density is evaluated once per chunk.
     """
-    for psi in psis:
-        check_boundary_decay(psi, n, quad)
+    check_boundary_decay(psis, n, quad)
     a, h, samples, seed = quad.half_width, cfg.h, quad.n_samples, quad.seed
     sums = np.zeros((len(psis), len(densities), len(pairs), 2))
     for chunk_idx, start in enumerate(range(0, samples, QUAD_CHUNK), start=1):

@@ -213,11 +213,6 @@ class RatMatrix:
     def trace(self) -> Fraction:
         return Fraction(sum(self.rows[i][i] for i in range(self.n)))
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
-
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.rows for e in row)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactmat import RatMatrix, _matmul, format_rational, parse_rational
+from .exactmat import _matmul, format_rational, parse_rational
 from .sympoly import MultiPoly, generic_matrix
 
 
@@ -135,11 +135,6 @@ def _evaluate_node(node: ScalarField, entries, lift: Callable):
             tr = tr + acc[i][i]
         return tr * lift(Fraction(1, node.k))
     raise FieldError(f"unknown node {node!r}")
-
-
-def evaluate_exact(field: ScalarField, x: RatMatrix) -> Fraction:
-    """Exact rational evaluation."""
-    return evaluate_on_entries(field, x.rows, lift=lambda c: c)
 
 
 def to_multipoly(field: ScalarField, n: int) -> MultiPoly:

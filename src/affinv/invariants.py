@@ -55,17 +55,6 @@ def trace_power(x: RatMatrix, k: int) -> Fraction:
     return power(x, k).trace() / k
 
 
-def trace_power_gradient(x: RatMatrix, k: int) -> RatMatrix:
-    """Gradient of tr(x^k)/k with respect to the trace form: x^(k-1).
-
-    Pairing the result against any direction v via trace_form gives the
-    directional derivative of trace_power at x along v.
-    """
-    if k < 1:
-        raise ExactmatError(f"trace power index {k} must be >= 1")
-    return power(x, k - 1)
-
-
 def entry_bracket_pairing(x: RatMatrix, k: int, i: int, j: int) -> Fraction:
     """tr(x^k E_ji), which equals entry (i, j) of x^k."""
     return trace_form(power(x, k), basis_matrix(x.n, j, i))

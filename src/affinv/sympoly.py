@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import Mapping, Sequence
 
-from .exactmat import RatMatrix, _krylov_rows, format_rational, parse_rational
+from .exactmat import RatMatrix, _krylov_rows, format_rational
 
 DEFAULT_N_MAX = 4
 
@@ -306,11 +306,3 @@ def term_list_json(p: MultiPoly) -> list[dict]:
         for exps, coef in p.sorted_terms()
     ]
 
-
-def poly_from_term_list(nvars: int, items: Sequence[Mapping]) -> MultiPoly:
-    terms: dict[tuple, Fraction] = {}
-    for item in items:
-        exps = tuple(int(e) for e in item["exps"])
-        coef = parse_rational(item["coef"])
-        terms[exps] = terms.get(exps, Fraction(0)) + coef
-    return MultiPoly(nvars, terms)

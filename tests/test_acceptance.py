@@ -15,7 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from affinv.calculus import FDConfig, FloatMatrix, fd_directional, p_invariance_residual, reduced_system_check
+from affinv.calculus import (
+    FDConfig,
+    FloatMatrix,
+    abs_max,
+    fd_directional,
+    lie_derivatives,
+    p_invariance_residual,
+    reduced_system_check,
+)
 from affinv.exactmat import (
     RatMatrix,
     determinant,
@@ -241,15 +249,18 @@ def test_criterion_09_lemma_harness():
         points = []
         while len(points) < 50:
             x = _rand_matrix(rng, n, -2, 2)
-            if abs(float(krylov_determinant(x))) >= 0.1:
-                points.append(x)
-        for x in points:
+            abs_d = abs(float(krylov_determinant(x)))
+            if abs_d >= 0.1:
+                points.append((x, abs_d))
+        for x, abs_d in points:
             fx = FloatMatrix.from_rat(x)
             for f in fields:
-                assert p_invariance_residual(f, fx, cfg) <= 1e-6
-                res = reduced_system_check(f, x, cfg)
+                table = lie_derivatives(f, fx, cfg)
+                assert p_invariance_residual(table) <= 1e-6
+                res = reduced_system_check(table, fx, abs_d, cfg)
                 assert max(abs(s) for s in res.solution) <= 1e-5
-                assert res.lemma_pass
+                assert abs_max(res.solution) <= cfg.tau_lemma
+                assert abs_max(res.residuals) <= cfg.tau_sys
     _report(9, "invariant fields: last-row Lie derivatives vanish on |D| >= 0.1")
 
 

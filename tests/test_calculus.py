@@ -15,9 +15,9 @@ from affinv.calculus import (
     FloatMatrix,
     PreconditionViolated,
     QuadratureSpec,
+    abs_max,
     adjoint_field_divergence,
     check_boundary_decay,
-    eval_field,
     fd_directional,
     full_identity_residual,
     lie_derivative,
@@ -36,27 +36,29 @@ from affinv.fields import (
     Pow,
     Var,
     bump_field,
+    evaluate_on_entries,
     random_invariant_field,
     random_polynomial_field,
 )
 from affinv.invariants import basis_matrix, trace_form
-from affinv.krylov import CompanionSpec, companion, krylov_rows
+from affinv.krylov import CompanionSpec, companion, krylov_determinant, krylov_rows
 from affinv.report import _lemma_point, _rand_matrix, invariant_density
 
 CFG = FDConfig()
 
 
 class TestEvalField:
+    # a field at a float point: the evaluator over the point's entry lists
     def test_trace_power_on_identity(self):
-        assert eval_field(Pk(1), FloatMatrix(np.eye(2))) == pytest.approx(2.0)
+        assert evaluate_on_entries(Pk(1), np.eye(2).tolist()) == pytest.approx(2.0)
 
     def test_entry_variable(self):
         x = FloatMatrix([[1, 2], [3, 4]])
-        assert eval_field(Var(2, 1), x) == pytest.approx(3.0)
+        assert evaluate_on_entries(Var(2, 1), x.entries.tolist()) == pytest.approx(3.0)
 
     def test_p2_value(self):
         x = FloatMatrix([[1, 2], [3, 4]])
-        assert eval_field(Pk(2), x) == pytest.approx(14.5)
+        assert evaluate_on_entries(Pk(2), x.entries.tolist()) == pytest.approx(14.5)
 
 
 class TestFdDirectional:
@@ -147,8 +149,9 @@ class TestLieDerivatives:
         # a constant tree evaluates to one float, which the table broadcasts
         x = FloatMatrix([[1, 2], [3, 4]])
         assert lie_derivatives(Const(3), x, CFG).tolist() == [[0.0, 0.0], [0.0, 0.0]]
-        assert p_invariance_residual(Const(3), x, CFG) == 0.0
-        assert full_identity_residual(Const(3), x, 1, CFG) == 0.0
+        table = lie_derivatives(Const(3), x, CFG)
+        assert p_invariance_residual(table) == 0.0
+        assert full_identity_residual(table, x, 1) == 0.0
 
     def test_shift_out_of_float_range_rejected(self):
         with pytest.raises(CalculusError):
@@ -162,21 +165,21 @@ class TestPInvarianceResidual:
             for _ in range(10):
                 f = random_invariant_field(n, rng)
                 x = FloatMatrix.from_rat(_lemma_point(rng, n)[0])
-                assert p_invariance_residual(f, x, CFG) <= CFG.tau_res
+                assert p_invariance_residual(lie_derivatives(f, x, CFG)) <= CFG.tau_res
 
     def test_coordinate_field_detected(self):
         x = FloatMatrix([[1, 2], [3, 4]])
-        assert p_invariance_residual(Var(2, 2), x, CFG) > CFG.tau_res
+        assert p_invariance_residual(lie_derivatives(Var(2, 2), x, CFG)) > CFG.tau_res
 
     def test_n1_empty_range(self):
-        assert p_invariance_residual(Pk(1), FloatMatrix([[3.0]]), CFG) == 0.0
+        assert p_invariance_residual(lie_derivatives(Pk(1), FloatMatrix([[3.0]]), CFG)) == 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_derivative_is_the_residual(self):
         # at diag(1, 2) the direction [E_11, x] is 0, so L_11 = 0 comes first;
         # along [E_12, x] the step overflows (x_12 +- h)^2 to inf - inf = NaN
         x = FloatMatrix([[1.0, 0.0], [0.0, 2.0]])
-        res = p_invariance_residual(Pow(Var(1, 2), 2), x, FDConfig(h=1e300))
+        res = p_invariance_residual(lie_derivatives(Pow(Var(1, 2), 2), x, FDConfig(h=1e300)))
         assert math.isnan(res)
 
 
@@ -187,35 +190,54 @@ class TestFullIdentityResidual:
             for _ in range(10):
                 f = random_polynomial_field(n, rng)
                 x = FloatMatrix.from_rat(_lemma_point(rng, n)[0])
+                table = lie_derivatives(f, x, CFG)
                 for k in range(n):
-                    assert full_identity_residual(f, x, k, CFG) <= CFG.tau_comb
+                    assert full_identity_residual(table, x, k) <= CFG.tau_comb
 
     def test_hand_case(self):
         x = FloatMatrix([[1, 2], [3, 4]])
-        assert full_identity_residual(Var(1, 2), x, 1, CFG) <= CFG.tau_comb
+        table = lie_derivatives(Var(1, 2), x, CFG)
+        assert full_identity_residual(table, x, 1) <= CFG.tau_comb
 
     def test_k_out_of_range(self):
         with pytest.raises(CalculusError):
-            full_identity_residual(Pk(1), FloatMatrix(np.eye(2)), 2, CFG)
+            x = FloatMatrix(np.eye(2))
+            full_identity_residual(lie_derivatives(Pk(1), x, CFG), x, 2)
+
+
+def _reduced(phi, x: RatMatrix):
+    """reduced_system_check at a rational x, with |D| from the exact determinant."""
+    fx = FloatMatrix.from_rat(x)
+    abs_d = abs(float(krylov_determinant(x)))
+    return reduced_system_check(lie_derivatives(phi, fx, CFG), fx, abs_d, CFG)
 
 
 class TestReducedSystem:
     def test_invariant_field_on_companion(self):
         phi = Add([Pk(2), Pow(Pk(1), 2)])
         x = companion(CompanionSpec([1, 1]))
-        res = reduced_system_check(phi, x, CFG)
-        assert res.lemma_pass
-        assert res.abs_D == pytest.approx(1.0)
+        assert abs(float(krylov_determinant(x))) == pytest.approx(1.0)
+        res = _reduced(phi, x)
+        assert abs_max(res.solution) <= CFG.tau_lemma
+        assert abs_max(res.residuals) <= CFG.tau_sys
 
     def test_precondition_violated_on_identity(self):
         with pytest.raises(PreconditionViolated):
-            reduced_system_check(Pk(1), RatMatrix.identity(2), CFG)
+            _reduced(Pk(1), RatMatrix.identity(2))
+
+    def test_gate_reads_the_given_abs_d(self):
+        x = FloatMatrix([[1, 2], [3, 4]])
+        table = lie_derivatives(Pk(2), x, CFG)
+        assert len(reduced_system_check(table, x, CFG.delta, CFG).solution) == 2
+        with pytest.raises(PreconditionViolated):
+            reduced_system_check(table, x, math.nextafter(CFG.delta, 0.0), CFG)
 
     def test_coordinate_field_is_vacuous(self):
         # the P-invariance precondition fails, so no lemma conclusion applies
         phi = Var(2, 1)
         x = RatMatrix([[1, 2], [3, 4]])
-        assert p_invariance_residual(phi, FloatMatrix.from_rat(x), CFG) > CFG.tau_res
+        table = lie_derivatives(phi, FloatMatrix.from_rat(x), CFG)
+        assert p_invariance_residual(table) > CFG.tau_res
 
     def test_r_equals_krylov_times_s(self):
         rng = random.Random(211)
@@ -223,7 +245,7 @@ class TestReducedSystem:
             for _ in range(5):
                 f = random_invariant_field(n, rng)
                 x = _lemma_point(rng, n)[0]
-                res = reduced_system_check(f, x, CFG)
+                res = _reduced(f, x)
                 rows = krylov_rows(RatVector.unit(n, n), x)
                 for k in range(n):
                     tied = sum(
@@ -284,11 +306,33 @@ class TestWeakDerivative:
 
     def test_boundary_leak_detected(self):
         with pytest.raises(BoundaryLeak):
-            check_boundary_decay(Pk(1), 2, self.QUAD)
+            check_boundary_decay([Pk(1)], 2, self.QUAD)
 
     def test_bump_passes_boundary_check(self):
         psi = bump_field(2, 2, prefactor=Pk(1))
-        assert check_boundary_decay(psi, 2, self.QUAD) <= LEAK_RATIO
+        [ratio] = check_boundary_decay([psi], 2, self.QUAD)
+        assert ratio <= LEAK_RATIO
+
+    def test_one_boundary_draw_serves_every_test_function(self, monkeypatch):
+        psis = [bump_field(2, 2, prefactor=p) for p in (Const(1), Pk(1), Var(1, 2))]
+        alone = [check_boundary_decay([psi], 2, self.QUAD) for psi in psis]
+        draws = []
+        real_rng = calculus.np.random.default_rng
+        monkeypatch.setattr(
+            calculus.np.random, "default_rng", lambda *a: draws.append(a) or real_rng(*a)
+        )
+        assert [[r] for r in check_boundary_decay(psis, 2, self.QUAD)] == alone
+        assert len(draws) == 1
+
+    def test_leak_raised_at_the_first_leaking_test_function(self):
+        psis = [bump_field(2, 2), Pk(2), Pk(1)]
+        with pytest.raises(BoundaryLeak) as together:
+            check_boundary_decay(psis, 2, self.QUAD)
+        with pytest.raises(BoundaryLeak) as first:
+            check_boundary_decay([Pk(2)], 2, self.QUAD)
+        with pytest.raises(BoundaryLeak) as second:
+            check_boundary_decay([Pk(1)], 2, self.QUAD)
+        assert str(together.value) == str(first.value) != str(second.value)
 
     def test_lebesgue_density_annihilated(self):
         psi = bump_field(2, 2, prefactor=Pk(1))
@@ -318,8 +362,8 @@ class TestWeakDerivative:
     def test_one_pass_equals_single_calls(self, monkeypatch):
         # two chunks, the second one short; every (psi, density, pair)
         # estimate of the shared pass must equal its own single-psi,
-        # single-density, single-pair pass exactly, and the boundary check
-        # runs once per psi
+        # single-density, single-pair pass exactly, and one boundary check
+        # covers every psi
         quad = QuadratureSpec(half_width=2.0, n_samples=QUAD_CHUNK + 1_000, seed=11)
         psis = [bump_field(2, 2, prefactor=p) for p in (Var(1, 2), Pk(2), Const(1))]
         densities = [invariant_density(2), Var(1, 1), Const(1)]
@@ -331,7 +375,7 @@ class TestWeakDerivative:
             lambda *args: checks.append(args) or real_check(*args),
         )
         together = weak_lie_derivative(densities, psis, self.PAIRS, quad)
-        assert [args[0] for args in checks] == psis
+        assert [args[0] for args in checks] == [psis]
         assert [[len(row) for row in by_d] for by_d in together] == [[4, 4, 4]] * 3
         for psi, by_d in zip(psis, together):
             for u, row in zip(densities, by_d):

@@ -180,6 +180,27 @@ class TestVerify:
         golden = GOLDEN / f"weak_n2_s{samples}_seed{seed}.json"
         assert out.encode() == golden.read_bytes()
 
+    @pytest.mark.parametrize(
+        "cfg, golden, code",
+        [
+            ({"n": 2, "samples": 50, "seed": 1}, "lemma_n2_s50_seed1.json", 0),
+            (  # tight tolerances: four properties fail, each with a witness
+                {
+                    "n": 3,
+                    "samples": 2,
+                    "seed": 5,
+                    "fd": {"tau_sys": 1e-12, "tau_res": 1e-13, "tau_comb": 1e-14, "tau_lemma": 1e-13},
+                },
+                "lemma_n3_s2_seed5_tight.json",
+                1,
+            ),
+        ],
+    )
+    def test_lemma_report_golden(self, cfg, golden, code, monkeypatch, capsys):
+        assert run_cli(["verify", "-"], json.dumps({"suite": "lemma", **cfg}), monkeypatch) == code
+        out = re.sub(r'\n  "timestamp": "[^"]*",', "", capsys.readouterr().out)
+        assert out.encode() == (GOLDEN / golden).read_bytes()
+
     def test_determinism_modulo_timestamp(self):
         cfg = {"suite": "identity", "n": 3, "samples": 10, "seed": 42}
         a = run_suite_from_config(cfg).to_json()

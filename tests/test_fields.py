@@ -16,7 +16,6 @@ from affinv.fields import (
     Pow,
     Var,
     bump_field,
-    evaluate_exact,
     evaluate_on_entries,
     field_from_json,
     field_to_json,
@@ -26,6 +25,11 @@ from affinv.fields import (
 )
 from affinv.sympoly import poly_eval
 from conftest import rand_rational_matrix
+
+
+def evaluate_exact(field, x: RatMatrix):
+    """Exact rational evaluation: the evaluator with Const values unlifted."""
+    return evaluate_on_entries(field, x.rows, lift=lambda c: c)
 
 
 class TestExactEvaluation:

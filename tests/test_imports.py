@@ -3,8 +3,10 @@
 Every name a module imports must be used in that module (the re-exports of
 ``__init__`` excepted), and every private ``_name`` defined in a module or
 class must be referenced somewhere in ``src/``, so leftovers of a refactor
-show up as failures.  The command-line module reaches the library through
-public names only.
+show up as failures.  The command-line module and the suites reach the
+library through public names only, and every public module-level function
+or class is used in ``src/`` or named, with its reason, in
+``UNUSED_PUBLIC``.
 """
 
 import ast
@@ -76,12 +78,48 @@ def test_every_private_name_is_referenced():
     assert dead == []
 
 
-def test_cli_imports_no_private_name():
-    private = [
+def _private_imports(module: str) -> list:
+    return [
         f"{node.module}.{alias.name}"
-        for node in ast.walk(_trees()["cli.py"])
+        for node in ast.walk(_trees()[module])
         if isinstance(node, ast.ImportFrom) and node.level > 0
         for alias in node.names
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
-    assert private == []
+
+
+def test_cli_imports_no_private_name():
+    assert _private_imports("cli.py") == []
+
+
+def test_report_imports_no_private_calculus_name():
+    assert [name for name in _private_imports("report.py") if name.startswith("calculus.")] == []
+
+
+# public names that no module in src/ uses, each with the reason it stays
+UNUSED_PUBLIC = {
+    "calculus.fd_directional": "reference: lie_derivatives matches it bit for bit; criterion 8",
+    "calculus.lie_derivative": "BENCHMARK.json per-layer name calculus.lie_derivative",
+    "calculus.weak_lie_derivative_grid": "reference: midpoint-rule cross-check of the weak pairing",
+    "exactmat.rank": "README: the exactmat layer's exact rank, checked against sympy",
+    "invariants.trace_power": "README: tr(x^k)/k is a public Fraction-valued invariant",
+    "invariants.entry_bracket_pairing": "reference: the dense tr(x^k E_ji) the basis expansion reads",
+    "invariants.gradient_commutator_residual": "README: trace-power gradients commute with x",
+    "sympoly.euler_residual": "README: D_n is checked against the Euler identity",
+}
+
+
+def test_every_public_name_is_used_or_listed():
+    trees = _trees()
+    used = set().union(
+        *(_used_names(tree) for name, tree in trees.items() if name != "__init__.py")
+    )
+    unused = {
+        f"{name[:-3]}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    }
+    assert unused == set(UNUSED_PUBLIC)

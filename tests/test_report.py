@@ -109,10 +109,10 @@ def test_a_wrong_d_handed_to_a_check_fails_with_a_witness(check, name, monkeypat
 
 
 def test_weak_suite_draws_each_chunk_once_for_all_test_functions(monkeypatch):
-    # one 200,000-sample chunk: five boundary streams and one sampling
-    # stream; three densities evaluated once, then five test functions at
-    # the two shifted points of each of the four pairs, after the two
-    # boundary evaluations per test function
+    # one 200,000-sample chunk: one boundary stream shared by the five test
+    # functions and one sampling stream; three densities evaluated once,
+    # then five test functions at the two shifted points of each of the
+    # four pairs, after the two boundary evaluations per test function
     counts = {"default_rng": 0, "evaluate_on_entries": 0, "weak_lie_derivative": 0}
 
     def counted(name, fn):
@@ -136,4 +136,34 @@ def test_weak_suite_draws_each_chunk_once_for_all_test_functions(monkeypatch):
         counted("weak_lie_derivative", report.weak_lie_derivative),
     )
     report.run_weak_suite(200_000, 0)
-    assert counts == {"default_rng": 6, "evaluate_on_entries": 53, "weak_lie_derivative": 1}
+    assert counts == {"default_rng": 2, "evaluate_on_entries": 53, "weak_lie_derivative": 1}
+
+
+def test_lemma_suite_runs_each_check_through_its_public_routine(monkeypatch):
+    # n = 3, two points: one table per (point, field) for the 20 invariant
+    # fields and the arbitrary one; the P-invariance and reduced-system
+    # checks per invariant field, the contraction identity per k = 0..2
+    names = (
+        "lie_derivatives",
+        "p_invariance_residual",
+        "reduced_system_check",
+        "full_identity_residual",
+    )
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(report, name, counted(name, getattr(report, name)))
+    report.run_lemma_suite(3, 2, 0)
+    assert counts == {
+        "lie_derivatives": 42,
+        "p_invariance_residual": 40,
+        "reduced_system_check": 40,
+        "full_identity_residual": 6,
+    }
