@@ -55,7 +55,6 @@ from .krylov import (  # noqa: F401
 from .sympoly import (  # noqa: F401
     MultiPoly,
     homogeneous_degree,
-    poly_eval,
     symbolic_krylov_determinant,
 )
 from .fields import (  # noqa: F401

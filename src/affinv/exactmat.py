@@ -69,7 +69,7 @@ def _exact_scalar(value: Rat) -> Rat:
 
 def _matmul(a, b) -> list[list]:
     """Product of two nested sequences (lists of rows) over any scalars with
-    + and *: Python numbers, numpy arrays, MultiPoly."""
+    + and *: Python numbers, numpy arrays, dual scalars, MultiPoly."""
     return _times_columns(a, tuple(zip(*b)))
 
 

@@ -3,10 +3,9 @@ const, var(i,j), add, mul, pow, pk(k).
 
 A ``Pk(k)`` node denotes the built-in conjugation invariant tr(x^k)/k.
 Every tree is a polynomial in the matrix entries.  One evaluator,
-duck-typed over the entry scalars, serves every layer: exact with
-Fraction entries, fast with floats or numpy arrays, and symbolic on the
-generic matrix, which expands the field to a MultiPoly (used for formal
-gradients).
+duck-typed over the entry scalars, serves every layer: fast with floats
+or numpy arrays, exact with Fraction entries, and exactly differentiated
+with dual scalars (the invariant layer's gradients).
 
 JSON wire format (shared by the invariant and calculus layers)::
 
@@ -26,7 +25,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exactmat import _matmul, format_rational, parse_rational
-from .sympoly import MultiPoly, generic_matrix
 
 
 class FieldError(ValueError):
@@ -96,8 +94,9 @@ def evaluate_on_entries(field: ScalarField, entries, lift: Callable = float):
     """Recursive evaluation over an n x n nested sequence of scalars.
 
     ``lift`` converts Const values into the scalar domain: ``float`` for the
-    numeric layer, identity for exact evaluation.  Scalars only need +, *
-    and integer **, so numpy arrays broadcast through unchanged.
+    numeric layer, identity for exact evaluation, a dual scalar for exact
+    derivatives.  Scalars only need +, * and integer **, so numpy arrays
+    broadcast through unchanged.
     """
     return _evaluate_node(field, entries, lift)
 
@@ -135,14 +134,6 @@ def _evaluate_node(node: ScalarField, entries, lift: Callable):
             tr = tr + acc[i][i]
         return tr * lift(Fraction(1, node.k))
     raise FieldError(f"unknown node {node!r}")
-
-
-def to_multipoly(field: ScalarField, n: int) -> MultiPoly:
-    """Expand the field into an explicit polynomial in the n^2 entries:
-    the field evaluated on the generic matrix."""
-    return evaluate_on_entries(
-        field, generic_matrix(n), lift=lambda c: MultiPoly.const(n * n, c)
-    )
 
 
 def field_to_json(field: ScalarField) -> dict:

@@ -3,9 +3,10 @@ gradients, and the exact basis-expansion identity
 sum_ij tr(x^k E_ji) [E_ij, x] = 0.
 
 Gradient convention: with the pairing B(x, y) = tr(xy), the gradient
-matrix of a scalar field f has (i, j) entry df/dx_ji.  This is locked by
-the identity grad of tr(x^2)/2 = x and verified against finite
-differences in the calculus layer.
+matrix of a scalar field f has (i, j) entry df/dx_ji.  Each partial is
+exact: the field evaluator run on dual scalars (forward mode).  The
+convention is locked by the identity grad of tr(x^2)/2 = x and verified
+against finite differences in the calculus layer.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from .exactmat import (
     commutator,
     power,
 )
-from .fields import ScalarField, to_multipoly
-from .sympoly import poly_eval, var_index
+from .fields import ScalarField, evaluate_on_entries
 
 
 @lru_cache(maxsize=None)
@@ -105,23 +105,53 @@ def basis_expansion_residual(x: RatMatrix, k: int, xk=None) -> RatMatrix:
     return RatMatrix(acc)
 
 
+class _Dual:
+    """a + b*eps with eps^2 = 0 over exact scalars: evaluating a field on
+    dual entries carries one directional derivative along (forward mode)."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        self.a = a
+        self.b = b
+
+    def __add__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.a + o.a, self.b + o.b)
+        return _Dual(self.a + o, self.b)
+
+    __radd__ = __add__
+
+    def __mul__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.a * o.a, self.a * o.b + self.b * o.a)
+        return _Dual(self.a * o, self.b * o)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k == 0:
+            return _Dual(1)
+        lower = self.a ** (k - 1)
+        return _Dual(lower * self.a, k * lower * self.b)
+
+
 def gradient_matrix(f: ScalarField, x: RatMatrix) -> RatMatrix:
     """Exact gradient of a polynomial field at x under the trace form.
 
-    Expands f in the entry variables, takes formal partials, and places
-    df/dx_ji at position (i, j).
+    Entry (i, j) is df/dx_ji, the eps part of f evaluated at x + eps E_ji
+    on dual scalars through the one field evaluator.
     """
     n = x.n
-    p = to_multipoly(f, n)
-    return RatMatrix(
-        [
-            [
-                poly_eval(p.partial(var_index(n, j, i)), x)
-                for j in range(1, n + 1)
+    grad = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            entries = [
+                [_Dual(e, int((a, b) == (j, i))) for b, e in enumerate(row)]
+                for a, row in enumerate(x.rows)
             ]
-            for i in range(1, n + 1)
-        ]
-    )
+            grad[i][j] = evaluate_on_entries(f, entries, lift=_Dual).b
+    return RatMatrix(grad)
 
 
 def gradient_commutator_residual(f: ScalarField, x: RatMatrix) -> RatMatrix:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .exactmat import RatMatrix, _krylov_rows, format_rational
+from .exactmat import _krylov_rows, format_rational
 
 DEFAULT_N_MAX = 4
 
@@ -91,9 +91,6 @@ class MultiPoly:
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         out: dict[tuple, Fraction] = {}
@@ -102,23 +99,6 @@ class MultiPoly:
                 key = tuple(a + b for a, b in zip(ea, eb))
                 out[key] = out.get(key, Fraction(0)) + ca * cb
         return MultiPoly(self.nvars, out)
-
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise SympolyError("negative power")
-        acc = MultiPoly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            k >>= 1
-            if k:
-                base = base * base
-        return acc
-
-    def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -129,53 +109,6 @@ class MultiPoly:
 
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def partial(self, idx: int) -> "MultiPoly":
-        """Formal partial derivative with respect to variable idx."""
-        out: dict[tuple, Fraction] = {}
-        for exps, coef in self.terms.items():
-            k = exps[idx]
-            if k == 0:
-                continue
-            lowered = list(exps)
-            lowered[idx] = k - 1
-            key = tuple(lowered)
-            out[key] = out.get(key, Fraction(0)) + coef * k
-        return MultiPoly(self.nvars, out)
-
-    def eval(self, values: Sequence[Fraction]) -> Fraction:
-        if len(values) != self.nvars:
-            raise SympolyError(f"expected {self.nvars} values, got {len(values)}")
-        total = Fraction(0)
-        for exps, coef in self.terms.items():
-            prod = coef
-            for v, e in zip(values, exps):
-                if e:
-                    prod *= v**e
-            total += prod
-        return total
-
-    def compose(self, mapping: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute mapping[idx] for each variable idx."""
-        if len(mapping) != self.nvars:
-            raise SympolyError("substitution list has wrong length")
-        nvars_out = mapping[0].nvars if mapping else self.nvars
-        pow_cache: dict[tuple[int, int], MultiPoly] = {}
-
-        def cached_pow(idx: int, e: int) -> MultiPoly:
-            key = (idx, e)
-            if key not in pow_cache:
-                pow_cache[key] = mapping[idx] ** e
-            return pow_cache[key]
-
-        total = MultiPoly(nvars_out)
-        for exps, coef in self.terms.items():
-            prod = MultiPoly.const(nvars_out, coef)
-            for idx, e in enumerate(exps):
-                if e:
-                    prod = prod * cached_pow(idx, e)
-            total = total + prod
-        return total
 
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         """Terms in graded-lex order: degree descending, exps descending."""
@@ -281,22 +214,6 @@ def homogeneous_degree(p: MultiPoly):
             (da, ta), (db, tb) = sorted(by_degree.items())[:2]
             return NotHomogeneous(term_a=ta, degree_a=da, term_b=tb, degree_b=db)
     return next(iter(by_degree))
-
-
-def poly_eval(p: MultiPoly, x: RatMatrix) -> Fraction:
-    """Evaluate at a concrete matrix (variable count must be n^2)."""
-    if p.nvars != x.n * x.n:
-        raise SympolyError(f"polynomial in {p.nvars} vars vs matrix size {x.n}")
-    values = [e for row in x.rows for e in row]
-    return p.eval(values)
-
-
-def euler_residual(p: MultiPoly, degree: int) -> MultiPoly:
-    """sum_i x_i * dp/dx_i - degree * p; zero iff p is homogeneous of that degree."""
-    acc = MultiPoly(p.nvars)
-    for idx in range(p.nvars):
-        acc = acc + MultiPoly.variable(p.nvars, idx) * p.partial(idx)
-    return acc - p.scale(degree)
 
 
 def term_list_json(p: MultiPoly) -> list[dict]:

@@ -21,9 +21,7 @@ from affinv.fields import (
     field_to_json,
     random_invariant_field,
     random_polynomial_field,
-    to_multipoly,
 )
-from affinv.sympoly import poly_eval
 from conftest import rand_rational_matrix
 
 
@@ -67,25 +65,6 @@ class TestExactEvaluation:
             assert ref() is None
         finally:
             gc.enable()
-
-
-class TestMultiPolyExpansion:
-    def test_expansion_matches_evaluation(self):
-        rng = random.Random(163)
-        for n in (1, 2, 3):
-            for _ in range(10):
-                f = random_polynomial_field(n, rng)
-                p = to_multipoly(f, n)
-                x = rand_rational_matrix(rng, n)
-                assert poly_eval(p, x) == evaluate_exact(f, x)
-
-    def test_invariant_field_expansion(self):
-        rng = random.Random(167)
-        for n in (2, 3):
-            f = random_invariant_field(n, rng)
-            p = to_multipoly(f, n)
-            x = rand_rational_matrix(rng, n)
-            assert poly_eval(p, x) == evaluate_exact(f, x)
 
 
 class TestJsonRoundTrip:

@@ -105,21 +105,41 @@ UNUSED_PUBLIC = {
     "invariants.trace_power": "README: tr(x^k)/k is a public Fraction-valued invariant",
     "invariants.entry_bracket_pairing": "reference: the dense tr(x^k E_ji) the basis expansion reads",
     "invariants.gradient_commutator_residual": "README: trace-power gradients commute with x",
-    "sympoly.euler_residual": "README: D_n is checked against the Euler identity",
+    "fields.field_from_json": "JSON codec reader: round-trip tested; replay reader (ROADMAP 10)",
 }
 
 
 def test_every_public_name_is_used_or_listed():
     trees = _trees()
-    used = set().union(
-        *(_used_names(tree) for name, tree in trees.items() if name != "__init__.py")
-    )
+    # names read by each top-level statement; a definition's references to
+    # itself (recursion, its own class in annotations) are no use
+    reads = [
+        (stmt, _used_names(stmt))
+        for name, tree in trees.items()
+        if name != "__init__.py"
+        for stmt in tree.body
+    ]
     unused = {
         f"{name[:-3]}.{node.name}"
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
-        and node.name not in used
+        and not any(node.name in used for stmt, used in reads if stmt is not node)
     }
     assert unused == set(UNUSED_PUBLIC)
+
+
+def test_only_cli_and_init_import_sympoly():
+    # the symbolic layer is a leaf: no library module builds on it
+    importers = {
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(
+            (module or "").split(".")[-1] == "sympoly"
+            for module in [getattr(node, "module", None), *(a.name for a in node.names)]
+        )
+    }
+    assert importers == {"cli.py", "__init__.py"}
