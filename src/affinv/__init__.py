@@ -12,8 +12,6 @@ differences and weak derivatives by seeded Monte Carlo.  ``report`` and
 __version__ = "0.1.0"
 
 from .exactmat import (  # noqa: F401
-    NO_SOLUTION,
-    NON_UNIQUE,
     RatMatrix,
     RatVector,
     UniPoly,
@@ -26,7 +24,6 @@ from .exactmat import (  # noqa: F401
     min_poly,
     power,
     rank,
-    solve_linear,
 )
 from .invariants import (  # noqa: F401
     basis_expansion_residual,

@@ -6,11 +6,11 @@ pure-int arithmetic and rational ones exactly the Fraction arithmetic.
 Every exact elimination runs through one fraction-free kernel, ``_eliminate``,
 which reduces integer vectors one at a time as they are drawn.  Each job scales
 its input once to an integer multiple q x and feeds the kernel: ``determinant``
-and ``rank`` the rows, ``solve_linear`` the columns of [a | b], ``inverse`` the
-rows and then the unit rows; ``min_poly`` and the Krylov dependence behind D
-and ``analyze`` draw the lazy chain ``_krylov_rows`` (the only place v -> v x is
-written) up to its first dependent vector.  ``char_poly`` interpolates
-det(tI - q x) from its ``determinant`` at t = 0..n with one ``solve_linear``.
+and ``rank`` the rows, ``inverse`` the rows and then the unit rows; ``min_poly``
+and the Krylov dependence behind D and ``analyze`` draw the lazy chain
+``_krylov_rows`` (the only place v -> v x is written) up to its first dependent
+vector.  ``char_poly`` reads the traces of the first n powers of q x from the
+same chain and solves Newton's identities for det(tI - q x).
 A product multiplies the integer multiples qa a and qb b and divides once by
 qa qb.  The kernel's divisions are exact integer divisions; every other
 division goes through ``Fraction``.  So no float can appear, and equality tests
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from math import lcm
@@ -153,14 +152,6 @@ class RatVector:
     def __repr__(self) -> str:
         return f"RatVector({[format_rational(e) for e in self.entries]})"
 
-    def __mul__(self, m: "RatMatrix") -> "RatVector":
-        """Row-vector times matrix."""
-        if not isinstance(m, RatMatrix):
-            return NotImplemented
-        if self.n != m.n:
-            raise DimensionMismatchError(f"vector length {self.n} vs matrix size {m.n}")
-        return RatVector(_matmul([self.entries], m.rows)[0])
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
@@ -194,21 +185,11 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, n: int) -> "RatMatrix":
-        return cls([[0] * n for _ in range(n)])
-
     def entry(self, i: int, j: int) -> Rat:
         """1-based entry access."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ExactmatError(f"index ({i},{j}) out of range 1..{self.n}")
         return self.rows[i - 1][j - 1]
-
-    def row(self, i: int) -> RatVector:
-        """1-based row access."""
-        if not 1 <= i <= self.n:
-            raise ExactmatError(f"row index {i} out of range 1..{self.n}")
-        return RatVector(self.rows[i - 1])
 
     def trace(self) -> Fraction:
         return Fraction(sum(self.rows[i][i] for i in range(self.n)))
@@ -224,17 +205,6 @@ class RatMatrix:
         if self.n != other.n:
             raise DimensionMismatchError(f"dimension {self.n} vs {other.n}")
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        self._check_dim(other)
-        return RatMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -245,9 +215,6 @@ class RatMatrix:
                 for ra, rb in zip(self.rows, other.rows)
             ]
         )
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-e for e in row] for row in self.rows])
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if not isinstance(other, RatMatrix):
@@ -295,21 +262,11 @@ class UniPoly:
         """Degree, or None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __call__(self, t: Rat) -> Fraction:
-        t = _exact_scalar(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
 
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
@@ -325,20 +282,6 @@ class UniPoly:
             cs = format_rational(c)
             parts.append(f"{cs}*t^{k}" if k else cs)
         return "UniPoly(" + " + ".join(parts) + ")"
-
-
-@dataclass(frozen=True)
-class NoSolution:
-    """Linear system is inconsistent."""
-
-
-@dataclass(frozen=True)
-class NonUnique:
-    """Linear system is consistent but underdetermined."""
-
-
-NO_SOLUTION = NoSolution()
-NON_UNIQUE = NonUnique()
 
 
 def power(x: RatMatrix, k: int) -> RatMatrix:
@@ -429,12 +372,6 @@ def _chain_dependence(vectors: Iterable[Sequence[int]], ncols: int, dim: int):
     raise AssertionError(f"more than {dim} independent vectors")  # pragma: no cover
 
 
-def _row_rank(rows: Sequence[Sequence[Rat]]) -> int:
-    """Exact rank of a list of rows (any shape)."""
-    scaled, _ = _integer_multiple(rows)
-    return sum(c is not None for c, _ in _eliminate(scaled, len(rows[0])))
-
-
 def determinant(x: RatMatrix) -> Fraction:
     """Exact determinant of the integer multiple q x, eliminated row by row:
     sign(pivot-column order) * last pivot / q^n, or 0 at the first dependent
@@ -449,28 +386,29 @@ def determinant(x: RatMatrix) -> Fraction:
 
 
 def rank(x: RatMatrix) -> int:
-    """Exact rank over the rationals: the number of independent rows."""
-    return _row_rank(x.rows)
+    """Exact rank over the rationals: the number of independent rows of the
+    integer multiple q x."""
+    rows, _ = _integer_multiple(x.rows)
+    return sum(c is not None for c, _ in _eliminate(rows, x.n))
 
 
 def char_poly(x: RatMatrix) -> UniPoly:
-    """Monic characteristic polynomial det(tI - x) by interpolation.
+    """Monic characteristic polynomial det(tI - x) by Newton's identities.
 
-    ``determinant`` gives det(tI - q x) at t = 0..n for the integer multiple
-    q x, and one ``solve_linear`` on the Vandermonde system gives its
-    coefficients, of which that of t^i is q^(n-i) times that of x, so
-    rational input costs int arithmetic too.
+    The chain ``_krylov_rows`` draws qx, (qx)^2, ..., (qx)^n for the integer
+    multiple q x, and s_i = tr((qx)^i).  The coefficients b_k of t^(n-k) in
+    det(tI - qx) follow from b_0 = 1 and k b_k = -sum_(i=1..k) b_(k-i) s_i,
+    where the division by k goes through ``Fraction``.  The coefficient of
+    t^i is q^(n-i) times that for x, so the chain of a rational x runs in
+    int arithmetic too.
     """
     n = x.n
-    rows, q = _integer_multiple(x.rows)
-    points = range(n + 1)
-    values = []
-    for t in points:
-        shifted = [[t * (i == j) - e for j, e in enumerate(r)] for i, r in enumerate(rows)]
-        values.append(determinant(RatMatrix(shifted)))
-    vandermonde = RatMatrix([[t**i for i in points] for t in points])
-    coeffs = solve_linear(vandermonde, RatVector(values)).entries
-    return UniPoly(Fraction(c, q ** (n - i)) for i, c in enumerate(coeffs))
+    xq, q = _integer_multiple(x.rows)
+    s = [sum(p[i][i] for i in range(n)) for p in islice(_krylov_rows(xq, xq), n)]
+    b = [1]
+    for k in range(1, n + 1):
+        b.append(Fraction(-sum(b[k - i] * s[i - 1] for i in range(1, k + 1)), k))
+    return UniPoly(Fraction(b[n - i], q ** (n - i)) for i in range(n + 1))
 
 
 def min_poly(x: RatMatrix) -> UniPoly:
@@ -486,27 +424,6 @@ def min_poly(x: RatMatrix) -> UniPoly:
     pivots, last, y = _chain_dependence(powers, n * n, n)
     m = len(pivots)
     return UniPoly([Fraction(y[i], last * q ** (m - i)) for i in range(m)] + [1])
-
-
-def solve_linear(a: RatMatrix, b: RatVector):
-    """Solve the square system a s = b exactly.
-
-    Returns the unique RatVector solution when det(a) != 0, the NO_SOLUTION
-    sentinel when the system is inconsistent, and NON_UNIQUE when it is
-    consistent but underdetermined.  Eliminates the columns of the integer
-    multiple of [a | b], then b, each with a unit index: b dependent on the
-    columns of a gives sum y_k a_k + last b = 0, so s_k = -y_k / last.
-    """
-    n = a.n
-    if b.n != n:
-        raise DimensionMismatchError(f"matrix size {n} vs vector length {b.n}")
-    rows, _ = _integer_multiple([row + (be,) for row, be in zip(a.rows, b.entries)])
-    *columns, (b_pivot, y) = _eliminate(_with_units(zip(*rows), n + 1), n)
-    if b_pivot is not None:
-        return NO_SOLUTION
-    if any(c is None for c, _ in columns):
-        return NON_UNIQUE
-    return RatVector(Fraction(-e, y[2 * n]) for e in y[n : 2 * n])
 
 
 def inverse(x: RatMatrix) -> RatMatrix:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Sequence, Union
+from typing import Sequence
 
 from .exactmat import (
     ExactmatError,
@@ -83,10 +83,6 @@ class PGroupElement:
         if det == 0:
             raise SingularMatrixError("matrix in P candidate is singular")
         object.__setattr__(self, "_det", det)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
 
     def det(self) -> Fraction:
         """det(y), the nonzero determinant found when y was validated."""
@@ -178,12 +174,10 @@ def is_regular(x: RatMatrix) -> bool:
 
 
 def transformation_law(
-    x: RatMatrix, y: Union[PGroupElement, RatMatrix], d=None
+    x: RatMatrix, y: PGroupElement, d=None
 ) -> tuple[Fraction, Fraction]:
     """Return (D(y x y^-1), det(y)^-1 D(x)); the two are equal for y in P.
     ``d``, if given, is the D(x) that the caller holds."""
-    if isinstance(y, RatMatrix):
-        y = PGroupElement(matrix=y)
     ym = y.matrix
     conjugated = ym * x * inverse(ym)
     d = krylov_determinant(x) if d is None else d

@@ -24,3 +24,22 @@ def poly_at(p, x: RatMatrix, euler: bool = False) -> Fraction:
         term = coef * prod(v**e for v, e in zip(values, exps))
         total += sum(exps) * term if euler else term
     return total
+
+
+def rows_rank(vecs) -> int:
+    """Exact rank of a list of rows (any shape) by plain Gaussian elimination
+    over Fraction, independent of the library's fraction-free kernel."""
+    rows = [[Fraction(e) for e in v] for v in vecs]
+    ncols = len(rows[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c] != 0:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r

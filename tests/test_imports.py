@@ -6,10 +6,13 @@ class must be referenced somewhere in ``src/``, so leftovers of a refactor
 show up as failures.  The command-line module and the suites reach the
 library through public names only, and every public module-level function
 or class is used in ``src/`` or named, with its reason, in
-``UNUSED_PUBLIC``.
+``UNUSED_PUBLIC``; likewise every public method, property or classmethod
+of a class is read as an attribute in ``src/`` or named in
+``UNUSED_MEMBERS``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "affinv"
@@ -128,6 +131,39 @@ def test_every_public_name_is_used_or_listed():
         and not any(node.name in used for stmt, used in reads if stmt is not node)
     }
     assert unused == set(UNUSED_PUBLIC)
+
+
+# public class members that no module in src/ reads, each with the reason it stays
+UNUSED_MEMBERS = {}
+
+
+def _attribute_reads(tree) -> list:
+    """Attribute names read in a tree, numpy's ``np.<name>`` excepted."""
+    return [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "np")
+    ]
+
+
+def test_every_public_member_is_read_or_listed():
+    # by name: a read of .name on any object counts for every class's
+    # member of that name; a member's reads inside its own body do not
+    trees = _trees()
+    reads = Counter(name for tree in trees.values() for name in _attribute_reads(tree))
+    unused = {
+        f"{name[:-3]}.{cls.name}.{node.name}"
+        for name, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and reads[node.name] == _attribute_reads(node).count(node.name)
+    }
+    assert unused == set(UNUSED_MEMBERS)
 
 
 def test_only_cli_and_init_import_sympoly():

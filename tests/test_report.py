@@ -101,7 +101,10 @@ def test_a_wrong_d_handed_to_a_check_fails_with_a_witness(check, name, monkeypat
     monkeypatch.setattr(report, check, lambda x, other, d: true_check(x, other, d + 1))
     witness = _failing(report.run_identity_suite(3, 3, 0), name)
     x = matrix_from_json(witness["matrix"])
-    other = Fraction(witness["t"]) if "t" in witness else matrix_from_json(witness["y"])
+    if "t" in witness:
+        other = Fraction(witness["t"])
+    else:
+        other = krylov.PGroupElement(matrix=matrix_from_json(witness["y"]))
     lhs, rhs = true_check(x, other)
     assert lhs == rhs
     lhs, rhs = true_check(x, other, krylov.krylov_determinant(x) + 1)
