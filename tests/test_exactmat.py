@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -134,6 +135,21 @@ class TestRank:
             else:
                 assert rank(x) < n
 
+    def test_low_rank_products_match_elimination_oracle(self):
+        # a (n x r) times b (r x n) has rank at most r; compare with plain
+        # Gaussian elimination over Fraction
+        rng = random.Random(83)
+        for n in range(1, 6):
+            for r in range(n + 1):
+                a = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(r)]
+                     for _ in range(n)]
+                b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(r)]
+                x = RatMatrix(
+                    [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(n)]
+                     for i in range(n)]
+                )
+                assert rank(x) == rows_rank(x.rows) <= r
+
 
 class TestCharPoly:
     def test_diag_by_hand(self):
@@ -183,6 +199,97 @@ class TestCharPoly:
                 char_poly(x)
                 assert len(drawn) == n
         assert dets == []
+
+    def test_trace_and_determinant_coefficients(self):
+        # t^(n-1) carries -tr(x) and t^0 carries (-1)^n det(x)
+        rng = random.Random(59)
+        for n in range(1, 7):
+            for x in (_rand_matrix(rng, n, -7, 7), rand_rational_matrix(rng, n)):
+                coeffs = char_poly(x).coeffs
+                assert len(coeffs) == n + 1 and coeffs[n] == 1
+                assert coeffs[n - 1] == -x.trace()
+                assert coeffs[0] == (-1) ** n * determinant(x)
+
+    def test_scalar_matrix_is_a_binomial_power(self):
+        # c I gives (t - c)^n = sum_i C(n, i) (-c)^(n-i) t^i
+        for c in (2, -1, Fraction(-1, 3), Fraction(5, 2)):
+            for n in range(1, 7):
+                x = RatMatrix.identity(n).scale(c)
+                expected = [comb(n, i) * Fraction(-c) ** (n - i) for i in range(n + 1)]
+                assert char_poly(x) == UniPoly(expected)
+
+    def test_strictly_triangular_is_t_to_the_n(self):
+        # nilpotent: every power trace is 0, so every lower coefficient is 0
+        rng = random.Random(61)
+        for n in range(1, 8):
+            x = RatMatrix(
+                [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if j > i else 0
+                  for j in range(n)] for i in range(n)]
+            )
+            assert char_poly(x) == UniPoly([0] * n + [1])
+
+    def test_triangular_is_the_product_of_diagonal_factors(self):
+        rng = random.Random(67)
+        for n in range(1, 8):
+            diag = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+            x = RatMatrix(
+                [[diag[i] if i == j else (rng.randint(-9, 9) if j > i else 0)
+                  for j in range(n)] for i in range(n)]
+            )
+            expected = [Fraction(1)]  # coefficients of prod (t - d), low first
+            for d in diag:
+                expected = [-d * a + b for a, b in zip(expected + [0], [0] + expected)]
+            assert char_poly(x) == UniPoly(expected)
+
+    def test_companion_recovers_its_polynomial(self):
+        # ones below the diagonal and a_1..a_n in the last column give
+        # t^n - a_n t^(n-1) - ... - a_1, as in the 2x2 layout above
+        rng = random.Random(71)
+        for n in range(1, 10):
+            a = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+            x = RatMatrix(
+                [[a[i] if j == n - 1 else int(i == j + 1) for j in range(n)] for i in range(n)]
+            )
+            assert char_poly(x) == UniPoly([-c for c in a] + [1])
+
+    def test_scaling_divides_coefficients_by_powers(self):
+        # char_poly(x / q) has t^i coefficient c_i / q^(n-i)
+        rng = random.Random(73)
+        for n in range(1, 6):
+            x = _rand_matrix(rng, n, -6, 6)
+            coeffs = char_poly(x).coeffs
+            for q in (2, 7, Fraction(3, 5), -4):
+                scaled = char_poly(x.scale(Fraction(1, 1) / q))
+                assert scaled == UniPoly(c / Fraction(q) ** (n - i) for i, c in enumerate(coeffs))
+
+    def test_similarity_and_transpose_invariant(self):
+        rng = random.Random(79)
+        for n in range(1, 6):
+            x = rand_rational_matrix(rng, n)
+            p = char_poly(x)
+            transposed = RatMatrix([[x.rows[j][i] for j in range(n)] for i in range(n)])
+            assert char_poly(transposed) == p
+            y = _rand_matrix(rng, n, -4, 4)
+            if determinant(y) != 0:
+                assert char_poly(y * x * inverse(y)) == p
+
+    def test_integral_coefficients_of_rational_input_are_int(self):
+        # y x y^-1 has p/q entries but x's integer polynomial; the division
+        # by k and by q^(n-i) must hand back int, not an integral Fraction
+        rng = random.Random(89)
+        checked = 0
+        while checked < 12:
+            n = rng.randint(2, 5)
+            x, y = _rand_matrix(rng, n, -5, 5), _rand_matrix(rng, n, -3, 3)
+            if determinant(y) in (0, 1, -1):
+                continue
+            conj = y * x * inverse(y)
+            if all(type(e) is int for row in conj.rows for e in row):
+                continue
+            coeffs = char_poly(conj).coeffs
+            assert all(type(c) is int for c in coeffs)
+            assert coeffs == char_poly(x).coeffs
+            checked += 1
 
     def test_cayley_hamilton(self):
         sympy = pytest.importorskip("sympy")
