@@ -88,6 +88,8 @@ class FDConfig:
             raise CalculusError("h, tau_* and delta must be finite")
         if not all(v > 0 for v in limits):
             raise CalculusError("h, tau_* and delta must be positive")
+        if not 1.0 + self.h > 1.0:  # the step is relative to the entries
+            raise CalculusError(f"h = {self.h:g} cannot move a unit entry (1 + h == 1)")
         if self.scheme != "central":
             raise CalculusError(f"unsupported scheme {self.scheme!r}")
 

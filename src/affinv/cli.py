@@ -179,8 +179,8 @@ def cmd_sympoly(args) -> int:
     degree = homogeneous_degree(poly)
     payload = {
         "n": args.n,
-        "degree": degree if isinstance(degree, int) else None,
-        "homogeneous": isinstance(degree, int),
+        "degree": degree,
+        "homogeneous": degree is not None,
         "terms": len(poly.terms),
         "term_list": term_list_json(poly),
     }

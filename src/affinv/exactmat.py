@@ -16,7 +16,7 @@ qa qb.  The kernel's divisions are exact integer divisions; every other
 division goes through ``Fraction``.  So no float can appear, and equality tests
 (``determinant(x) != 0``, residual ``== 0``) are decisions, not tolerance
 checks.  Public scalar results (``determinant``, ``RatMatrix.trace``) are
-always ``Fraction``.  Matrices and vectors are immutable; every operation
+always ``Fraction``.  Matrices and polynomials are immutable; every operation
 returns a fresh value and is safe to call concurrently.
 
 Index convention: documentation and all JSON interfaces are 1-based (entry
@@ -124,43 +124,6 @@ def format_rational(value: Rat) -> str:
             f"value with more than {sys.get_int_max_str_digits()} digits "
             "cannot be written"
         ) from None
-
-
-class RatVector:
-    """Immutable row vector of rationals."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[Rat]):
-        object.__setattr__(self, "entries", tuple(_exact_scalar(e) for e in entries))
-        if not self.entries:
-            raise ExactmatError("empty vector")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatVector is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatVector) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"RatVector({[format_rational(e) for e in self.entries]})"
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-    @classmethod
-    def unit(cls, n: int, i: int) -> "RatVector":
-        """Standard basis row e_i, 1-based."""
-        if not 1 <= i <= n:
-            raise ExactmatError(f"unit index {i} out of range 1..{n}")
-        return cls(int(j == i - 1) for j in range(n))
 
 
 class RatMatrix:

@@ -82,21 +82,18 @@ def basis_bracket(x: RatMatrix, i: int, j: int) -> RatMatrix:
     return RatMatrix(acc)
 
 
-def basis_expansion_residual(x: RatMatrix, k: int, xk=None) -> RatMatrix:
+def basis_expansion_residual(x: RatMatrix, xk: RatMatrix) -> RatMatrix:
     """Brute-force sum over all n^2 basis pairs of
-    tr(x^k E_ji) [E_ij, x]; identically the zero matrix.
+    tr(x^k E_ji) [E_ij, x] for the power xk = x^k; identically the zero
+    matrix.
 
     The sum telescopes to [x^k, x] = 0, but it is assembled literally,
     pair by pair: each coefficient tr(x^k E_ji) is read as the entry
     (x^k)_ij (``entry_bracket_pairing`` computes the pairing itself) and
     each bracket is added entry by entry, so exact cancellation is what the
-    suites certify.  ``xk``, if given, is x^k from the caller's power
-    chain; otherwise it is ``power(x, k)``.
+    suites certify.
     """
-    if k < 0:
-        raise ExactmatError(f"power index {k} must be >= 0")
     n = x.n
-    xk = power(x, k) if xk is None else xk
     acc = [[0] * n for _ in range(n)]
     for i, row in enumerate(xk.rows, 1):
         for j, coef in enumerate(row, 1):

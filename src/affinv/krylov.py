@@ -24,7 +24,6 @@ from typing import Sequence
 from .exactmat import (
     ExactmatError,
     RatMatrix,
-    RatVector,
     SingularMatrixError,
     UniPoly,
     _chain_dependence,
@@ -52,22 +51,6 @@ MAX_TRIES = 64  # random rows find_cyclic_row draws before SearchExhausted
 
 
 @dataclass(frozen=True)
-class CompanionSpec:
-    """Coefficient vector (a1, ..., an) of a companion matrix."""
-
-    alpha: tuple
-
-    def __init__(self, alpha: Sequence):
-        if len(alpha) < 1:
-            raise ExactmatError("companion spec must have length >= 1")
-        object.__setattr__(self, "alpha", tuple(Fraction(a) for a in alpha))
-
-    @property
-    def n(self) -> int:
-        return len(self.alpha)
-
-
-@dataclass(frozen=True)
 class PGroupElement:
     """Invertible matrix whose last row is (0, ..., 0, 1)."""
 
@@ -89,19 +72,20 @@ class PGroupElement:
         return self._det
 
 
-def krylov_rows(w: RatVector, x: RatMatrix) -> RatMatrix:
-    """The rows w, wx, ..., wx^(n-1), top to bottom."""
-    rows = chain.from_iterable(_krylov_rows([w.entries], x.rows))
+def krylov_rows(w: Sequence, x: RatMatrix) -> RatMatrix:
+    """The rows w, wx, ..., wx^(n-1), top to bottom, for a row w of exact
+    scalars."""
+    rows = chain.from_iterable(_krylov_rows([w], x.rows))
     return RatMatrix(islice(rows, x.n))
 
 
 def krylov_determinant(x: RatMatrix) -> Fraction:
     """D(x), the determinant of the Krylov rows of e_n, from the chain kernel
     of ``_krylov_dependence``: 0 at the first dependent row e_n x^k."""
-    return _krylov_dependence(RatVector.unit(x.n, x.n), x)[0]
+    return _krylov_dependence((0,) * (x.n - 1) + (1,), x)[0]
 
 
-def _krylov_dependence(w: RatVector, x: RatMatrix) -> tuple[Fraction, UniPoly | None]:
+def _krylov_dependence(w: Sequence, x: RatMatrix) -> tuple[Fraction, UniPoly | None]:
     """D_w(x) = det(w, wx, ..., wx^(n-1)) for an integer row w and, if it is
     nonzero, the characteristic polynomial of x (else None), by Krylov's
     method: the chain kernel draws w, w (qx), w (qx)^2, ... for the integer
@@ -111,7 +95,7 @@ def _krylov_dependence(w: RatVector, x: RatMatrix) -> tuple[Fraction, UniPoly | 
     coefficient is q^(n-i) x's."""
     n = x.n
     xq, q = _integer_multiple(x.rows)
-    rows = chain.from_iterable(_krylov_rows([w.entries], xq))
+    rows = chain.from_iterable(_krylov_rows([w], xq))
     pivots, last, y = _chain_dependence(rows, n, n)
     if len(pivots) < n:
         return Fraction(0), None
@@ -149,16 +133,18 @@ def in_omega(x: RatMatrix) -> bool:
     return krylov_determinant(x) != 0
 
 
-def companion(spec: CompanionSpec) -> RatMatrix:
-    """Companion matrix with subdiagonal 1s and last column a_n, ..., a_1
-    top to bottom; its characteristic polynomial is
-    t^n - a1 t^(n-1) - ... - an."""
-    n = spec.n
+def companion(alpha: Sequence) -> RatMatrix:
+    """Companion matrix of the exact coefficients (a1, ..., an), n >= 1, with
+    subdiagonal 1s and last column a_n, ..., a_1 top to bottom; its
+    characteristic polynomial is t^n - a1 t^(n-1) - ... - an."""
+    n = len(alpha)
+    if n < 1:
+        raise ExactmatError("companion coefficients must have length >= 1")
     rows = [[0] * n for _ in range(n)]
     for i in range(1, n):
         rows[i][i - 1] = 1
     for i in range(n):
-        rows[i][n - 1] = rows[i][n - 1] + spec.alpha[n - 1 - i]
+        rows[i][n - 1] = rows[i][n - 1] + alpha[n - 1 - i]
     return RatMatrix(rows)
 
 
@@ -174,22 +160,20 @@ def is_regular(x: RatMatrix) -> bool:
 
 
 def transformation_law(
-    x: RatMatrix, y: PGroupElement, d=None
+    x: RatMatrix, y: PGroupElement, d: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Return (D(y x y^-1), det(y)^-1 D(x)); the two are equal for y in P.
-    ``d``, if given, is the D(x) that the caller holds."""
+    """Return (D(y x y^-1), det(y)^-1 d) for the D(x) = d that the caller
+    holds; the two are equal for y in P."""
     ym = y.matrix
     conjugated = ym * x * inverse(ym)
-    d = krylov_determinant(x) if d is None else d
     return krylov_determinant(conjugated), d / y.det()
 
 
-def homogeneity_check(x: RatMatrix, t, d=None) -> tuple[Fraction, Fraction]:
-    """Return (D(t x), t^(n(n-1)/2) D(x)); the two are equal.  ``d``, if
-    given, is the D(x) that the caller holds."""
+def homogeneity_check(x: RatMatrix, t, d: Fraction) -> tuple[Fraction, Fraction]:
+    """Return (D(t x), t^(n(n-1)/2) d) for the D(x) = d that the caller
+    holds; the two are equal."""
     t = Fraction(t)
     e = x.n * (x.n - 1) // 2
-    d = krylov_determinant(x) if d is None else d
     return krylov_determinant(x.scale(t)), t**e * d
 
 
@@ -225,7 +209,7 @@ def analyze(x: RatMatrix, conjugate: bool = False, seed: int = 0) -> Analysis:
     ``find_cyclic_row`` with the seed and ``conjugate_into_omega``.  A
     non-regular x is never searched."""
     n = x.n
-    d, mp = _krylov_dependence(RatVector.unit(n, n), x)
+    d, mp = _krylov_dependence((0,) * (n - 1) + (1,), x)
     if mp is None:
         mp = min_poly(x)
     g = None
@@ -236,7 +220,7 @@ def analyze(x: RatMatrix, conjugate: bool = False, seed: int = 0) -> Analysis:
     return Analysis(x, d, mp, g)
 
 
-def find_cyclic_row(x: RatMatrix, seed: int = 0) -> RatVector:
+def find_cyclic_row(x: RatMatrix, seed: int = 0) -> tuple[int, ...]:
     """A row w with det(w, wx, ..., wx^(n-1)) != 0 for a regular x with
     D(x) = 0: the unit rows e_1, ..., e_(n-1) in order, then random integer
     rows with entries in [-m, m], m doubling every eight draws, deterministic
@@ -244,8 +228,8 @@ def find_cyclic_row(x: RatMatrix, seed: int = 0) -> RatVector:
     which has probability zero in exact arithmetic for a regular x but is
     certain for a non-regular one."""
     n = x.n
-    for i in range(1, n):
-        w = RatVector.unit(n, i)
+    for i in range(n - 1):
+        w = tuple(int(j == i) for j in range(n))
         if _krylov_dependence(w, x)[0] != 0:
             return w
     rng = random.Random(seed)
@@ -253,22 +237,22 @@ def find_cyclic_row(x: RatMatrix, seed: int = 0) -> RatVector:
     for tries in range(MAX_TRIES):
         if tries and tries % 8 == 0:
             m *= 2
-        w = RatVector([rng.randint(-m, m) for _ in range(n)])
-        if w.is_zero():
+        w = tuple(rng.randint(-m, m) for _ in range(n))
+        if not any(w):
             continue
         if _krylov_dependence(w, x)[0] != 0:
             return w
     raise SearchExhausted(f"no cyclic row found in {MAX_TRIES} random draws")
 
 
-def conjugate_into_omega(x: RatMatrix, w: RatVector) -> RatMatrix:
+def conjugate_into_omega(x: RatMatrix, w: Sequence) -> RatMatrix:
     """The invertible g whose last row is the cyclic row w of x, completed
     by the standard basis rows but e_k, for the last k with w_k != 0, in
     index order (det g = +-w_k).  Then e_n (g x g^-1)^k = w x^k g^-1, so
     D(g x g^-1) = det(g)^-1 det(w, wx, ..., wx^(n-1)) != 0, checked exactly."""
-    n, k = x.n, max(i for i, e in enumerate(w.entries) if e != 0)
+    n, k = x.n, max(i for i, e in enumerate(w) if e != 0)
     units = [[int(j == i) for j in range(n)] for i in range(n) if i != k]
-    g = RatMatrix(units + [w.entries])
+    g = RatMatrix(units + [w])
     if not in_omega(g * x * inverse(g)):  # pragma: no cover - guarded by construction
         raise AssertionError("postcondition D(g x g^-1) != 0 failed")
     return g

@@ -10,7 +10,6 @@ descending), which keeps golden files byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Mapping
@@ -184,36 +183,11 @@ def symbolic_krylov_determinant(n: int, n_max: int | None = None) -> MultiPoly:
     return det
 
 
-@dataclass(frozen=True)
-class NotHomogeneous:
-    """Witness pair of terms with different total degrees."""
-
-    term_a: tuple
-    degree_a: int
-    term_b: tuple
-    degree_b: int
-
-
-@dataclass(frozen=True)
-class AllDegrees:
-    """Sentinel for the zero polynomial, homogeneous of every degree."""
-
-
-ALL_DEGREES = AllDegrees()
-
-
-def homogeneous_degree(p: MultiPoly):
-    """Common total degree of all terms, NotHomogeneous with a witness pair,
-    or the ALL_DEGREES sentinel for the zero polynomial."""
-    if p.is_zero():
-        return ALL_DEGREES
-    by_degree: dict[int, tuple] = {}
-    for exps in p.terms:
-        by_degree.setdefault(sum(exps), exps)
-        if len(by_degree) > 1:
-            (da, ta), (db, tb) = sorted(by_degree.items())[:2]
-            return NotHomogeneous(term_a=ta, degree_a=da, term_b=tb, degree_b=db)
-    return next(iter(by_degree))
+def homogeneous_degree(p: MultiPoly) -> int | None:
+    """Common total degree of all terms, or None for the zero polynomial and
+    for one of mixed degree."""
+    degrees = {sum(exps) for exps in p.terms}
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def term_list_json(p: MultiPoly) -> list[dict]:

@@ -27,7 +27,7 @@ from affinv.calculus import (
     weak_lie_derivative,
     weak_lie_derivative_grid,
 )
-from affinv.exactmat import RatMatrix, RatVector, commutator, power
+from affinv.exactmat import RatMatrix, commutator, power
 from affinv.fields import (
     Add,
     Const,
@@ -41,7 +41,7 @@ from affinv.fields import (
     random_polynomial_field,
 )
 from affinv.invariants import basis_matrix, trace_form
-from affinv.krylov import CompanionSpec, companion, krylov_determinant, krylov_rows
+from affinv.krylov import companion, krylov_determinant, krylov_rows
 from affinv.report import _lemma_point, _rand_matrix, invariant_density
 
 CFG = FDConfig()
@@ -215,7 +215,7 @@ def _reduced(phi, x: RatMatrix):
 class TestReducedSystem:
     def test_invariant_field_on_companion(self):
         phi = Add([Pk(2), Pow(Pk(1), 2)])
-        x = companion(CompanionSpec([1, 1]))
+        x = companion([1, 1])
         assert abs(float(krylov_determinant(x))) == pytest.approx(1.0)
         res = _reduced(phi, x)
         assert abs_max(res.solution) <= CFG.tau_lemma
@@ -246,7 +246,7 @@ class TestReducedSystem:
                 f = random_invariant_field(n, rng)
                 x = _lemma_point(rng, n)[0]
                 res = _reduced(f, x)
-                rows = krylov_rows(RatVector.unit(n, n), x)
+                rows = krylov_rows((0,) * (n - 1) + (1,), x)
                 for k in range(n):
                     tied = sum(
                         float(rows.entry(k + 1, j + 1)) * res.solution[j]
@@ -259,6 +259,12 @@ class TestConfigValidation:
     def test_bad_step(self):
         with pytest.raises(CalculusError):
             FDConfig(h=0.0)
+
+    def test_step_below_the_unit_spacing(self):
+        for h in (1e-16, 1e-17, 1e-320, 5e-324):
+            with pytest.raises(CalculusError, match="cannot move a unit entry"):
+                FDConfig(h=h)
+        assert FDConfig(h=math.ulp(1.0)).h == math.ulp(1.0)
 
     @pytest.mark.parametrize(
         "bad", [{"tau_sys": -1}, {"tau_lemma": -1e-9}, {"tau_comb": 0}]

@@ -316,6 +316,30 @@ class TestVerify:
     @pytest.mark.parametrize(
         "cfg",
         [
+            '{"suite":"lemma","n":3,"samples":2,"seed":0,"fd":{"h":1e-17}}',
+            '{"suite":"weak","samples":2000,"seed":1,"fd":{"h":1e-17}}',
+        ],
+    )
+    def test_step_that_cannot_move_a_unit_entry_exits_2(self, cfg, monkeypatch, capsys):
+        # 1 + h == 1: x +- h[E_ij, x] rounds back to x and every residual reads 0
+        self._assert_one_error_line(cfg, monkeypatch, capsys)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            '{"suite":"lemma","n":3,"samples":2,"seed":0,"fd":{"h":1.2e-16}}',
+            '{"suite":"weak","samples":2000,"seed":1,"fd":{"h":1.2e-16}}',
+        ],
+    )
+    def test_step_that_moves_a_unit_entry_is_accepted(self, cfg, monkeypatch, capsys):
+        code = run_cli(["verify", "-"], cfg, monkeypatch)
+        report = json.loads(capsys.readouterr().out)
+        assert code in (0, 1)  # the suite ran; such a step may fail it honestly
+        assert report["config"]["fd"]["h"] == 1.2e-16
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
             '{"suite":"identity","n":1,"sampels":3}',
             '{"suite":"identity","fd":{"h":1e-5}}',
             '{"suite":"identity","quadrature":{"half_width":2}}',

@@ -1,9 +1,10 @@
 """Import hygiene of ``src/affinv``, checked with the standard library only.
 
-Every name a module imports must be used in that module (the re-exports of
-``__init__`` excepted), and every private ``_name`` defined in a module or
-class must be referenced somewhere in ``src/``, so leftovers of a refactor
-show up as failures.  The command-line module and the suites reach the
+``__init__`` binds only ``__version__``, the exact modules load without
+numpy, and the command-line module loads every module.  Every name a module
+imports must be used in that module, and every private ``_name`` defined in
+a module or class must be referenced somewhere in ``src/``, so leftovers of
+a refactor show up as failures.  The command-line module and the suites reach the
 library through public names only, and every public module-level function
 or class is used in ``src/`` or named, with its reason, in
 ``UNUSED_PUBLIC``; likewise every public method, property or classmethod
@@ -12,11 +13,15 @@ of a class is read as an attribute in ``src/`` or named in
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "affinv"
 MODULES = sorted(SRC.glob("*.py"))
+EXACT_MODULES = ("exactmat", "krylov", "invariants", "fields", "sympoly")
 
 
 def _trees():
@@ -42,8 +47,6 @@ def _used_names(tree) -> set:
 def test_every_imported_name_is_used():
     unused = []
     for name, tree in _trees().items():
-        if name == "__init__.py":
-            continue
         used = _used_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -118,8 +121,7 @@ def test_every_public_name_is_used_or_listed():
     # itself (recursion, its own class in annotations) are no use
     reads = [
         (stmt, _used_names(stmt))
-        for name, tree in trees.items()
-        if name != "__init__.py"
+        for tree in trees.values()
         for stmt in tree.body
     ]
     unused = {
@@ -166,7 +168,7 @@ def test_every_public_member_is_read_or_listed():
     assert unused == set(UNUSED_MEMBERS)
 
 
-def test_only_cli_and_init_import_sympoly():
+def test_only_cli_imports_sympoly():
     # the symbolic layer is a leaf: no library module builds on it
     importers = {
         name
@@ -178,4 +180,38 @@ def test_only_cli_and_init_import_sympoly():
             for module in [getattr(node, "module", None), *(a.name for a in node.names)]
         )
     }
-    assert importers == {"cli.py", "__init__.py"}
+    assert importers == {"cli.py"}
+
+
+def test_init_binds_only_the_version():
+    # one home per public name: the package docstring and ``__version__``
+    docstring, *rest = _trees()["__init__.py"].body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value.value, str)
+    assert [type(stmt) for stmt in rest] == [ast.Assign]
+    assert [target.id for target in rest[0].targets] == ["__version__"]
+
+
+def _loaded_after(statement: str) -> set:
+    """The modules a fresh interpreter holds after running ``statement``."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; {statement}; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_exact_modules_load_without_numpy():
+    loaded = _loaded_after("import " + ", ".join(f"affinv.{m}" for m in EXACT_MODULES))
+    assert {f"affinv.{m}" for m in EXACT_MODULES} <= loaded
+    assert "numpy" not in loaded
+
+
+def test_cli_loads_every_module():
+    # the perfbench tracer wraps only functions of modules already loaded
+    modules = {f"affinv.{path.stem}" for path in MODULES if path.stem != "__init__"}
+    assert len(modules) == 8
+    assert modules <= _loaded_after("import affinv.cli")
