@@ -16,6 +16,10 @@ determinant the caller holds.  Scalar fields built from trace powers are
 exactly invariant, so their Lie derivatives measure pure finite-difference
 noise; the default tolerances are sized for entries clamped to [-2, 2] at
 h = 1e-5.
+
+``reduced_system_check`` returns the residual tuple (its solution is the
+table's last row), and ``weak_lie_derivative`` the float arrays (estimate,
+std_error) of shape (psis, densities, pairs).
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if not 0.0 < 2.0 * self.half_width < math.inf:  # NaN fails too
-            raise CalculusError("half_width must be > 0 with a finite box width 2a")
+            raise CalculusError("quadrature half_width a must be > 0 with 2a finite")
         n, seed = self.n_samples, self.seed
         if not (type(n) is type(seed) is int and n >= 1 and seed >= 0):  # bools fail
             raise CalculusError("n_samples must be an integer >= 1 and seed one >= 0")
@@ -217,17 +221,12 @@ def full_identity_residual(table: np.ndarray, x: FloatMatrix, k: int) -> float:
     return float(abs(total))
 
 
-@dataclass(frozen=True)
-class ReducedSystemResult:
-    residuals: tuple      # r_k = sum_j (x^k)_nj L_nj phi, k = 0..n-1
-    solution: tuple       # s_j = L_nj phi, j = 1..n
-
-
 def reduced_system_check(
     table: np.ndarray, x: FloatMatrix, abs_d: float, cfg: FDConfig = FDConfig()
-) -> ReducedSystemResult:
-    """The n-unknown linear system in the last-row derivatives, read off a
-    lie_derivatives table at x.
+) -> tuple:
+    """The residuals r_k = sum_j (x^k)_nj s_j, k = 0..n-1, of the n-unknown
+    linear system in the last-row derivatives s_j = L_nj phi, the last row
+    ``table[-1]`` of a lie_derivatives table at x.
 
     Precondition (checked here): |D(x)| = abs_d >= delta, where the caller
     takes abs_d from the exact determinant it holds.  Precondition
@@ -242,9 +241,8 @@ def reduced_system_check(
     powers = [np.eye(x.n)]
     for _ in range(x.n - 1):
         powers.append(powers[-1] @ x.entries)
-    solution = tuple(table[-1].tolist())
-    residuals = tuple(float(sum(c * s for c, s in zip(p[-1], solution))) for p in powers)
-    return ReducedSystemResult(residuals, solution)
+    solution = table[-1].tolist()
+    return tuple(float(sum(c * s for c, s in zip(p[-1], solution))) for p in powers)
 
 
 def adjoint_field_divergence(n: int, i: int, j: int) -> Fraction:
@@ -259,14 +257,6 @@ def adjoint_field_divergence(n: int, i: int, j: int) -> Fraction:
         for b in range(1, n + 1):
             total += basis_bracket(basis_matrix(n, a, b), i, j).entry(a, b)
     return total
-
-
-@dataclass(frozen=True)
-class WeakDerivativeResult:
-    estimate: float
-    std_error: float
-    n_samples: int
-    seed: int
 
 
 # rng stream for the boundary-shell check; sampling chunks start at 1
@@ -313,11 +303,13 @@ def weak_lie_derivative(
     quad: QuadratureSpec = QuadratureSpec(),
     cfg: FDConfig = FDConfig(),
     n: int = 2,
-) -> list:
+) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo estimates of the weak derivative pairings
-    -integral of u * (L_ij psi) over the box, with their standard errors:
-    ``results[m][d][p]`` for psi = psis[m], u = densities[d] and
-    (i, j) = pairs[p].
+    -integral of u * (L_ij psi) over the box and their standard errors: two
+    float arrays (estimate, std_error) of shape (psis, densities, pairs),
+    entry [m, d, p] for psi = psis[m], u = densities[d] and (i, j) = pairs[p].
+    Raises CalculusError when the box volume (2a)^(n^2) is zero or infinite
+    in floating point, or when x +- hv can leave the float range.
 
     Realizes each density u as a distribution T(psi) = integral(u psi); the
     adjoint fields are divergence free (the weak suite decides it exactly),
@@ -328,8 +320,16 @@ def weak_lie_derivative(
     and shared by every (psi, u, i, j), so a sharded parallel run recombines
     to the identical result.  Each density is evaluated once per chunk.
     """
-    check_boundary_decay(psis, n, quad)
     a, h, samples, seed = quad.half_width, cfg.h, quad.n_samples, quad.seed
+    try:
+        volume = (2.0 * a) ** (n * n)
+    except OverflowError:
+        volume = math.inf
+    if not 0.0 < volume < math.inf:
+        raise CalculusError(f"quadrature box volume (2a)^{n * n} is zero or infinite")
+    if not a * (1.0 + 2.0 * h) < math.inf:  # >= |x +- h[E_ij, x]|
+        raise CalculusError(f"bad fd config: x +- hv overflows at h = {h:g}")
+    check_boundary_decay(psis, n, quad)
     sums = np.zeros((len(psis), len(densities), len(pairs), 2))
     for chunk_idx, start in enumerate(range(0, samples, QUAD_CHUNK), start=1):
         count = min(QUAD_CHUNK, samples - start)
@@ -345,12 +345,7 @@ def weak_lie_derivative(
                     sums[m, d, p] += np.sum(vals), np.sum(vals * vals)
     mean = sums[..., 0] / samples
     var = np.maximum(sums[..., 1] / samples - mean * mean, 0.0)
-    volume = (2.0 * a) ** (n * n)
-    std_error = volume * np.sqrt(var / samples)
-    return [
-        [[WeakDerivativeResult(e, s, samples, seed) for e, s in zip(*r)] for r in zip(*em)]
-        for em in zip((-volume * mean).tolist(), std_error.tolist())
-    ]
+    return -volume * mean, volume * np.sqrt(var / samples)
 
 
 def weak_lie_derivative_grid(

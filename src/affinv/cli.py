@@ -102,7 +102,7 @@ def cmd_analyze(args) -> int:
     if args.conjugate and not found.regular:
         print(
             "error: matrix is not regular (minimal polynomial degree "
-            f"{found.min_poly.degree} < {x.n}); no conjugate has a nonzero "
+            f"{len(found.min_poly) - 1} < {x.n}); no conjugate has a nonzero "
             "Krylov determinant",
             file=sys.stderr,
         )
@@ -113,8 +113,8 @@ def cmd_analyze(args) -> int:
             "D": format_rational(found.d),
             "in_omega": found.d != 0,
             "regular": found.regular,
-            "min_poly": found.min_poly.to_strings(),
-            "char_poly": found.char_poly.to_strings(),
+            "min_poly": [format_rational(c) for c in found.min_poly],
+            "char_poly": [format_rational(c) for c in found.char_poly],
             "conjugator": None if g is None else matrix_to_json(g),
             "sign_convention": "(-1)^(n(n-1)/2)",
         }
@@ -148,8 +148,8 @@ def cmd_verify(args) -> int:
     except SuiteConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    _emit_result(report.to_json(), _report_markdown, args)
-    return EXIT_OK if report.passed else EXIT_SUITE_FAILED
+    _emit_result(report, _report_markdown, args)
+    return EXIT_OK if report["pass"] else EXIT_SUITE_FAILED
 
 
 def _report_markdown(payload: dict) -> str:

@@ -16,8 +16,11 @@ qa qb.  The kernel's divisions are exact integer divisions; every other
 division goes through ``Fraction``.  So no float can appear, and equality tests
 (``determinant(x) != 0``, residual ``== 0``) are decisions, not tolerance
 checks.  Public scalar results (``determinant``, ``RatMatrix.trace``) are
-always ``Fraction``.  Matrices and polynomials are immutable; every operation
-returns a fresh value and is safe to call concurrently.
+always ``Fraction``.  A polynomial is the tuple of its exact coefficients in
+ascending degree, each ``int`` when integral and ``Fraction`` otherwise; the
+monic ones end in 1, and the degree is ``len(p) - 1``.  Matrices are
+immutable; every operation returns a fresh value and is safe to call
+concurrently.
 
 Index convention: documentation and all JSON interfaces are 1-based (entry
 ``(i, j)`` with ``1 <= i, j <= n``); internal storage is 0-based row-major.
@@ -202,51 +205,6 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
-class UniPoly:
-    """Univariate polynomial over the rationals, coefficients ascending.
-
-    Canonical form strips trailing zeros; the zero polynomial has an empty
-    coefficient tuple and ``degree is None`` (the distinguished sentinel).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Rat]):
-        cs = [_exact_scalar(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    @property
-    def degree(self):
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def to_strings(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "UniPoly(0)"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            cs = format_rational(c)
-            parts.append(f"{cs}*t^{k}" if k else cs)
-        return "UniPoly(" + " + ".join(parts) + ")"
-
-
 def power(x: RatMatrix, k: int) -> RatMatrix:
     """k-th matrix power, k >= 0; the empty product is the identity."""
     if k < 0:
@@ -335,6 +293,14 @@ def _chain_dependence(vectors: Iterable[Sequence[int]], ncols: int, dim: int):
     raise AssertionError(f"more than {dim} independent vectors")  # pragma: no cover
 
 
+def _descaled(y: Sequence[Rat], q: int) -> tuple:
+    """The monic polynomial sum_i y_i / (y_m q^(m-i)) t^i, m = len(y) - 1, as
+    exact scalars: from a dependence y of the chain of q x, or the reversed
+    coefficients of a polynomial of q x, the one for x."""
+    m, last = len(y) - 1, y[-1]
+    return tuple(_exact_scalar(Fraction(c, last * q ** (m - i))) for i, c in enumerate(y))
+
+
 def determinant(x: RatMatrix) -> Fraction:
     """Exact determinant of the integer multiple q x, eliminated row by row:
     sign(pivot-column order) * last pivot / q^n, or 0 at the first dependent
@@ -355,7 +321,7 @@ def rank(x: RatMatrix) -> int:
     return sum(c is not None for c, _ in _eliminate(rows, x.n))
 
 
-def char_poly(x: RatMatrix) -> UniPoly:
+def char_poly(x: RatMatrix) -> tuple:
     """Monic characteristic polynomial det(tI - x) by Newton's identities.
 
     The chain ``_krylov_rows`` draws qx, (qx)^2, ..., (qx)^n for the integer
@@ -371,10 +337,10 @@ def char_poly(x: RatMatrix) -> UniPoly:
     b = [1]
     for k in range(1, n + 1):
         b.append(Fraction(-sum(b[k - i] * s[i - 1] for i in range(1, k + 1)), k))
-    return UniPoly(Fraction(b[n - i], q ** (n - i)) for i in range(n + 1))
+    return _descaled(b[::-1], q)
 
 
-def min_poly(x: RatMatrix) -> UniPoly:
+def min_poly(x: RatMatrix) -> tuple:
     """Monic minimal polynomial from the chain I, qx, (qx)^2, ... of powers of
     the integer multiple q x, flattened to vectors: the chain kernel stops
     at the first power m that depends on the lower ones, the degree, so no
@@ -384,9 +350,7 @@ def min_poly(x: RatMatrix) -> UniPoly:
     xq, q = _integer_multiple(x.rows)
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     powers = (sum(p, []) for p in _krylov_rows(ident, xq))
-    pivots, last, y = _chain_dependence(powers, n * n, n)
-    m = len(pivots)
-    return UniPoly([Fraction(y[i], last * q ** (m - i)) for i in range(m)] + [1])
+    return _descaled(_chain_dependence(powers, n * n, n)[2], q)
 
 
 def inverse(x: RatMatrix) -> RatMatrix:

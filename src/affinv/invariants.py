@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .exactmat import (
     DimensionMismatchError,
@@ -82,10 +83,10 @@ def basis_bracket(x: RatMatrix, i: int, j: int) -> RatMatrix:
     return RatMatrix(acc)
 
 
-def basis_expansion_residual(x: RatMatrix, xk: RatMatrix) -> RatMatrix:
+def basis_expansion_residual(x: RatMatrix, xk: Sequence[Sequence]) -> RatMatrix:
     """Brute-force sum over all n^2 basis pairs of
-    tr(x^k E_ji) [E_ij, x] for the power xk = x^k; identically the zero
-    matrix.
+    tr(x^k E_ji) [E_ij, x] for the rows xk of the power x^k; identically the
+    zero matrix.
 
     The sum telescopes to [x^k, x] = 0, but it is assembled literally,
     pair by pair: each coefficient tr(x^k E_ji) is read as the entry
@@ -95,7 +96,7 @@ def basis_expansion_residual(x: RatMatrix, xk: RatMatrix) -> RatMatrix:
     """
     n = x.n
     acc = [[0] * n for _ in range(n)]
-    for i, row in enumerate(xk.rows, 1):
+    for i, row in enumerate(xk, 1):
         for j, coef in enumerate(row, 1):
             if coef != 0:
                 _add_basis_bracket(acc, x, i, j, coef)

@@ -25,8 +25,8 @@ from .exactmat import (
     ExactmatError,
     RatMatrix,
     SingularMatrixError,
-    UniPoly,
     _chain_dependence,
+    _descaled,
     _integer_multiple,
     _krylov_rows,
     _order_sign,
@@ -85,7 +85,7 @@ def krylov_determinant(x: RatMatrix) -> Fraction:
     return _krylov_dependence((0,) * (x.n - 1) + (1,), x)[0]
 
 
-def _krylov_dependence(w: Sequence, x: RatMatrix) -> tuple[Fraction, UniPoly | None]:
+def _krylov_dependence(w: Sequence, x: RatMatrix) -> tuple[Fraction, tuple | None]:
     """D_w(x) = det(w, wx, ..., wx^(n-1)) for an integer row w and, if it is
     nonzero, the characteristic polynomial of x (else None), by Krylov's
     method: the chain kernel draws w, w (qx), w (qx)^2, ... for the integer
@@ -99,9 +99,8 @@ def _krylov_dependence(w: Sequence, x: RatMatrix) -> tuple[Fraction, UniPoly | N
     pivots, last, y = _chain_dependence(rows, n, n)
     if len(pivots) < n:
         return Fraction(0), None
-    coeffs = [Fraction(y[i], last * q ** (n - i)) for i in range(n)]
     d_w = Fraction(_order_sign(pivots) * last, q ** (n * (n - 1) // 2))
-    return d_w, UniPoly(coeffs + [1])
+    return d_w, _descaled(y, q)
 
 
 def pairing_matrix(x: RatMatrix) -> RatMatrix:
@@ -156,7 +155,7 @@ def companion_sign(n: int) -> int:
 
 def is_regular(x: RatMatrix) -> bool:
     """True iff the minimal polynomial has full degree n."""
-    return min_poly(x).degree == x.n
+    return len(min_poly(x)) == x.n + 1
 
 
 def transformation_law(
@@ -185,17 +184,17 @@ class Analysis:
 
     x: RatMatrix
     d: Fraction
-    min_poly: UniPoly
+    min_poly: tuple
     conjugator: RatMatrix | None
 
     @property
     def regular(self) -> bool:
         """The minimal polynomial has degree n; only then does a cyclic row,
         and so a conjugate in the locus, exist."""
-        return self.min_poly.degree == self.x.n
+        return len(self.min_poly) == self.x.n + 1
 
     @cached_property
-    def char_poly(self) -> UniPoly:
+    def char_poly(self) -> tuple:
         """The minimal polynomial when x is regular, else computed on first
         read."""
         return self.min_poly if self.regular else char_poly(self.x)
@@ -213,7 +212,7 @@ def analyze(x: RatMatrix, conjugate: bool = False, seed: int = 0) -> Analysis:
     if mp is None:
         mp = min_poly(x)
     g = None
-    if conjugate and mp.degree == n:
+    if conjugate and len(mp) == n + 1:
         g = RatMatrix.identity(n)
         if not d:
             g = conjugate_into_omega(x, find_cyclic_row(x, seed))

@@ -42,7 +42,13 @@ from affinv.fields import (
 )
 from affinv.invariants import basis_matrix, trace_form
 from affinv.krylov import companion, krylov_determinant, krylov_rows
-from affinv.report import _lemma_point, _rand_matrix, invariant_density
+from affinv.report import (
+    SuiteConfigError,
+    _lemma_point,
+    _rand_matrix,
+    invariant_density,
+    run_suite_from_config,
+)
 
 CFG = FDConfig()
 
@@ -206,10 +212,12 @@ class TestFullIdentityResidual:
 
 
 def _reduced(phi, x: RatMatrix):
-    """reduced_system_check at a rational x, with |D| from the exact determinant."""
+    """The solution s = table[-1] and the residuals of reduced_system_check
+    at a rational x, with |D| from the exact determinant."""
     fx = FloatMatrix.from_rat(x)
     abs_d = abs(float(krylov_determinant(x)))
-    return reduced_system_check(lie_derivatives(phi, fx, CFG), fx, abs_d, CFG)
+    table = lie_derivatives(phi, fx, CFG)
+    return table[-1].tolist(), reduced_system_check(table, fx, abs_d, CFG)
 
 
 class TestReducedSystem:
@@ -217,9 +225,9 @@ class TestReducedSystem:
         phi = Add([Pk(2), Pow(Pk(1), 2)])
         x = companion([1, 1])
         assert abs(float(krylov_determinant(x))) == pytest.approx(1.0)
-        res = _reduced(phi, x)
-        assert abs_max(res.solution) <= CFG.tau_lemma
-        assert abs_max(res.residuals) <= CFG.tau_sys
+        solution, residuals = _reduced(phi, x)
+        assert abs_max(solution) <= CFG.tau_lemma
+        assert abs_max(residuals) <= CFG.tau_sys
 
     def test_precondition_violated_on_identity(self):
         with pytest.raises(PreconditionViolated):
@@ -228,7 +236,7 @@ class TestReducedSystem:
     def test_gate_reads_the_given_abs_d(self):
         x = FloatMatrix([[1, 2], [3, 4]])
         table = lie_derivatives(Pk(2), x, CFG)
-        assert len(reduced_system_check(table, x, CFG.delta, CFG).solution) == 2
+        assert len(reduced_system_check(table, x, CFG.delta, CFG)) == 2
         with pytest.raises(PreconditionViolated):
             reduced_system_check(table, x, math.nextafter(CFG.delta, 0.0), CFG)
 
@@ -245,14 +253,14 @@ class TestReducedSystem:
             for _ in range(5):
                 f = random_invariant_field(n, rng)
                 x = _lemma_point(rng, n)[0]
-                res = _reduced(f, x)
+                solution, residuals = _reduced(f, x)
                 rows = krylov_rows((0,) * (n - 1) + (1,), x)
                 for k in range(n):
                     tied = sum(
-                        float(rows.entry(k + 1, j + 1)) * res.solution[j]
+                        float(rows.entry(k + 1, j + 1)) * solution[j]
                         for j in range(n)
                     )
-                    assert res.residuals[k] == pytest.approx(tied, abs=1e-12)
+                    assert residuals[k] == pytest.approx(tied, abs=1e-12)
 
 
 class TestConfigValidation:
@@ -342,28 +350,29 @@ class TestWeakDerivative:
 
     def test_lebesgue_density_annihilated(self):
         psi = bump_field(2, 2, prefactor=Pk(1))
-        [[results]] = weak_lie_derivative([Const(1)], [psi], self.PAIRS, self.QUAD)
-        for r in results:
-            assert abs(r.estimate) <= max(4 * r.std_error, 1e-2)
+        estimate, error = weak_lie_derivative([Const(1)], [psi], self.PAIRS, self.QUAD)
+        assert estimate.shape == error.shape == (1, 1, 4)
+        for e, s in zip(estimate[0, 0], error[0, 0]):
+            assert abs(e) <= max(4 * s, 1e-2)
 
     def test_invariant_density_annihilated(self):
         u = Add([Const(1), Mul([Const(Fraction(1, 2)), Pk(2)])])
         psi = bump_field(2, 2, prefactor=Var(1, 2))
-        [[results]] = weak_lie_derivative([u], [psi], [(1, 1), (2, 1)], self.QUAD)
-        for r in results:
-            assert abs(r.estimate) <= max(4 * r.std_error, 1e-2)
+        estimate, error = weak_lie_derivative([u], [psi], [(1, 1), (2, 1)], self.QUAD)
+        for e, s in zip(estimate[0, 0], error[0, 0]):
+            assert abs(e) <= max(4 * s, 1e-2)
 
     def test_noninvariant_witness_detected(self):
         psi = bump_field(2, 2, prefactor=Var(1, 2))
-        [[[r]]] = weak_lie_derivative([Var(1, 1)], [psi], [(2, 1)], self.QUAD)
-        assert abs(r.estimate) > 20 * r.std_error
+        [[[e]]], [[[s]]] = weak_lie_derivative([Var(1, 1)], [psi], [(2, 1)], self.QUAD)
+        assert abs(e) > 20 * s
 
     def test_deterministic_given_seed(self):
         psi = bump_field(2, 2, prefactor=Pk(1))
         quad = QuadratureSpec(half_width=2.0, n_samples=30_000, seed=3)
         r1 = weak_lie_derivative([Var(1, 1)], [psi], [(1, 2)], quad)
         r2 = weak_lie_derivative([Var(1, 1)], [psi], [(1, 2)], quad)
-        assert r1 == r2
+        assert [a.tobytes() for a in r1] == [a.tobytes() for a in r2]
 
     def test_one_pass_equals_single_calls(self, monkeypatch):
         # two chunks, the second one short; every (psi, density, pair)
@@ -380,13 +389,14 @@ class TestWeakDerivative:
             "check_boundary_decay",
             lambda *args: checks.append(args) or real_check(*args),
         )
-        together = weak_lie_derivative(densities, psis, self.PAIRS, quad)
+        estimate, error = weak_lie_derivative(densities, psis, self.PAIRS, quad)
         assert [args[0] for args in checks] == [psis]
-        assert [[len(row) for row in by_d] for by_d in together] == [[4, 4, 4]] * 3
-        for psi, by_d in zip(psis, together):
-            for u, row in zip(densities, by_d):
-                for pair, r in zip(self.PAIRS, row):
-                    assert [[[r]]] == weak_lie_derivative([u], [psi], [pair], quad)
+        assert estimate.shape == error.shape == (3, 3, 4)
+        for m, psi in enumerate(psis):
+            for d, u in enumerate(densities):
+                for p, pair in enumerate(self.PAIRS):
+                    e, s = weak_lie_derivative([u], [psi], [pair], quad)
+                    assert (e.item(), s.item()) == (estimate[m, d, p], error[m, d, p])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_shifted_entries_equal_the_full_shift(self, n):
@@ -408,7 +418,22 @@ class TestWeakDerivative:
 
     def test_grid_cross_validation(self):
         psi = bump_field(2, 2, prefactor=Var(1, 2))
-        [[[mc]]] = weak_lie_derivative([Var(1, 1)], [psi], [(2, 1)], self.QUAD)
+        [[[mc]]], [[[mc_error]]] = weak_lie_derivative(
+            [Var(1, 1)], [psi], [(2, 1)], self.QUAD
+        )
         grid = weak_lie_derivative_grid(Var(1, 1), psi, 2, 1)
-        tol = 0.03 * max(1.0, abs(mc.estimate)) + 5 * mc.std_error
-        assert math.isclose(grid, mc.estimate, abs_tol=tol)
+        tol = 0.03 * max(1.0, abs(mc)) + 5 * mc_error
+        assert math.isclose(grid, mc, abs_tol=tol)
+
+    @pytest.mark.parametrize("half_width", [1e-90, 1e80])
+    def test_box_volume_out_of_float_range_is_rejected(self, half_width):
+        # (2a)^4 underflows to 0 (a vacuous estimate 0 +- 0) or overflows; the
+        # library call and the weak suite's config reject it alike
+        quad = QuadratureSpec(half_width=half_width, n_samples=1_000, seed=0)
+        psi = bump_field(2, half_width)
+        with pytest.raises(CalculusError, match="box volume") as lib:
+            weak_lie_derivative([Var(1, 1)], [psi], [(2, 1)], quad)
+        cfg = {"suite": "weak", "samples": 1_000, "quadrature": {"half_width": half_width}}
+        with pytest.raises(SuiteConfigError) as suite:
+            run_suite_from_config(cfg)
+        assert str(suite.value) == str(lib.value)

@@ -203,8 +203,8 @@ class TestVerify:
 
     def test_determinism_modulo_timestamp(self):
         cfg = {"suite": "identity", "n": 3, "samples": 10, "seed": 42}
-        a = run_suite_from_config(cfg).to_json()
-        b = run_suite_from_config(cfg).to_json()
+        a = run_suite_from_config(cfg)
+        b = run_suite_from_config(cfg)
         a.pop("timestamp")
         b.pop("timestamp")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
@@ -269,7 +269,7 @@ class TestVerify:
         assert code == 1 and captured.err == "" and caught == []
         with warnings.catch_warnings():  # the same suite outside the CLI scope
             warnings.simplefilter("ignore", RuntimeWarning)
-            direct = run_suite_from_config.__wrapped__(json.loads(cfg)).to_json()
+            direct = run_suite_from_config.__wrapped__(json.loads(cfg))
         report = json.loads(captured.out)  # compared as text, since NaN != NaN
         assert json.dumps({**report, "timestamp": None}, sort_keys=True) == json.dumps(
             {**direct, "timestamp": None}, sort_keys=True

@@ -246,20 +246,20 @@ def test_rank_matches_sympy(x):
 @given(matrices())
 def test_char_poly_matches_sympy(x):
     p = char_poly(x)
-    for c in p.coeffs:
+    for c in p:
         assert_exact_scalar(c)
     t = sympy.Symbol("t")
     expected = [from_sympy(c) for c in reversed(to_sympy(x).charpoly(t).all_coeffs())]
-    assert list(p.coeffs) == expected
+    assert list(p) == expected
 
 
 @ORACLE
 @given(matrices())
 def test_min_poly_matches_sympy(x):
     p = min_poly(x)
-    for c in p.coeffs:
+    for c in p:
         assert_exact_scalar(c)
-    assert list(p.coeffs) == sympy_min_poly(to_sympy(x))
+    assert list(p) == sympy_min_poly(to_sympy(x))
 
 
 def bordered_half(x: RatMatrix) -> RatMatrix:
@@ -275,10 +275,10 @@ def assert_kernel_matches_sympy(x: RatMatrix):
     m = to_sympy(x)
     assert determinant(x) == from_sympy(m.det())
     assert rank(x) == m.rank()
-    assert list(min_poly(x).coeffs) == sympy_min_poly(m)
+    assert list(min_poly(x)) == sympy_min_poly(m)
     for y in (x, bordered_half(x)):
         my = to_sympy(y)
-        assert list(char_poly(y).coeffs) == sympy_char_poly(my)
+        assert list(char_poly(y)) == sympy_char_poly(my)
         d = sympy_krylov_det(my, [int(j == y.n - 1) for j in range(y.n)])
         assert krylov_determinant(y) == d
         assert in_omega(y) is (d != 0)
@@ -300,7 +300,7 @@ def test_low_rank_products_match_sympy(x):
 @ORACLE
 @given(non_regular_matrices())
 def test_non_regular_jordan_forms_match_sympy(x):
-    assert min_poly(x).degree < x.n
+    assert len(min_poly(x)) - 1 < x.n
     assert_kernel_matches_sympy(x)
 
 
@@ -354,7 +354,7 @@ def test_no_float_in_entries_or_results(x):
     assert_exact_matrix(x)
     for k in range(x.n + 1):
         assert_exact_matrix(power(x, k))
-        residual = basis_expansion_residual(x, power(x, k))
+        residual = basis_expansion_residual(x, power(x, k).rows)
         assert_exact_matrix(residual)
         assert residual.is_zero()
     assert_exact_matrix(x.scale(Fraction(3, 2)))
@@ -366,8 +366,8 @@ def test_no_float_in_entries_or_results(x):
 def test_integer_input_stays_int(x):
     for m in (x, x * x, power(x, 3)):
         assert all(type(e) is int for row in m.rows for e in row)
-    assert all(type(c) is int for c in char_poly(x).coeffs)
-    assert all(type(c) is int for c in min_poly(x).coeffs)
+    assert all(type(c) is int for c in char_poly(x))
+    assert all(type(c) is int for c in min_poly(x))
 
 
 @ORACLE
@@ -474,9 +474,9 @@ def test_krylov_dependence_matches_sympy(family, data):
         if d == 0:
             assert poly is None
         else:
-            for c in poly.coeffs:
+            for c in poly:
                 assert_exact_scalar(c)
-            assert list(poly.coeffs) == sympy_char_poly(m)
+            assert list(poly) == sympy_char_poly(m)
 
 
 def run_analyze(argv, stdin: str):
@@ -593,8 +593,8 @@ CHAIN_ORACLE = settings(max_examples=8, deadline=None, derandomize=True)
 def test_min_poly_of_low_degree_matrices_matches_sympy(d, data):
     x = data.draw(low_degree_matrices(d))
     p = min_poly(x)
-    assert p.degree == d
-    assert list(p.coeffs) == sympy_min_poly(to_sympy(x))
+    assert len(p) - 1 == d
+    assert list(p) == sympy_min_poly(to_sympy(x))
 
 
 @pytest.mark.parametrize(
@@ -637,7 +637,7 @@ def test_chain_kernel_stops_at_the_first_dependence(family, d, data):
     assert d_w == sympy_krylov_det(to_sympy(x), w)
     assert (poly is None) == (m < n)
     if poly is not None:
-        assert list(poly.coeffs) == sympy_char_poly(to_sympy(x))
+        assert list(poly) == sympy_char_poly(to_sympy(x))
 
 
 @ORACLE

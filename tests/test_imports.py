@@ -9,17 +9,20 @@ library through public names only, and every public module-level function
 or class is used in ``src/`` or named, with its reason, in
 ``UNUSED_PUBLIC``; likewise every public method, property or classmethod
 of a class is read as an attribute in ``src/`` or named in
-``UNUSED_MEMBERS``.
+``UNUSED_MEMBERS``.  Every layer and ``module.function`` that the benchmark's
+trace mode reports (the ``per_layer`` list of ``BENCHMARK.json``) exists.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "affinv"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "affinv"
 MODULES = sorted(SRC.glob("*.py"))
 EXACT_MODULES = ("exactmat", "krylov", "invariants", "fields", "sympoly")
 
@@ -215,3 +218,28 @@ def test_cli_loads_every_module():
     modules = {f"affinv.{path.stem}" for path in MODULES if path.stem != "__init__"}
     assert len(modules) == 8
     assert modules <= _loaded_after("import affinv.cli")
+
+
+def test_every_traced_name_is_a_public_module_function():
+    # trace mode measures each layer's module and each module.function as a
+    # public function defined at the top of that module, and exits with
+    # "metrics not measured" when one is missing, so a refactor that drops
+    # or renames one must fail here
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    listed = [entry["name"] for entry in per_layer]
+    names = {name.rpartition(".")[0] for name in listed} - {"trace"}
+    trees = _trees()
+    defined = {
+        f"{name[:-3]}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    layers = {name for name in names if "." not in name}
+    assert layers == {name[:-3] for name in trees} - {"__init__"}
+    functions = names - layers
+    per_request = {
+        name.removesuffix(".per_request") for name in listed if name.endswith(".per_request")
+    }
+    assert len(per_request) == 4 and per_request <= functions
+    assert functions - defined == set()
