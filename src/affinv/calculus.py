@@ -20,6 +20,9 @@ h = 1e-5.
 ``reduced_system_check`` returns the residual tuple (its solution is the
 table's last row), and ``weak_lie_derivative`` the float arrays (estimate,
 std_error) of shape (psis, densities, pairs).
+
+Each function that needs numpy imports it itself, so the command-line tool
+loads this module without numpy until a lemma or weak suite runs.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .exactmat import RatMatrix
 from .fields import ScalarField, evaluate_on_entries
@@ -55,6 +56,8 @@ class FloatMatrix:
     entries: np.ndarray
 
     def __init__(self, entries):
+        import numpy as np
+
         arr = np.array(entries, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise CalculusError(f"expected square matrix, got shape {arr.shape}")
@@ -126,6 +129,8 @@ def _entries(arr: np.ndarray) -> list:
 
 def _adjoint_direction(arr: np.ndarray, i: int, j: int) -> np.ndarray:
     """[E_ij, x] for an (n, n) point or an (n, n, N) batch."""
+    import numpy as np
+
     v = np.zeros_like(arr)
     v[i - 1] += arr[j - 1]
     v[:, j - 1] -= arr[:, i - 1]
@@ -154,6 +159,8 @@ def _central_difference(phi: ScalarField, plus: list, minus: list, h: float):
 
 def _point_difference(phi: ScalarField, arr: np.ndarray, v: np.ndarray, h: float):
     """_central_difference at points, where x +- hv must be finite."""
+    import numpy as np
+
     with np.errstate(over="ignore"):  # reported below
         plus, minus = arr + h * v, arr - h * v
     if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
@@ -163,6 +170,8 @@ def _point_difference(phi: ScalarField, arr: np.ndarray, v: np.ndarray, h: float
 
 def abs_max(values) -> float:
     """max |v| over values, 0.0 if none; unlike Python's max, a NaN wins."""
+    import numpy as np
+
     return float(np.abs(np.asarray(values, dtype=np.float64)).max(initial=0.0))
 
 
@@ -179,6 +188,8 @@ def lie_derivatives(
     """The (n, n) table of L_ij phi(x) from one central difference over all
     2n^2 shifted points; entry (i, j) equals fd_directional along [E_ij, x]
     bit for bit."""
+    import numpy as np
+
     n, arr = x.n, x.entries
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     v = np.stack([_adjoint_direction(arr, i, j) for i, j in pairs], axis=-1)
@@ -215,6 +226,8 @@ def full_identity_residual(table: np.ndarray, x: FloatMatrix, k: int) -> float:
     """
     if not 0 <= k <= x.n - 1:
         raise CalculusError(f"power index {k} out of range 0..{x.n - 1}")
+    import numpy as np
+
     total = 0.0
     for c, d in zip(np.linalg.matrix_power(x.entries, k).flat, table.flat):
         total += c * d
@@ -238,6 +251,8 @@ def reduced_system_check(
     """
     if abs_d < cfg.delta:
         raise PreconditionViolated(f"|D(x)| = {abs_d:.3g} < delta = {cfg.delta}")
+    import numpy as np
+
     powers = [np.eye(x.n)]
     for _ in range(x.n - 1):
         powers.append(powers[-1] @ x.entries)
@@ -259,6 +274,18 @@ def adjoint_field_divergence(n: int, i: int, j: int) -> Fraction:
     return total
 
 
+def _volume(side: float, dim: int, label: str) -> float:
+    """side^dim, the volume of a quadrature box or cell; CalculusError when
+    it is zero or infinite in floating point."""
+    try:
+        volume = side**dim
+    except OverflowError:
+        volume = math.inf
+    if not 0.0 < volume < math.inf:
+        raise CalculusError(f"quadrature {label}^{dim} is zero or infinite")
+    return volume
+
+
 # rng stream for the boundary-shell check; sampling chunks start at 1
 _BOUNDARY_STREAM = 0
 
@@ -274,6 +301,8 @@ def check_boundary_decay(
     exceeds LEAK_RATIO times its interior maximum.  Returns the measured
     ratio of each psi.
     """
+    import numpy as np
+
     a = quad.half_width
     rng = np.random.default_rng([quad.seed, _BOUNDARY_STREAM])
     m = 512
@@ -320,13 +349,10 @@ def weak_lie_derivative(
     and shared by every (psi, u, i, j), so a sharded parallel run recombines
     to the identical result.  Each density is evaluated once per chunk.
     """
+    import numpy as np
+
     a, h, samples, seed = quad.half_width, cfg.h, quad.n_samples, quad.seed
-    try:
-        volume = (2.0 * a) ** (n * n)
-    except OverflowError:
-        volume = math.inf
-    if not 0.0 < volume < math.inf:
-        raise CalculusError(f"quadrature box volume (2a)^{n * n} is zero or infinite")
+    volume = _volume(2.0 * a, n * n, "box volume (2a)")
     if not a * (1.0 + 2.0 * h) < math.inf:  # >= |x +- h[E_ij, x]|
         raise CalculusError(f"bad fd config: x +- hv overflows at h = {h:g}")
     check_boundary_decay(psis, n, quad)
@@ -358,10 +384,15 @@ def weak_lie_derivative_grid(
     cfg: FDConfig = FDConfig(),
 ) -> float:
     """Deterministic midpoint-rule cross-check of the weak derivative,
-    n = 2 only (a tensor grid in 4 entry coordinates)."""
+    n = 2 only (a tensor grid in 4 entry coordinates).  Raises CalculusError
+    when the cell volume (2a/points_per_axis)^4 is zero or infinite in
+    floating point."""
+    import numpy as np
+
     n = 2
     a = half_width
     step = 2.0 * a / points_per_axis
+    cell = _volume(step, n * n, f"cell volume (2a/{points_per_axis})")
     axis = -a + step * (np.arange(points_per_axis) + 0.5)
     grids = np.meshgrid(axis, axis, axis, axis, indexing="ij")
     block = np.stack(
@@ -370,4 +401,4 @@ def weak_lie_derivative_grid(
     x = _entries(block)
     lie_psi = _central_difference(psi, *_shifted_entries(x, i, j, cfg.h), cfg.h)
     u_vals = evaluate_on_entries(u, x)
-    return float(-(step**4) * np.sum(np.asarray(u_vals * lie_psi)))
+    return float(-cell * np.sum(np.asarray(u_vals * lie_psi)))

@@ -5,6 +5,8 @@ returns its report as a JSON-ready dict: ``"pass"`` is true exactly when
 every property record has zero failures, and every failure carries a
 replayable witness (the offending input in wire format).  Reports are
 deterministic given (config, seed) except for the ``"timestamp"`` field.
+Only the lemma and weak suites import numpy, so ``verify`` of an identity
+config runs without it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Union
-
-import numpy as np
 
 from . import __version__
 from .calculus import (
@@ -298,6 +298,8 @@ def run_weak_suite(
     the coordinate density x11 must light up at least one direction at
     WITNESS_SIGMA standard errors.
     """
+    import numpy as np
+
     n = 2
     quad = QuadratureSpec(half_width=half_width, n_samples=samples, seed=seed)
     psis = weak_test_functions(n, half_width)
@@ -397,7 +399,6 @@ def _read_config(config: dict, suite: str) -> tuple:
     return tuple(config.get(key, spec[0]) for key, spec in ints.items())
 
 
-@np.errstate(all="ignore")  # an overflow fails its check with a NaN and a witness
 def run_suite_from_config(config: dict) -> dict:
     """Dispatch {"suite": ..., "n": ..., "samples": ..., "seed": ...,
     "fd": {...}, "quadrature": {...}} to the named suite; a key the suite
@@ -416,16 +417,20 @@ def run_suite_from_config(config: dict) -> dict:
         raise SuiteConfigError(f"bad fd config: {exc}") from exc
     if suite == "identity":
         return run_identity_suite(n, samples, seed)
-    if suite == "lemma":
+    import numpy as np
+
+    # an overflow fails its check with a NaN and a witness
+    with np.errstate(all="ignore"):
+        if suite == "lemma":
+            try:
+                return run_lemma_suite(n, samples, seed, fd_cfg)
+            except CalculusError as exc:  # a step that throws x +- hv out of range
+                raise SuiteConfigError(f"bad fd config: {exc}") from exc
         try:
-            return run_lemma_suite(n, samples, seed, fd_cfg)
-        except CalculusError as exc:  # a step that throws x +- hv out of range
-            raise SuiteConfigError(f"bad fd config: {exc}") from exc
-    try:
-        half_width = float(config.get("quadrature", {}).get("half_width", 2.0))
-    except OverflowError as exc:  # an integer beyond the float range
-        raise SuiteConfigError(f"bad quadrature half_width: {exc}") from exc
-    try:
-        return run_weak_suite(samples, seed, half_width=half_width, cfg=fd_cfg)
-    except CalculusError as exc:  # a box or a step x +- hv out of the float range
-        raise SuiteConfigError(str(exc)) from exc
+            half_width = float(config.get("quadrature", {}).get("half_width", 2.0))
+        except OverflowError as exc:  # an integer beyond the float range
+            raise SuiteConfigError(f"bad quadrature half_width: {exc}") from exc
+        try:
+            return run_weak_suite(samples, seed, half_width=half_width, cfg=fd_cfg)
+        except CalculusError as exc:  # a box or a step x +- hv out of the float range
+            raise SuiteConfigError(str(exc)) from exc

@@ -331,9 +331,9 @@ class TestWeakDerivative:
         psis = [bump_field(2, 2, prefactor=p) for p in (Const(1), Pk(1), Var(1, 2))]
         alone = [check_boundary_decay([psi], 2, self.QUAD) for psi in psis]
         draws = []
-        real_rng = calculus.np.random.default_rng
+        real_rng = np.random.default_rng
         monkeypatch.setattr(
-            calculus.np.random, "default_rng", lambda *a: draws.append(a) or real_rng(*a)
+            np.random, "default_rng", lambda *a: draws.append(a) or real_rng(*a)
         )
         assert [[r] for r in check_boundary_decay(psis, 2, self.QUAD)] == alone
         assert len(draws) == 1
@@ -428,7 +428,8 @@ class TestWeakDerivative:
     @pytest.mark.parametrize("half_width", [1e-90, 1e80])
     def test_box_volume_out_of_float_range_is_rejected(self, half_width):
         # (2a)^4 underflows to 0 (a vacuous estimate 0 +- 0) or overflows; the
-        # library call and the weak suite's config reject it alike
+        # library call and the weak suite's config reject it alike, and the
+        # grid reference its cell (2a/20)^4 likewise
         quad = QuadratureSpec(half_width=half_width, n_samples=1_000, seed=0)
         psi = bump_field(2, half_width)
         with pytest.raises(CalculusError, match="box volume") as lib:
@@ -437,3 +438,5 @@ class TestWeakDerivative:
         with pytest.raises(SuiteConfigError) as suite:
             run_suite_from_config(cfg)
         assert str(suite.value) == str(lib.value)
+        with pytest.raises(CalculusError, match=r"cell volume \(2a/20\)\^4 is zero"):
+            weak_lie_derivative_grid(Var(1, 1), psi, 2, 1, half_width=half_width)

@@ -267,9 +267,10 @@ class TestVerify:
             code = run_cli(["verify", "-"], cfg, monkeypatch)
         captured = capsys.readouterr()
         assert code == 1 and captured.err == "" and caught == []
-        with warnings.catch_warnings():  # the same suite outside the CLI scope
-            warnings.simplefilter("ignore", RuntimeWarning)
-            direct = run_suite_from_config.__wrapped__(json.loads(cfg))
+        # the same suite outside the CLI: the errstate scope is the suite's own
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            direct = run_suite_from_config(json.loads(cfg))
         report = json.loads(captured.out)  # compared as text, since NaN != NaN
         assert json.dumps({**report, "timestamp": None}, sort_keys=True) == json.dumps(
             {**direct, "timestamp": None}, sort_keys=True

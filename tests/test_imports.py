@@ -1,7 +1,8 @@
 """Import hygiene of ``src/affinv``, checked with the standard library only.
 
 ``__init__`` binds only ``__version__``, the exact modules load without
-numpy, and the command-line module loads every module.  Every name a module
+numpy, and the command-line module loads every module but loads numpy only
+when a lemma or weak suite runs.  Every name a module
 imports must be used in that module, and every private ``_name`` defined in
 a module or class must be referenced somewhere in ``src/``, so leftovers of
 a refactor show up as failures.  The command-line module and the suites reach the
@@ -114,7 +115,7 @@ UNUSED_PUBLIC = {
     "invariants.trace_power": "README: tr(x^k)/k is a public Fraction-valued invariant",
     "invariants.entry_bracket_pairing": "reference: the dense tr(x^k E_ji) the basis expansion reads",
     "invariants.gradient_commutator_residual": "README: trace-power gradients commute with x",
-    "fields.field_from_json": "JSON codec reader: round-trip tested; replay reader (ROADMAP 10)",
+    "fields.field_from_json": "JSON codec reader: round-trip tested; replay reader (ROADMAP 6)",
 }
 
 
@@ -194,17 +195,19 @@ def test_init_binds_only_the_version():
     assert [target.id for target in rest[0].targets] == ["__version__"]
 
 
-def _loaded_after(statement: str) -> set:
-    """The modules a fresh interpreter holds after running ``statement``."""
+def _loaded_after(statement: str, stdin: str = "") -> set:
+    """The modules a fresh interpreter holds after running ``statement`` on
+    ``stdin``, read from the last line of its output."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", f"import sys; {statement}; print(*sorted(sys.modules))"],
+        [sys.executable, "-c", f"import sys; {statement}; print(); print(*sorted(sys.modules))"],
         env={**os.environ, "PYTHONPATH": path},
+        input=stdin,
         capture_output=True,
         text=True,
         check=True,
     )
-    return set(done.stdout.split())
+    return set(done.stdout.splitlines()[-1].split())
 
 
 def test_exact_modules_load_without_numpy():
@@ -218,6 +221,30 @@ def test_cli_loads_every_module():
     modules = {f"affinv.{path.stem}" for path in MODULES if path.stem != "__init__"}
     assert len(modules) == 8
     assert modules <= _loaded_after("import affinv.cli")
+
+
+def _cli_loaded_after(argv: list, stdin: str, code: int) -> set:
+    """The modules a fresh interpreter holds after ``affinv.cli.main(argv)``
+    on ``stdin`` returned ``code``."""
+    return _loaded_after(f"from affinv.cli import main; assert main({argv!r}) == {code}", stdin)
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    # the command-line module loads calculus, but numpy waits for a float
+    # suite; a float-suite config rejected before it runs loads none either
+    for argv, stdin, code in [
+        (["verify", "-"], '{"suite":"identity","n":3,"samples":2}', 0),
+        (["analyze", "-"], '{"n":2,"entries":[["1","2"],["3","4"]]}', 0),
+        (["sympoly", "--n", "2"], "", 0),
+        (["verify", "-"], '{"suite":"lemma","fd":{"h":-1}}', 2),
+    ]:
+        loaded = _cli_loaded_after(argv, stdin, code)
+        assert "affinv.calculus" in loaded and "numpy" not in loaded, argv
+
+
+def test_float_suites_load_numpy():
+    for stdin in ['{"suite":"lemma","n":2,"samples":1}', '{"suite":"weak","samples":1000}']:
+        assert "numpy" in _cli_loaded_after(["verify", "-"], stdin, 0), stdin
 
 
 def test_every_traced_name_is_a_public_module_function():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from affinv import calculus, invariants, krylov, report
@@ -128,7 +129,7 @@ def test_weak_suite_draws_each_chunk_once_for_all_test_functions(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        calculus.np.random, "default_rng", counted("default_rng", calculus.np.random.default_rng)
+        np.random, "default_rng", counted("default_rng", np.random.default_rng)
     )
     monkeypatch.setattr(
         calculus,
