@@ -2,10 +2,10 @@
 
 ``__init__`` binds only ``__version__``, the exact modules load without
 numpy, and the command-line module loads every module but loads numpy only
-when a lemma or weak suite runs.  Every name a module
-imports must be used in that module, and every private ``_name`` defined in
-a module or class must be referenced somewhere in ``src/``, so leftovers of
-a refactor show up as failures.  The command-line module and the suites reach the
+when a lemma or weak suite runs.  Every name a module imports must be used
+in that module, and every private ``_name`` defined in a module or class
+must be referenced somewhere in ``src/``, so leftovers of a refactor show
+up as failures.  The command-line module and the suites reach the
 library through public names only, and every public module-level function
 or class is used in ``src/`` or named, with its reason, in
 ``UNUSED_PUBLIC``; likewise every public method, property or classmethod
