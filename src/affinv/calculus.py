@@ -5,17 +5,19 @@ of local invariance.
 
 All derivative estimates use one central-difference kernel,
 (f(x+hv) - f(x-hv))/2h along the adjoint direction v = [E_ij, x], that
-works on an (n, n) point and on an (n, n, N) batch of samples alike.  At
-a point, where x +- hv must be finite, ``lie_derivatives`` stacks all n^2
-directions into one batch.  Each point check (P-invariance, the full
-contraction identity, the reduced system) takes that table as its input,
-and its maxima keep a NaN.  The reduced system is checked at rational
-points only: its gate |D(x)| >= delta, which keeps it away from the
-hypersurface where finite differences degrade, reads |D| from the exact
-determinant the caller holds.  Scalar fields built from trace powers are
-exactly invariant, so their Lie derivatives measure pure finite-difference
-noise; the default tolerances are sized for entries clamped to [-2, 2] at
-h = 1e-5.
+works on an (n, n) point and on an (n, n, N) batch of samples alike, and
+evaluates a family of fields on each side at once.  At a point, where
+x +- hv must be finite, ``lie_derivatives`` stacks all n^2 directions into
+one batch and returns one table per field.  Each point check
+(P-invariance, the full contraction identity, the reduced system) takes a
+table as its input and reads x's float powers from ``FloatMatrix.powers``,
+formed once per point; its maxima keep a NaN.  The reduced system is
+checked at rational points only: its gate |D(x)| >= delta, which keeps it
+away from the hypersurface where finite differences degrade, reads |D|
+from the exact determinant the caller holds.  Scalar fields built from
+trace powers are exactly invariant, so their Lie derivatives measure pure
+finite-difference noise; the default tolerances are sized for entries
+clamped to [-2, 2] at h = 1e-5.
 
 ``reduced_system_check`` returns the residual tuple (its solution is the
 table's last row), and ``weak_lie_derivative`` the float arrays (estimate,
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .exactmat import RatMatrix
@@ -74,6 +77,17 @@ class FloatMatrix:
     def from_rat(cls, x: RatMatrix) -> "FloatMatrix":
         return cls([[float(e) for e in row] for row in x.rows])
 
+    @cached_property
+    def powers(self) -> tuple:
+        """x^0, ..., x^(n-1) as nested float lists, from one product chain
+        formed on first use."""
+        import numpy as np
+
+        chain = [np.eye(self.n)]
+        for _ in range(self.n - 1):
+            chain.append(chain[-1] @ self.entries)
+        return tuple(p.tolist() for p in chain)
+
 
 @dataclass(frozen=True)
 class FDConfig:
@@ -102,6 +116,7 @@ class FDConfig:
 
 
 QUAD_CHUNK = 200_000  # samples per Monte-Carlo chunk
+QUAD_BLOCK = 16_384  # samples per field evaluation within a chunk
 SHELL_FRACTION = 0.01  # boundary shell width, as a fraction of the half width
 LEAK_RATIO = 0.02  # largest shell-to-interior ratio of |psi| that counts as decayed
 
@@ -152,20 +167,28 @@ def _shifted_entries(x: list, i: int, j: int, h: float) -> tuple:
     return plus, minus
 
 
-def _central_difference(phi: ScalarField, plus: list, minus: list, h: float):
-    """(phi(x + hv) - phi(x - hv)) / 2h from the shifted entry lists."""
-    return (evaluate_on_entries(phi, plus) - evaluate_on_entries(phi, minus)) / (2.0 * h)
+def _central_differences(
+    phis: Sequence[ScalarField], plus: list, minus: list, h: float
+) -> list:
+    """(phi(x + hv) - phi(x - hv)) / 2h of each phi, from the shifted entry
+    lists; each side evaluates the phis as one family."""
+    return [
+        (p - m) / (2.0 * h)
+        for p, m in zip(evaluate_on_entries(phis, plus), evaluate_on_entries(phis, minus))
+    ]
 
 
-def _point_difference(phi: ScalarField, arr: np.ndarray, v: np.ndarray, h: float):
-    """_central_difference at points, where x +- hv must be finite."""
+def _point_difference(
+    phis: Sequence[ScalarField], arr: np.ndarray, v: np.ndarray, h: float
+) -> list:
+    """_central_differences at points, where x +- hv must be finite."""
     import numpy as np
 
     with np.errstate(over="ignore"):  # reported below
         plus, minus = arr + h * v, arr - h * v
     if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
         raise CalculusError(f"x +- hv leaves the float range at h = {h:g}")
-    return _central_difference(phi, _entries(plus), _entries(minus), h)
+    return _central_differences(phis, _entries(plus), _entries(minus), h)
 
 
 def abs_max(values) -> float:
@@ -179,23 +202,24 @@ def fd_directional(
     phi: ScalarField, x: FloatMatrix, v: FloatMatrix, cfg: FDConfig = FDConfig()
 ) -> float:
     """Central-difference directional derivative of phi at x along v."""
-    return float(_point_difference(phi, x.entries, v.entries, cfg.h))
+    return float(_point_difference([phi], x.entries, v.entries, cfg.h)[0])
 
 
 def lie_derivatives(
-    phi: ScalarField, x: FloatMatrix, cfg: FDConfig = FDConfig()
+    phis: Sequence[ScalarField], x: FloatMatrix, cfg: FDConfig = FDConfig()
 ) -> np.ndarray:
-    """The (n, n) table of L_ij phi(x) from one central difference over all
-    2n^2 shifted points; entry (i, j) equals fd_directional along [E_ij, x]
-    bit for bit."""
+    """The (phis, n, n) array of L_ij phi(x), one (n, n) table per phi, from
+    one central difference over all 2n^2 shifted points, built once for the
+    whole family; entry [m, i, j] equals fd_directional of phis[m] along
+    [E_ij, x] bit for bit."""
     import numpy as np
 
     n, arr = x.n, x.entries
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     v = np.stack([_adjoint_direction(arr, i, j) for i, j in pairs], axis=-1)
-    table = _point_difference(phi, arr[..., None], v, cfg.h)
+    tables = _point_difference(phis, arr[..., None], v, cfg.h)
     # a constant field evaluates to one float, not to a batch
-    return np.broadcast_to(table, (n * n,)).reshape(n, n)
+    return np.array([np.broadcast_to(t, (n * n,)) for t in tables]).reshape(len(phis), n, n)
 
 
 def lie_derivative(
@@ -204,7 +228,7 @@ def lie_derivative(
     """Derivative of phi along the adjoint field x -> [E_ij, x]."""
     if not (1 <= i <= x.n and 1 <= j <= x.n):
         raise CalculusError(f"index ({i},{j}) out of range 1..{x.n}")
-    return float(lie_derivatives(phi, x, cfg)[i - 1, j - 1])
+    return float(lie_derivatives([phi], x, cfg)[0, i - 1, j - 1])
 
 
 def p_invariance_residual(table: np.ndarray) -> float:
@@ -218,20 +242,18 @@ def p_invariance_residual(table: np.ndarray) -> float:
 
 
 def full_identity_residual(table: np.ndarray, x: FloatMatrix, k: int) -> float:
-    """|sum_ij (x^k)_ij L_ij phi| from a lie_derivatives table at x, summed
-    left to right in row-major order.
+    """|sum_ij (x^k)_ij L_ij phi| from a lie_derivatives table at x and the
+    float power ``x.powers[k]``, summed left to right in row-major order.
 
     The underlying vector field sum_ij (x^k)_ij [E_ij, .] is [x^k, x] = 0,
     so the residual is pure finite-difference error for every C^1 field.
     """
     if not 0 <= k <= x.n - 1:
         raise CalculusError(f"power index {k} out of range 0..{x.n - 1}")
-    import numpy as np
-
     total = 0.0
-    for c, d in zip(np.linalg.matrix_power(x.entries, k).flat, table.flat):
+    for c, d in zip([c for row in x.powers[k] for c in row], table.ravel().tolist()):
         total += c * d
-    return float(abs(total))
+    return abs(total)
 
 
 def reduced_system_check(
@@ -246,18 +268,13 @@ def reduced_system_check(
     (caller-checked): phi should have p_invariance_residual <= tau_res,
     otherwise the system says nothing about phi.  Wherever D != 0 the lemma
     asserts max_k |r_k| <= tau_sys and max_j |s_j| <= tau_lemma.  The rows
-    e_n x^k of the residuals come from float powers of x, independently of
-    the exact Krylov rows.
+    e_n x^k of the residuals come from the float powers ``x.powers``,
+    independently of the exact Krylov rows.
     """
     if abs_d < cfg.delta:
         raise PreconditionViolated(f"|D(x)| = {abs_d:.3g} < delta = {cfg.delta}")
-    import numpy as np
-
-    powers = [np.eye(x.n)]
-    for _ in range(x.n - 1):
-        powers.append(powers[-1] @ x.entries)
     solution = table[-1].tolist()
-    return tuple(float(sum(c * s for c, s in zip(p[-1], solution))) for p in powers)
+    return tuple(float(sum(c * s for c, s in zip(p[-1], solution))) for p in x.powers)
 
 
 def adjoint_field_divergence(n: int, i: int, j: int) -> Fraction:
@@ -312,11 +329,12 @@ def check_boundary_decay(
     signs = rng.choice([-1.0, 1.0], size=m)
     radii = rng.uniform(a * (1.0 - SHELL_FRACTION), a, size=m)
     shell[coords // n, coords % n, np.arange(m)] = signs * radii
-    shell = _entries(shell)
     ratios = []
-    for psi in psis:
-        interior_max = float(np.max(np.abs(evaluate_on_entries(psi, interior))))
-        shell_max = float(np.max(np.abs(evaluate_on_entries(psi, shell))))
+    for inside, outside in zip(
+        evaluate_on_entries(psis, interior), evaluate_on_entries(psis, _entries(shell))
+    ):
+        interior_max = float(np.max(np.abs(inside)))
+        shell_max = float(np.max(np.abs(outside)))
         ratios.append(shell_max / max(interior_max, 1e-12))
         if ratios[-1] > LEAK_RATIO:
             raise BoundaryLeak(
@@ -347,7 +365,11 @@ def weak_lie_derivative(
 
     Sampling is chunked; chunk c is drawn from default_rng([seed, c]) once
     and shared by every (psi, u, i, j), so a sharded parallel run recombines
-    to the identical result.  Each density is evaluated once per chunk.
+    to the identical result.  Fields are evaluated over QUAD_BLOCK-sample
+    blocks of a chunk, which stay in cache: the densities once per block,
+    and the psis as one family at the two shifted points of each block and
+    pair.  The products u * L_ij psi and their sums run over the whole
+    chunk.
     """
     import numpy as np
 
@@ -360,15 +382,25 @@ def weak_lie_derivative(
     for chunk_idx, start in enumerate(range(0, samples, QUAD_CHUNK), start=1):
         count = min(QUAD_CHUNK, samples - start)
         rng = np.random.default_rng([seed, chunk_idx])
-        x = _entries(rng.uniform(-a, a, size=(n, n, count)))
-        u_vals = [evaluate_on_entries(u, x) for u in densities]
+        x = rng.uniform(-a, a, size=(n, n, count))
+        blocks = [slice(b, b + QUAD_BLOCK) for b in range(0, count, QUAD_BLOCK)]
+        u_vals = np.empty((len(densities), count))
+        for block in blocks:
+            values = evaluate_on_entries(densities, _entries(x[..., block]))
+            for u_row, u_val in zip(u_vals, values):
+                u_row[block] = u_val
+        lie = np.empty((len(psis), count))
+        vals, squares = np.empty(count), np.empty(count)
         for p, (i, j) in enumerate(pairs):
-            plus, minus = _shifted_entries(x, i, j, h)
-            for m, psi in enumerate(psis):
-                lie = _central_difference(psi, plus, minus, h)
-                for d, u_val in enumerate(u_vals):
-                    vals = np.asarray(u_val * lie, dtype=np.float64)
-                    sums[m, d, p] += np.sum(vals), np.sum(vals * vals)
+            for block in blocks:
+                plus, minus = _shifted_entries(_entries(x[..., block]), i, j, h)
+                for lie_row, diff in zip(lie, _central_differences(psis, plus, minus, h)):
+                    lie_row[block] = diff
+            for m, lie_row in enumerate(lie):
+                for d, u_row in enumerate(u_vals):
+                    np.multiply(u_row, lie_row, out=vals)
+                    np.multiply(vals, vals, out=squares)
+                    sums[m, d, p] += np.sum(vals), np.sum(squares)
     mean = sums[..., 0] / samples
     var = np.maximum(sums[..., 1] / samples - mean * mean, 0.0)
     return -volume * mean, volume * np.sqrt(var / samples)
@@ -399,6 +431,6 @@ def weak_lie_derivative_grid(
         [g.ravel() for g in grids], axis=0
     ).reshape(n, n, points_per_axis**4)
     x = _entries(block)
-    lie_psi = _central_difference(psi, *_shifted_entries(x, i, j, cfg.h), cfg.h)
-    u_vals = evaluate_on_entries(u, x)
+    (lie_psi,) = _central_differences([psi], *_shifted_entries(x, i, j, cfg.h), cfg.h)
+    (u_vals,) = evaluate_on_entries([u], x)
     return float(-cell * np.sum(np.asarray(u_vals * lie_psi)))

@@ -5,7 +5,11 @@ A ``Pk(k)`` node denotes the built-in conjugation invariant tr(x^k)/k.
 Every tree is a polynomial in the matrix entries.  One evaluator,
 duck-typed over the entry scalars, serves every layer: fast with floats
 or numpy arrays, exact with Fraction entries, and exactly differentiated
-with dual scalars (the invariant layer's gradients).
+with dual scalars (the invariant layer's gradients).  It takes a family
+of fields and evaluates a node object that several of them hold once;
+the generators build families that share such nodes (each p_k and its
+powers, each bump wall), so the suites evaluate every shared value once
+per point set, by the same operations in the same order as alone.
 
 JSON wire format (shared by the invariant and calculus layers)::
 
@@ -22,6 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import Callable, Sequence
 
 from .exactmat import _matmul, format_rational, parse_rational
@@ -90,50 +96,68 @@ class Pk(ScalarField):
             raise FieldError(f"pk degree {self.k} must be >= 1")
 
 
-def evaluate_on_entries(field: ScalarField, entries, lift: Callable = float):
-    """Recursive evaluation over an n x n nested sequence of scalars.
+def evaluate_on_entries(fields: Sequence[ScalarField], entries, lift: Callable = float) -> list:
+    """The values of ``fields``, in order, over one n x n nested sequence
+    of scalars.
 
     ``lift`` converts Const values into the scalar domain: ``float`` for the
     numeric layer, identity for exact evaluation, a dual scalar for exact
     derivatives.  Scalars only need +, * and integer **, so numpy arrays
-    broadcast through unchanged.
+    broadcast through unchanged.  A node object that occurs more than once
+    in the family is evaluated once: a memo keyed by node identity, which
+    lives only for this call, hands its value to every later occurrence.
+    Each value is formed by the same operations in the same order as when
+    its field is evaluated alone.
     """
-    return _evaluate_node(field, entries, lift)
+    memo: dict = {}
+    return [_evaluate_node(field, entries, lift, memo) for field in fields]
 
 
-def _evaluate_node(node: ScalarField, entries, lift: Callable):
+def _evaluate_node(node: ScalarField, entries, lift: Callable, memo: dict):
     # A module-level recursion, not a nested closure: a closure that calls
     # itself is a reference cycle, which would keep ``entries`` (whole
-    # sample batches in the weak suite) alive until the cyclic garbage
+    # sample blocks in the weak suite) alive until the cyclic garbage
     # collector happens to run.
+    key = id(node)
+    if key in memo:
+        return memo[key][1]
     n = len(entries)
     if isinstance(node, Const):
-        return lift(node.value)
-    if isinstance(node, Var):
+        value = lift(node.value)
+    elif isinstance(node, Var):
         if node.i > n or node.j > n:
             raise FieldError(f"var({node.i},{node.j}) out of range for n={n}")
-        return entries[node.i - 1][node.j - 1]
-    if isinstance(node, Add):
-        total = lift(Fraction(0))
+        value = entries[node.i - 1][node.j - 1]
+    elif isinstance(node, Add):
+        value = lift(Fraction(0))
         for a in node.args:
-            total = total + _evaluate_node(a, entries, lift)
-        return total
-    if isinstance(node, Mul):
-        total = lift(Fraction(1))
+            value = value + _evaluate_node(a, entries, lift, memo)
+    elif isinstance(node, Mul):
+        value = lift(Fraction(1))
         for a in node.args:
-            total = total * _evaluate_node(a, entries, lift)
-        return total
-    if isinstance(node, Pow):
-        return _evaluate_node(node.base, entries, lift) ** node.exp
-    if isinstance(node, Pk):
+            value = value * _evaluate_node(a, entries, lift, memo)
+    elif isinstance(node, Pow):
+        value = _evaluate_node(node.base, entries, lift, memo) ** node.exp
+    elif isinstance(node, Pk):
+        # tr(x^k) reads only the diagonal of the last product, each entry
+        # summed as _matmul sums it
         acc = entries
-        for _ in range(node.k - 1):
+        for _ in range(node.k - 2):
             acc = _matmul(acc, entries)
-        tr = acc[0][0]
-        for i in range(1, n):
-            tr = tr + acc[i][i]
-        return tr * lift(Fraction(1, node.k))
-    raise FieldError(f"unknown node {node!r}")
+        if node.k == 1:
+            diagonal = [row[i] for i, row in enumerate(entries)]
+        else:
+            diagonal = [
+                sum(map(mul, acc[i], [row[i] for row in entries])) for i in range(n)
+            ]
+        tr = diagonal[0]
+        for d in diagonal[1:]:
+            tr = tr + d
+        value = tr * lift(Fraction(1, node.k))
+    else:
+        raise FieldError(f"unknown node {node!r}")
+    memo[key] = node, value  # holding the node keeps its id unique
+    return value
 
 
 def field_to_json(field: ScalarField) -> dict:
@@ -205,13 +229,16 @@ def random_invariant_field(n: int, rng: random.Random) -> ScalarField:
     terms = []
     for mono in rng.sample(monos, rng.randint(1, min(3, len(monos)))):
         factors: list[ScalarField] = [Const(rng.choice(_COEFS))]
-        for k, e in enumerate(mono, start=1):
-            if e == 1:
-                factors.append(Pk(k))
-            elif e > 1:
-                factors.append(Pow(Pk(k), e))
+        factors += [_trace_power_factor(k, e) for k, e in enumerate(mono, start=1) if e]
         terms.append(Mul(factors) if len(factors) > 1 else factors[0])
     return Add(terms) if len(terms) > 1 else terms[0]
+
+
+@lru_cache(maxsize=None)  # k <= n and e <= 3: a few dozen keys
+def _trace_power_factor(k: int, e: int) -> ScalarField:
+    """p_k^e as one node object per (k, e), so that a family of random
+    invariant fields evaluates each p_k and each power of it once."""
+    return Pow(_trace_power_factor(k, 1), e) if e > 1 else Pk(k)
 
 
 def random_polynomial_field(n: int, rng: random.Random) -> ScalarField:
@@ -230,16 +257,23 @@ def random_polynomial_field(n: int, rng: random.Random) -> ScalarField:
 
 def bump_field(n: int, half_width, prefactor: ScalarField | None = None) -> ScalarField:
     """Test function that vanishes to second order on the cube boundary
-    |x_ij| = half_width: prefactor * prod_ij ((a^2 - x_ij^2)/a^2)^2."""
+    |x_ij| = half_width: prefactor * prod_ij ((a^2 - x_ij^2)/a^2)^2.
+    Bumps on the same cube share their wall factors as node objects, so a
+    family of them evaluates each wall once."""
     a = Fraction(half_width)
     if a <= 0:
         raise FieldError("half_width must be positive")
+    factors = [] if prefactor is None else [prefactor]
+    return Mul(factors + list(_bump_walls(n, a)))
+
+
+@lru_cache(maxsize=8)
+def _bump_walls(n: int, a: Fraction) -> tuple:
+    """The n^2 factors ((a^2 - x_ij^2)/a^2)^2 of a bump on the cube of half
+    width a, in row-major order."""
     inv_a2 = Fraction(1) / (a * a)
-    factors: list[ScalarField] = []
-    if prefactor is not None:
-        factors.append(prefactor)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            wall = Add([Const(1), Mul([Const(-inv_a2), Pow(Var(i, j), 2)])])
-            factors.append(Pow(wall, 2))
-    return Mul(factors)
+    return tuple(
+        Pow(Add([Const(1), Mul([Const(-inv_a2), Pow(Var(i, j), 2)])]), 2)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )

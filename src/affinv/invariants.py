@@ -148,7 +148,7 @@ def gradient_matrix(f: ScalarField, x: RatMatrix) -> RatMatrix:
                 [_Dual(e, int((a, b) == (j, i))) for b, e in enumerate(row)]
                 for a, row in enumerate(x.rows)
             ]
-            grad[i][j] = evaluate_on_entries(f, entries, lift=_Dual).b
+            grad[i][j] = evaluate_on_entries([f], entries, lift=_Dual)[0].b
     return RatMatrix(grad)
 
 

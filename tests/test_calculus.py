@@ -56,15 +56,15 @@ CFG = FDConfig()
 class TestEvalField:
     # a field at a float point: the evaluator over the point's entry lists
     def test_trace_power_on_identity(self):
-        assert evaluate_on_entries(Pk(1), np.eye(2).tolist()) == pytest.approx(2.0)
+        assert evaluate_on_entries([Pk(1)], np.eye(2).tolist())[0] == pytest.approx(2.0)
 
     def test_entry_variable(self):
         x = FloatMatrix([[1, 2], [3, 4]])
-        assert evaluate_on_entries(Var(2, 1), x.entries.tolist()) == pytest.approx(3.0)
+        assert evaluate_on_entries([Var(2, 1)], x.entries.tolist())[0] == pytest.approx(3.0)
 
     def test_p2_value(self):
         x = FloatMatrix([[1, 2], [3, 4]])
-        assert evaluate_on_entries(Pk(2), x.entries.tolist()) == pytest.approx(14.5)
+        assert evaluate_on_entries([Pk(2)], x.entries.tolist())[0] == pytest.approx(14.5)
 
 
 class TestFdDirectional:
@@ -142,9 +142,9 @@ class TestLieDerivatives:
         for _ in range(3):
             x = _lemma_point(rng, n)[0]
             fx = FloatMatrix.from_rat(x)
-            for phi in fields:
-                table = lie_derivatives(phi, fx, CFG)
-                assert table.shape == (n, n)
+            tables = lie_derivatives(fields, fx, CFG)
+            assert tables.shape == (len(fields), n, n)
+            for phi, table in zip(fields, tables):
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
                         v = FloatMatrix.from_rat(commutator(basis_matrix(n, i, j), x))
@@ -154,14 +154,14 @@ class TestLieDerivatives:
     def test_constant_field_reads_zero_everywhere(self):
         # a constant tree evaluates to one float, which the table broadcasts
         x = FloatMatrix([[1, 2], [3, 4]])
-        assert lie_derivatives(Const(3), x, CFG).tolist() == [[0.0, 0.0], [0.0, 0.0]]
-        table = lie_derivatives(Const(3), x, CFG)
+        assert lie_derivatives([Const(3)], x, CFG)[0].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        table = lie_derivatives([Const(3)], x, CFG)[0]
         assert p_invariance_residual(table) == 0.0
         assert full_identity_residual(table, x, 1) == 0.0
 
     def test_shift_out_of_float_range_rejected(self):
         with pytest.raises(CalculusError):
-            lie_derivatives(Pk(2), FloatMatrix([[1, 2], [3, 4]]), FDConfig(h=1.7e308))
+            lie_derivatives([Pk(2)], FloatMatrix([[1, 2], [3, 4]]), FDConfig(h=1.7e308))
 
 
 class TestPInvarianceResidual:
@@ -171,21 +171,22 @@ class TestPInvarianceResidual:
             for _ in range(10):
                 f = random_invariant_field(n, rng)
                 x = FloatMatrix.from_rat(_lemma_point(rng, n)[0])
-                assert p_invariance_residual(lie_derivatives(f, x, CFG)) <= CFG.tau_res
+                assert p_invariance_residual(lie_derivatives([f], x, CFG)[0]) <= CFG.tau_res
 
     def test_coordinate_field_detected(self):
         x = FloatMatrix([[1, 2], [3, 4]])
-        assert p_invariance_residual(lie_derivatives(Var(2, 2), x, CFG)) > CFG.tau_res
+        assert p_invariance_residual(lie_derivatives([Var(2, 2)], x, CFG)[0]) > CFG.tau_res
 
     def test_n1_empty_range(self):
-        assert p_invariance_residual(lie_derivatives(Pk(1), FloatMatrix([[3.0]]), CFG)) == 0.0
+        assert p_invariance_residual(lie_derivatives([Pk(1)], FloatMatrix([[3.0]]), CFG)[0]) == 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_derivative_is_the_residual(self):
         # at diag(1, 2) the direction [E_11, x] is 0, so L_11 = 0 comes first;
         # along [E_12, x] the step overflows (x_12 +- h)^2 to inf - inf = NaN
         x = FloatMatrix([[1.0, 0.0], [0.0, 2.0]])
-        res = p_invariance_residual(lie_derivatives(Pow(Var(1, 2), 2), x, FDConfig(h=1e300)))
+        (table,) = lie_derivatives([Pow(Var(1, 2), 2)], x, FDConfig(h=1e300))
+        res = p_invariance_residual(table)
         assert math.isnan(res)
 
 
@@ -196,19 +197,19 @@ class TestFullIdentityResidual:
             for _ in range(10):
                 f = random_polynomial_field(n, rng)
                 x = FloatMatrix.from_rat(_lemma_point(rng, n)[0])
-                table = lie_derivatives(f, x, CFG)
+                table = lie_derivatives([f], x, CFG)[0]
                 for k in range(n):
                     assert full_identity_residual(table, x, k) <= CFG.tau_comb
 
     def test_hand_case(self):
         x = FloatMatrix([[1, 2], [3, 4]])
-        table = lie_derivatives(Var(1, 2), x, CFG)
+        table = lie_derivatives([Var(1, 2)], x, CFG)[0]
         assert full_identity_residual(table, x, 1) <= CFG.tau_comb
 
     def test_k_out_of_range(self):
         with pytest.raises(CalculusError):
             x = FloatMatrix(np.eye(2))
-            full_identity_residual(lie_derivatives(Pk(1), x, CFG), x, 2)
+            full_identity_residual(lie_derivatives([Pk(1)], x, CFG)[0], x, 2)
 
 
 def _reduced(phi, x: RatMatrix):
@@ -216,7 +217,7 @@ def _reduced(phi, x: RatMatrix):
     at a rational x, with |D| from the exact determinant."""
     fx = FloatMatrix.from_rat(x)
     abs_d = abs(float(krylov_determinant(x)))
-    table = lie_derivatives(phi, fx, CFG)
+    table = lie_derivatives([phi], fx, CFG)[0]
     return table[-1].tolist(), reduced_system_check(table, fx, abs_d, CFG)
 
 
@@ -235,7 +236,7 @@ class TestReducedSystem:
 
     def test_gate_reads_the_given_abs_d(self):
         x = FloatMatrix([[1, 2], [3, 4]])
-        table = lie_derivatives(Pk(2), x, CFG)
+        table = lie_derivatives([Pk(2)], x, CFG)[0]
         assert len(reduced_system_check(table, x, CFG.delta, CFG)) == 2
         with pytest.raises(PreconditionViolated):
             reduced_system_check(table, x, math.nextafter(CFG.delta, 0.0), CFG)
@@ -244,7 +245,7 @@ class TestReducedSystem:
         # the P-invariance precondition fails, so no lemma conclusion applies
         phi = Var(2, 1)
         x = RatMatrix([[1, 2], [3, 4]])
-        table = lie_derivatives(phi, FloatMatrix.from_rat(x), CFG)
+        table = lie_derivatives([phi], FloatMatrix.from_rat(x), CFG)[0]
         assert p_invariance_residual(table) > CFG.tau_res
 
     def test_r_equals_krylov_times_s(self):

@@ -27,7 +27,7 @@ from conftest import rand_rational_matrix
 
 def evaluate_exact(field, x: RatMatrix):
     """Exact rational evaluation: the evaluator with Const values unlifted."""
-    return evaluate_on_entries(field, x.rows, lift=lambda c: c)
+    return evaluate_on_entries([field], x.rows, lift=lambda c: c)[0]
 
 
 class TestExactEvaluation:
@@ -54,13 +54,16 @@ class TestExactEvaluation:
     def test_entries_are_freed_on_return(self):
         # entries may be whole sample batches: evaluation must hold no
         # reference to them once it returns, even with the cyclic
-        # garbage collector off
+        # garbage collector off; the memo of a family call, which holds
+        # shared values, dies with the call
         batch = np.ones((2, 2, 8))
         entries = [[batch[a, b] for b in range(2)] for a in range(2)]
         ref = weakref.ref(batch)
+        p2 = Pk(2)
+        family = [Add([p2, Mul([Const(2), Var(1, 2)])]), Pow(p2, 2), bump_field(2, 2)]
         gc.disable()
         try:
-            evaluate_on_entries(Add([Pk(2), Mul([Const(2), Var(1, 2)])]), entries)
+            evaluate_on_entries(family, entries)
             del batch, entries
             assert ref() is None
         finally:
@@ -107,3 +110,13 @@ class TestValidation:
         assert evaluate_exact(psi, on_wall) == 0
         inside = RatMatrix([[1, 0], [0, 1]])
         assert evaluate_exact(psi, inside) != 0
+
+
+def test_family_of_nodes_built_on_the_fly():
+    # a generator drops each node once it is evaluated; the memo keeps the
+    # nodes alive for the call, so a later node cannot inherit a freed
+    # node's identity and its memoised value
+    x = RatMatrix([[1, 2], [3, 4]])
+    family = (Pk(k) for k in (1, 2, 3, 1, 2, 3))
+    values = evaluate_on_entries(family, x.rows, lift=lambda c: c)
+    assert values == [evaluate_exact(Pk(k), x) for k in (1, 2, 3, 1, 2, 3)]

@@ -1,11 +1,13 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from affinv import calculus, invariants, krylov, report
+from affinv import calculus, fields, invariants, krylov, report
 from affinv.exactmat import matrix_from_json, power
+from affinv.fields import Pk, Pow
 from affinv.report import PropertyRecord
 
 
@@ -116,9 +118,11 @@ def test_a_wrong_d_handed_to_a_check_fails_with_a_witness(check, name, monkeypat
 
 def test_weak_suite_draws_each_chunk_once_for_all_test_functions(monkeypatch):
     # one 200,000-sample chunk: one boundary stream shared by the five test
-    # functions and one sampling stream; three densities evaluated once,
-    # then five test functions at the two shifted points of each of the
-    # four pairs, after the two boundary evaluations per test function
+    # functions and one sampling stream.  Fields are evaluated as families:
+    # the test functions once on the interior and once on the shell
+    # samples, then per block of the chunk (13 of QUAD_BLOCK = 16,384
+    # samples) the densities once and the test functions at the two
+    # shifted points of each of the four pairs: 2 + 13 + 13 * 4 * 2 = 119
     counts = {"default_rng": 0, "evaluate_on_entries": 0, "weak_lie_derivative": 0}
 
     def counted(name, fn):
@@ -142,13 +146,15 @@ def test_weak_suite_draws_each_chunk_once_for_all_test_functions(monkeypatch):
         counted("weak_lie_derivative", report.weak_lie_derivative),
     )
     report.run_weak_suite(200_000, 0)
-    assert counts == {"default_rng": 2, "evaluate_on_entries": 53, "weak_lie_derivative": 1}
+    assert calculus.QUAD_BLOCK == 16_384
+    assert counts == {"default_rng": 2, "evaluate_on_entries": 119, "weak_lie_derivative": 1}
 
 
 def test_lemma_suite_runs_each_check_through_its_public_routine(monkeypatch):
-    # n = 3, two points: one table per (point, field) for the 20 invariant
-    # fields and the arbitrary one; the P-invariance and reduced-system
-    # checks per invariant field, the contraction identity per k = 0..2
+    # n = 3, two points: one family of tables per point for the 20
+    # invariant fields and the arbitrary one; the P-invariance and
+    # reduced-system checks per invariant field, the contraction identity
+    # per k = 0..2
     names = (
         "lie_derivatives",
         "p_invariance_residual",
@@ -168,8 +174,74 @@ def test_lemma_suite_runs_each_check_through_its_public_routine(monkeypatch):
         monkeypatch.setattr(report, name, counted(name, getattr(report, name)))
     report.run_lemma_suite(3, 2, 0)
     assert counts == {
-        "lie_derivatives": 42,
+        "lie_derivatives": 2,
         "p_invariance_residual": 40,
         "reduced_system_check": 40,
         "full_identity_residual": 6,
     }
+
+
+def _computations(monkeypatch) -> Counter:
+    """Counts, by node object, the evaluations that the memo of a family
+    call does not answer."""
+    computed = Counter()
+    evaluate = fields._evaluate_node
+
+    def counted(node, entries, lift, memo):
+        if id(node) not in memo:
+            computed[id(node)] += 1
+        return evaluate(node, entries, lift, memo)
+
+    monkeypatch.setattr(fields, "_evaluate_node", counted)
+    return computed
+
+
+def _recorded(monkeypatch, module, name) -> list:
+    """The return values of module.name during the test, kept alive so that
+    node identities stay unique."""
+    returned, fn = [], getattr(module, name)
+
+    def recording(*args, **kwargs):
+        returned.append(fn(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    return returned
+
+
+def test_weak_suite_evaluates_each_wall_once_per_block_and_side(monkeypatch):
+    # the five test functions share their four wall factors as node
+    # objects: each wall is evaluated once on the interior and once on the
+    # shell samples, then once per block (13), pair (4) and side (2) of the
+    # 200,000-sample chunk
+    computed = _computations(monkeypatch)
+    built = _recorded(monkeypatch, report, "weak_test_functions")
+    report.run_weak_suite(200_000, 0)
+    (psis,) = built
+    walls = psis[0].args[-4:]
+    assert all(a is b for psi in psis for a, b in zip(psi.args[-4:], walls))
+    assert [computed[id(w)] for w in walls] == [2 + 13 * 4 * 2] * 4
+
+
+def test_lemma_suite_evaluates_each_trace_power_once_per_family_and_side(monkeypatch):
+    # n = 3, two points: each p_k and each power p_k^e is one node object,
+    # shared by the 20 invariant fields, so each is evaluated once per
+    # point and side of the central difference
+    computed = _computations(monkeypatch)
+    fields_ = _recorded(monkeypatch, report, "random_invariant_field")
+    report.run_lemma_suite(3, 2, 0)
+    assert len(fields_) == report.LEMMA_FIELDS
+    shared = {}
+    for field in fields_:
+        for node in _nodes(field):
+            if isinstance(node, Pk) or isinstance(node, Pow) and isinstance(node.base, Pk):
+                shared.setdefault(node, node)
+                assert shared[node] is node
+    assert len(shared) == 5  # p_1, p_2, p_3, p_1^2 and p_1^3
+    assert [computed[id(node)] for node in shared] == [4] * 5
+
+
+def _nodes(field):
+    yield field
+    for child in getattr(field, "args", ()) + ((field.base,) if isinstance(field, Pow) else ()):
+        yield from _nodes(child)

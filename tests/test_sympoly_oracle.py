@@ -140,8 +140,8 @@ def test_gradient_matches_sympy_derivative(n):
         # the value part at x + eps E_1n is f(x)
         entries = [[_Dual(e) for e in row] for row in at.rows]
         entries[0][n - 1] = _Dual(at.rows[0][n - 1], 1)
-        dual = evaluate_on_entries(f, entries, lift=_Dual)
-        assert dual.a == evaluate_on_entries(f, at.rows, lift=lambda c: c), f
+        (dual,) = evaluate_on_entries([f], entries, lift=_Dual)
+        assert [dual.a] == evaluate_on_entries([f], at.rows, lift=lambda c: c), f
 
 
 def test_gradient_pairs_to_directional_derivative():
