@@ -8,23 +8,22 @@ All derivative estimates use one central-difference kernel,
 works on an (n, n) point and on an (n, n, N) batch of samples alike, and
 evaluates a family of fields on each side at once.  At a point, where
 x +- hv must be finite, ``lie_derivatives`` stacks all n^2 directions into
-one batch and returns one table per field.  Each point check
-(P-invariance, the full contraction identity, the reduced system) takes a
-table as its input and reads x's float powers from ``FloatMatrix.powers``,
-formed once per point; its maxima keep a NaN.  The reduced system is
-checked at rational points only: its gate |D(x)| >= delta, which keeps it
-away from the hypersurface where finite differences degrade, reads |D|
-from the exact determinant the caller holds.  Scalar fields built from
-trace powers are exactly invariant, so their Lie derivatives measure pure
-finite-difference noise; the default tolerances are sized for entries
-clamped to [-2, 2] at h = 1e-5.
+one batch and returns one table per field as a nested list of Python
+floats.  Each point check (P-invariance, the full contraction identity, the
+reduced system) reads a table and x's float powers ``FloatMatrix.powers``,
+drawn once per point from the exact layer's Krylov-row builder, as plain
+floats: its maxima keep a NaN and its dot products add left to right on
+every Python version.  The reduced system is checked at rational points
+only: its gate |D(x)| >= delta, which keeps it away from the hypersurface
+where finite differences degrade, reads |D| from the exact determinant the
+caller holds.  Scalar fields built from trace powers are exactly invariant,
+so their Lie derivatives measure pure finite-difference noise; the default
+tolerances are sized for entries clamped to [-2, 2] at h = 1e-5.
 
-``reduced_system_check`` returns the residual tuple (its solution is the
-table's last row), and ``weak_lie_derivative`` the float arrays (estimate,
-std_error) of shape (psis, densities, pairs).
-
-Each function that needs numpy imports it itself, so the command-line tool
-loads this module without numpy until a lemma or weak suite runs.
+numpy serves only where a batch of samples is evaluated (the shifted points
+of ``lie_derivatives``, the weak suite), and each function that needs it
+imports it itself, so the command-line tool loads this module without numpy
+until a lemma or weak suite runs.
 """
 
 from __future__ import annotations
@@ -33,9 +32,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, islice
 from typing import Sequence
 
-from .exactmat import RatMatrix
+from .exactmat import RatMatrix, _krylov_rows
 from .fields import ScalarField, evaluate_on_entries
 from .invariants import basis_bracket, basis_matrix
 
@@ -79,14 +79,10 @@ class FloatMatrix:
 
     @cached_property
     def powers(self) -> tuple:
-        """x^0, ..., x^(n-1) as nested float lists, from one product chain
-        formed on first use."""
-        import numpy as np
-
-        chain = [np.eye(self.n)]
-        for _ in range(self.n - 1):
-            chain.append(chain[-1] @ self.entries)
-        return tuple(p.tolist() for p in chain)
+        """x^0, ..., x^(n-1) as nested float lists, drawn on first use from the
+        exact layer's Krylov-row builder started at the identity."""
+        identity = [[float(a == b) for b in range(self.n)] for a in range(self.n)]
+        return tuple(islice(_krylov_rows(identity, self.entries.tolist()), self.n))
 
 
 @dataclass(frozen=True)
@@ -193,9 +189,18 @@ def _point_difference(
 
 def abs_max(values) -> float:
     """max |v| over values, 0.0 if none; unlike Python's max, a NaN wins."""
-    import numpy as np
+    magnitudes = [abs(v) for v in values]
+    if any(v != v for v in magnitudes):  # Python's max keeps a NaN only when first
+        return math.nan
+    return float(max(magnitudes, default=0.0))
 
-    return float(np.abs(np.asarray(values, dtype=np.float64)).max(initial=0.0))
+
+def _dot(a, b) -> float:
+    """sum_i a_i b_i from 0.0, left to right (sum() is compensated from 3.12 on)."""
+    total = 0.0
+    for c, d in zip(a, b):
+        total += c * d
+    return total
 
 
 def fd_directional(
@@ -207,11 +212,12 @@ def fd_directional(
 
 def lie_derivatives(
     phis: Sequence[ScalarField], x: FloatMatrix, cfg: FDConfig = FDConfig()
-) -> np.ndarray:
-    """The (phis, n, n) array of L_ij phi(x), one (n, n) table per phi, from
-    one central difference over all 2n^2 shifted points, built once for the
-    whole family; entry [m, i, j] equals fd_directional of phis[m] along
-    [E_ij, x] bit for bit."""
+) -> list:
+    """The (phis, n, n) nested list of Python floats L_ij phi(x), one (n, n)
+    table per phi, from one central difference over all 2n^2 shifted points,
+    built once for the whole family; entry [m][i][j] equals fd_directional of
+    phis[m] along [E_ij, x] bit for bit.  The point checks read a table with
+    x's float powers, which come from the exact layer's Krylov-row builder."""
     import numpy as np
 
     n, arr = x.n, x.entries
@@ -219,7 +225,7 @@ def lie_derivatives(
     v = np.stack([_adjoint_direction(arr, i, j) for i, j in pairs], axis=-1)
     tables = _point_difference(phis, arr[..., None], v, cfg.h)
     # a constant field evaluates to one float, not to a batch
-    return np.array([np.broadcast_to(t, (n * n,)) for t in tables]).reshape(len(phis), n, n)
+    return [np.broadcast_to(t, (n * n,)).reshape(n, n).tolist() for t in tables]
 
 
 def lie_derivative(
@@ -228,20 +234,20 @@ def lie_derivative(
     """Derivative of phi along the adjoint field x -> [E_ij, x]."""
     if not (1 <= i <= x.n and 1 <= j <= x.n):
         raise CalculusError(f"index ({i},{j}) out of range 1..{x.n}")
-    return float(lie_derivatives([phi], x, cfg)[0, i - 1, j - 1])
+    return lie_derivatives([phi], x, cfg)[0][i - 1][j - 1]
 
 
-def p_invariance_residual(table: np.ndarray) -> float:
+def p_invariance_residual(table: list) -> float:
     """max |L_ij phi| over i = 1..n-1, j = 1..n of a lie_derivatives table;
     zero for n = 1.
 
     Small values certify local invariance under the subgroup that fixes
     the last basis row.  A NaN derivative is the residual.
     """
-    return abs_max(table[:-1])
+    return abs_max(chain.from_iterable(table[:-1]))
 
 
-def full_identity_residual(table: np.ndarray, x: FloatMatrix, k: int) -> float:
+def full_identity_residual(table: list, x: FloatMatrix, k: int) -> float:
     """|sum_ij (x^k)_ij L_ij phi| from a lie_derivatives table at x and the
     float power ``x.powers[k]``, summed left to right in row-major order.
 
@@ -250,14 +256,11 @@ def full_identity_residual(table: np.ndarray, x: FloatMatrix, k: int) -> float:
     """
     if not 0 <= k <= x.n - 1:
         raise CalculusError(f"power index {k} out of range 0..{x.n - 1}")
-    total = 0.0
-    for c, d in zip([c for row in x.powers[k] for c in row], table.ravel().tolist()):
-        total += c * d
-    return abs(total)
+    return abs(_dot(chain.from_iterable(x.powers[k]), chain.from_iterable(table)))
 
 
 def reduced_system_check(
-    table: np.ndarray, x: FloatMatrix, abs_d: float, cfg: FDConfig = FDConfig()
+    table: list, x: FloatMatrix, abs_d: float, cfg: FDConfig = FDConfig()
 ) -> tuple:
     """The residuals r_k = sum_j (x^k)_nj s_j, k = 0..n-1, of the n-unknown
     linear system in the last-row derivatives s_j = L_nj phi, the last row
@@ -269,12 +272,11 @@ def reduced_system_check(
     otherwise the system says nothing about phi.  Wherever D != 0 the lemma
     asserts max_k |r_k| <= tau_sys and max_j |s_j| <= tau_lemma.  The rows
     e_n x^k of the residuals come from the float powers ``x.powers``,
-    independently of the exact Krylov rows.
+    independently of the exact Krylov rows; each r_k adds left to right.
     """
     if abs_d < cfg.delta:
         raise PreconditionViolated(f"|D(x)| = {abs_d:.3g} < delta = {cfg.delta}")
-    solution = table[-1].tolist()
-    return tuple(float(sum(c * s for c, s in zip(p[-1], solution))) for p in x.powers)
+    return tuple(_dot(p[-1], table[-1]) for p in x.powers)
 
 
 def adjoint_field_divergence(n: int, i: int, j: int) -> Fraction:

@@ -77,8 +77,8 @@ def _matmul(a, b) -> list[list]:
 
 def _times_columns(a, cols) -> list[list]:
     """a times the matrix with columns ``cols``: each entry is ``sum(map(mul,
-    row, col))``, summed from 0 left to right, so float and numpy results are
-    deterministic."""
+    row, col))`` from 0, left to right for exact and numpy scalars; a sum of
+    Python floats is compensated from Python 3.12 on."""
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 

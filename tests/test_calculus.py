@@ -143,18 +143,18 @@ class TestLieDerivatives:
             x = _lemma_point(rng, n)[0]
             fx = FloatMatrix.from_rat(x)
             tables = lie_derivatives(fields, fx, CFG)
-            assert tables.shape == (len(fields), n, n)
+            assert np.shape(tables) == (len(fields), n, n)
             for phi, table in zip(fields, tables):
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
                         v = FloatMatrix.from_rat(commutator(basis_matrix(n, i, j), x))
                         ref = fd_directional(phi, fx, v, CFG)
-                        assert table[i - 1, j - 1].hex() == ref.hex()
+                        assert table[i - 1][j - 1].hex() == ref.hex()
 
     def test_constant_field_reads_zero_everywhere(self):
         # a constant tree evaluates to one float, which the table broadcasts
         x = FloatMatrix([[1, 2], [3, 4]])
-        assert lie_derivatives([Const(3)], x, CFG)[0].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert lie_derivatives([Const(3)], x, CFG)[0] == [[0.0, 0.0], [0.0, 0.0]]
         table = lie_derivatives([Const(3)], x, CFG)[0]
         assert p_invariance_residual(table) == 0.0
         assert full_identity_residual(table, x, 1) == 0.0
@@ -218,7 +218,7 @@ def _reduced(phi, x: RatMatrix):
     fx = FloatMatrix.from_rat(x)
     abs_d = abs(float(krylov_determinant(x)))
     table = lie_derivatives([phi], fx, CFG)[0]
-    return table[-1].tolist(), reduced_system_check(table, fx, abs_d, CFG)
+    return table[-1], reduced_system_check(table, fx, abs_d, CFG)
 
 
 class TestReducedSystem:
@@ -262,6 +262,37 @@ class TestReducedSystem:
                         for j in range(n)
                     )
                     assert residuals[k] == pytest.approx(tied, abs=1e-12)
+
+    def test_dot_products_add_left_to_right(self):
+        # 1e16 + 1 rounds to 1e16, so r_1 = 1e16 + 1 - 1e16 is 0.0 left to
+        # right; a compensated sum (math.fsum, the builtin sum of floats from
+        # Python 3.12 on) gives 1.0
+        assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+        x = FloatMatrix([[1, 0, 0], [0, 1, 0], [1e16, 1, -1e16]])
+        table = [[0.0] * 3, [0.0] * 3, [1.0] * 3]
+        assert reduced_system_check(table, x, 1.0, CFG)[1] == 0.0
+        assert full_identity_residual(table, x, 1) == 0.0
+
+
+class TestAbsMax:
+    @pytest.mark.parametrize(
+        "values", [[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]]
+    )
+    def test_nan_wins_wherever_it_stands(self, values):
+        assert math.isnan(abs_max(values))
+
+    def test_empty_input_is_zero(self):
+        assert abs_max([]) == 0.0
+
+    def test_negative_infinity_reads_infinity(self):
+        assert abs_max([1.0, -math.inf, 2.0]) == math.inf
+
+    def test_generator_input(self):
+        assert abs_max(v - 3.5 for v in range(5)) == 3.5
+
+    @pytest.mark.parametrize("values", [[], [-2], [np.float64(-1.5)], [1, -3.0], [math.nan]])
+    def test_result_is_a_python_float(self, values):
+        assert type(abs_max(values)) is float
 
 
 class TestConfigValidation:

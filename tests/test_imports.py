@@ -10,7 +10,9 @@ library through public names only, and every public module-level function
 or class is used in ``src/`` or named, with its reason, in
 ``UNUSED_PUBLIC``; likewise every public method, property or classmethod
 of a class is read as an attribute in ``src/`` or named in
-``UNUSED_MEMBERS``.  Every layer and ``module.function`` that the benchmark's
+``UNUSED_MEMBERS``.  In ``calculus`` and ``report`` only the functions in
+``NUMPY_FUNCTIONS``, which evaluate or reduce batches of samples, import
+numpy.  Every layer and ``module.function`` that the benchmark's
 trace mode reports (the ``per_layer`` list of ``BENCHMARK.json``) exists.
 """
 
@@ -245,6 +247,44 @@ def test_exact_commands_leave_numpy_unloaded():
 def test_float_suites_load_numpy():
     for stdin in ['{"suite":"lemma","n":2,"samples":1}', '{"suite":"weak","samples":1000}']:
         assert "numpy" in _cli_loaded_after(["verify", "-"], stdin, 0), stdin
+
+
+# the functions of calculus and report that may import numpy: each one
+# evaluates or reduces a batch of samples, while a point check runs on
+# Python floats
+NUMPY_FUNCTIONS = {
+    "calculus.FloatMatrix.__init__",
+    "calculus._adjoint_direction",
+    "calculus._point_difference",
+    "calculus.lie_derivatives",
+    "calculus.check_boundary_decay",
+    "calculus.weak_lie_derivative",
+    "calculus.weak_lie_derivative_grid",
+    "report.run_weak_suite",
+    "report.run_suite_from_config",
+}
+
+
+def _numpy_importers(node, name: str) -> set:
+    """Qualified names of the functions under ``node`` that import numpy; an
+    import outside any function counts for ``name``, the module or class."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found |= _numpy_importers(child, f"{name}.{child.name}")
+        elif isinstance(child, ast.Import) and "numpy" in {a.name for a in child.names}:
+            found.add(name)
+        elif isinstance(child, ast.ImportFrom) and child.module == "numpy":
+            found.add(name)
+        else:
+            found |= _numpy_importers(child, name)
+    return found
+
+
+def test_only_sample_batches_import_numpy():
+    trees = _trees()
+    found = set().union(*(_numpy_importers(trees[f"{m}.py"], m) for m in ("calculus", "report")))
+    assert found == NUMPY_FUNCTIONS
 
 
 def test_every_traced_name_is_a_public_module_function():

@@ -80,11 +80,14 @@ class TestSymbolicDeterminant:
         assert p.terms == expected
 
     def test_feasibility_guard(self):
-        with pytest.raises(FeasibilityBoundError):
+        # decided before any expansion; the command-line test with
+        # AFFINV_NMAX=5 expands D_5 end to end
+        with pytest.raises(FeasibilityBoundError, match="exceeds the symbolic bound 4"):
             symbolic_krylov_determinant(5)
+        with pytest.raises(FeasibilityBoundError, match="above the ceiling 5"):
+            symbolic_krylov_determinant(2, n_max=6)
         # explicit bound raises the ceiling
-        p5 = symbolic_krylov_determinant(5, n_max=5)
-        assert homogeneous_degree(p5) == 10
+        assert homogeneous_degree(symbolic_krylov_determinant(4, n_max=5)) == 6
 
     def test_degrees_through_n4(self):
         assert homogeneous_degree(symbolic_krylov_determinant(1)) == 0
