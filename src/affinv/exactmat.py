@@ -6,11 +6,11 @@ pure-int arithmetic and rational ones exactly the Fraction arithmetic.
 Every exact elimination runs through one fraction-free kernel, ``_eliminate``,
 which reduces integer vectors one at a time as they are drawn.  Each job scales
 its input once to an integer multiple q x and feeds the kernel: ``determinant``
-and ``rank`` the rows, ``inverse`` the rows and then the unit rows; ``min_poly``
-and the Krylov dependence behind D and ``analyze`` draw the lazy chain
-``_krylov_rows`` (the only place v -> v x is written) up to its first dependent
-vector.  ``char_poly`` reads the traces of the first n powers of q x from the
-same chain and solves Newton's identities for det(tI - q x).
+and ``rank`` the rows, ``inverse`` the rows and then the unit rows; ``min_poly``,
+the Krylov determinant D and the Krylov dependence behind ``analyze`` draw the
+lazy chain ``_krylov_rows`` (the only place v -> v x is written) up to its first
+dependent vector.  ``char_poly`` reads the traces of the first n powers of q x
+from the same chain and solves Newton's identities for det(tI - q x).
 A product multiplies the integer multiples qa a and qb b and divides once by
 qa qb.  The kernel's divisions are exact integer divisions; every other
 division goes through ``Fraction``.  So no float can appear, and equality tests
@@ -82,11 +82,13 @@ def _times_columns(a, cols) -> list[list]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _krylov_rows(w, x):
+def _krylov_rows(w, x, cols=None):
     """The lazy chain w, wx, wx^2, ... for nested sequences w (one row, or the
     identity for the powers of x) and x, over the same scalars as ``_matmul``;
-    each term is formed only when drawn, from the columns of x taken once."""
-    cols = tuple(zip(*x))
+    each term is formed only when drawn, from the columns of x taken once per
+    chain, or never by a caller that runs many chains through one x and
+    passes them as ``cols``."""
+    cols = cols or tuple(zip(*x))
     while True:
         yield w
         w = _times_columns(w, cols)
@@ -268,7 +270,14 @@ def _eliminate(vectors: Iterable[Sequence[int]], ncols: int):
 
 
 def _with_units(vectors: Iterable[Sequence[int]], m: int):
-    """The first m vectors, the k-th followed by e_k of length m, its unit index."""
+    """The first m vectors, the k-th followed by e_k of length m, its unit index.
+
+    The unit indices are dependence columns: ``_eliminate`` carries m more
+    entries per row, which only a caller that reads the dependence pays for.
+    These are ``_chain_dependence`` (for ``min_poly`` and Krylov's method for
+    the characteristic polynomial on the e_n chain of ``analyze``) and
+    ``inverse``; a determinant or a cyclic-row test reads only the pivots,
+    and ``_det_rows`` runs without them."""
     for k, v in zip(range(m), vectors):
         yield [*v, *[0] * k, 1, *[0] * (m - 1 - k)]
 
@@ -301,17 +310,23 @@ def _descaled(y: Sequence[Rat], q: int) -> tuple:
     return tuple(_exact_scalar(Fraction(c, last * q ** (m - i))) for i, c in enumerate(y))
 
 
+def _det_rows(vectors: Iterable[Sequence[int]], n: int) -> int:
+    """det(v_1..v_n) of the n integer vectors of length n drawn from
+    ``vectors``: sign(pivot-column order) * last pivot, or 0 at the first
+    dependent vector, after which none is drawn."""
+    pivots = []
+    for c, row in _eliminate(vectors, n):
+        if c is None:
+            return 0
+        pivots.append(c)
+    return _order_sign(pivots) * row[c]
+
+
 def determinant(x: RatMatrix) -> Fraction:
     """Exact determinant of the integer multiple q x, eliminated row by row:
-    sign(pivot-column order) * last pivot / q^n, or 0 at the first dependent
-    row."""
+    ``_det_rows`` / q^n."""
     rows, q = _integer_multiple(x.rows)
-    pivots = []
-    for c, row in _eliminate(rows, x.n):
-        if c is None:
-            return Fraction(0)
-        pivots.append(c)
-    return Fraction(_order_sign(pivots) * row[c], q**x.n)
+    return Fraction(_det_rows(rows, x.n), q**x.n)
 
 
 def rank(x: RatMatrix) -> int:

@@ -27,8 +27,10 @@ from .exactmat import (
     SingularMatrixError,
     _chain_dependence,
     _descaled,
+    _det_rows,
     _integer_multiple,
     _krylov_rows,
+    _matmul,
     _order_sign,
     char_poly,
     determinant,
@@ -79,10 +81,31 @@ def krylov_rows(w: Sequence, x: RatMatrix) -> RatMatrix:
     return RatMatrix(islice(rows, x.n))
 
 
+def _unit_row(n: int, k: int) -> tuple[int, ...]:
+    """e_(k+1) of length n, as a tuple of ints."""
+    return tuple(int(j == k) for j in range(n))
+
+
+def _krylov_det(w: Sequence[int], xq, cols=None) -> int:
+    """q^(n(n-1)/2) D_w(x) = det(w, w (qx), ..., w (qx)^(n-1)) for an integer
+    row w and the integer multiple xq = q x, 0 at the first dependent row.
+    The n chain rows go to ``_eliminate`` alone, with no dependence columns:
+    D and the cyclic-row test read only the pivots.  A caller testing many
+    rows of one x passes the columns of xq as ``cols``, so they are taken
+    once."""
+    n = len(w)
+    rows = chain.from_iterable(_krylov_rows([w], xq, cols))
+    return _det_rows(islice(rows, n), n)
+
+
 def krylov_determinant(x: RatMatrix) -> Fraction:
-    """D(x), the determinant of the Krylov rows of e_n, from the chain kernel
-    of ``_krylov_dependence``: 0 at the first dependent row e_n x^k."""
-    return _krylov_dependence((0,) * (x.n - 1) + (1,), x)[0]
+    """D(x), the determinant of the Krylov rows of e_n, from the bare chain
+    test ``_krylov_det``: 0 at the first dependent row e_n x^k.  It carries
+    no dependence columns; only ``analyze``, which reads the characteristic
+    polynomial from the same chain, runs ``_krylov_dependence`` instead."""
+    n = x.n
+    xq, q = _integer_multiple(x.rows)
+    return Fraction(_krylov_det(_unit_row(n, n - 1), xq), q ** (n * (n - 1) // 2))
 
 
 def _krylov_dependence(w: Sequence, x: RatMatrix) -> tuple[Fraction, tuple | None]:
@@ -92,7 +115,9 @@ def _krylov_dependence(w: Sequence, x: RatMatrix) -> tuple[Fraction, tuple | Non
     multiple q x and stops at the first dependent row, deg mu_w; if that is
     row n, sign * last = q^(n(n-1)/2) D_w(x) and the dependence
     sum y_k w (qx)^k = 0 gives det(t - qx) = sum (y_k / last) t^k, whose t^i
-    coefficient is q^(n-i) x's."""
+    coefficient is q^(n-i) x's.  The rows carry n + 1 dependence columns for
+    that polynomial, so only ``analyze`` calls this, on e_n; every test that
+    needs D_w alone runs the bare ``_krylov_det``."""
     n = x.n
     xq, q = _integer_multiple(x.rows)
     rows = chain.from_iterable(_krylov_rows([w], xq))
@@ -128,8 +153,9 @@ def pairing_determinant(x: RatMatrix) -> Fraction:
 
 
 def in_omega(x: RatMatrix) -> bool:
-    """Exact test D(x) != 0, i.e. e_n is a cyclic row vector for x."""
-    return krylov_determinant(x) != 0
+    """Exact test D(x) != 0, i.e. e_n is a cyclic row vector for x, by the
+    bare chain test ``_krylov_det``."""
+    return _krylov_det(_unit_row(x.n, x.n - 1), _integer_multiple(x.rows)[0]) != 0
 
 
 def companion(alpha: Sequence) -> RatMatrix:
@@ -208,7 +234,7 @@ def analyze(x: RatMatrix, conjugate: bool = False, seed: int = 0) -> Analysis:
     ``find_cyclic_row`` with the seed and ``conjugate_into_omega``.  A
     non-regular x is never searched."""
     n = x.n
-    d, mp = _krylov_dependence((0,) * (n - 1) + (1,), x)
+    d, mp = _krylov_dependence(_unit_row(n, n - 1), x)
     if mp is None:
         mp = min_poly(x)
     g = None
@@ -225,11 +251,15 @@ def find_cyclic_row(x: RatMatrix, seed: int = 0) -> tuple[int, ...]:
     rows with entries in [-m, m], m doubling every eight draws, deterministic
     given the seed.  Raises SearchExhausted after MAX_TRIES random draws,
     which has probability zero in exact arithmetic for a regular x but is
-    certain for a non-regular one."""
+    certain for a non-regular one.  Each candidate runs the bare chain test
+    ``_krylov_det``, with no dependence columns, on the integer multiple q x
+    and its columns, formed once for the whole search."""
     n = x.n
+    xq, _ = _integer_multiple(x.rows)
+    cols = tuple(zip(*xq))
     for i in range(n - 1):
-        w = tuple(int(j == i) for j in range(n))
-        if _krylov_dependence(w, x)[0] != 0:
+        w = _unit_row(n, i)
+        if _krylov_det(w, xq, cols):
             return w
     rng = random.Random(seed)
     m = 1
@@ -237,21 +267,47 @@ def find_cyclic_row(x: RatMatrix, seed: int = 0) -> tuple[int, ...]:
         if tries and tries % 8 == 0:
             m *= 2
         w = tuple(rng.randint(-m, m) for _ in range(n))
-        if not any(w):
-            continue
-        if _krylov_dependence(w, x)[0] != 0:
+        if any(w) and _krylov_det(w, xq, cols):
             return w
     raise SearchExhausted(f"no cyclic row found in {MAX_TRIES} random draws")
+
+
+def _scaled_conjugate(rows, w: Sequence, k: int) -> list[list]:
+    """w_k g x g^-1 for the rows of x and the g of ``conjugate_into_omega``,
+    in closed form.  Take h = I + e_k^T (w - e_k), the identity with row k
+    replaced by w: h^-1 = I - e_k^T (w - e_k) / w_k, so with M = h x (x with
+    row k replaced by w x), w_k h x h^-1 = w_k M - M e_k^T (w - e_k), a
+    rank-one update.  g is h with row k moved last, so g x g^-1 is h x h^-1
+    with row and column k moved last.  Integer rows and w give an integer
+    result."""
+    n, wk = len(w), w[k]
+    m = list(rows)
+    m[k] = _matmul([w], rows)[0]
+    v = [e - (j == k) for j, e in enumerate(w)]
+    order = [i for i in range(n) if i != k] + [k]
+    return [[wk * m[a][b] - m[a][k] * v[b] for b in order] for a in order]
 
 
 def conjugate_into_omega(x: RatMatrix, w: Sequence) -> RatMatrix:
     """The invertible g whose last row is the cyclic row w of x, completed
     by the standard basis rows but e_k, for the last k with w_k != 0, in
     index order (det g = +-w_k).  Then e_n (g x g^-1)^k = w x^k g^-1, so
-    D(g x g^-1) = det(g)^-1 det(w, wx, ..., wx^(n-1)) != 0, checked exactly."""
-    n, k = x.n, max(i for i, e in enumerate(w) if e != 0)
-    units = [[int(j == i) for j in range(n)] for i in range(n) if i != k]
-    g = RatMatrix(units + [w])
-    if not in_omega(g * x * inverse(g)):  # pragma: no cover - guarded by construction
-        raise AssertionError("postcondition D(g x g^-1) != 0 failed")
+    D(g x g^-1) = det(g)^-1 det(w, wx, ..., wx^(n-1)) != 0, checked exactly:
+    D is homogeneous, so the bare chain test ``_krylov_det`` decides it on
+    the integer matrix q w_k g x g^-1 of ``_scaled_conjugate``, with no
+    inverse and no dependence columns.  (A rational w is first scaled to an
+    integer multiple c w; that moves g by diag(1, ..., 1, c) in P, which
+    keeps D != 0 as it is.)  Raises ExactmatError when w has the wrong
+    length, is zero, or is not cyclic for x."""
+    n = x.n
+    if len(w) != n:
+        raise ExactmatError(f"cyclic row has length {len(w)}, expected {n}")
+    if not any(w):
+        raise ExactmatError("the zero row is not cyclic")
+    k = max(i for i, e in enumerate(w) if e != 0)
+    g = RatMatrix([_unit_row(n, i) for i in range(n) if i != k] + [w])
+    xq, _ = _integer_multiple(x.rows)
+    (wq,), _ = _integer_multiple(g.rows[-1:])
+    if not _krylov_det(_unit_row(n, n - 1), _scaled_conjugate(xq, wq, k)):
+        raise ExactmatError("row is not cyclic for x: D(g x g^-1) = 0")
     return g

@@ -16,6 +16,7 @@ appears, and the public scalars are ``Fraction``.
 import io
 import json
 import math
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -55,8 +56,13 @@ from affinv.invariants import (  # noqa: E402
     trace_power,
 )
 from affinv.krylov import (  # noqa: E402
+    MAX_TRIES,
+    SearchExhausted,
     _krylov_dependence,
+    _krylov_det,
+    _scaled_conjugate,
     companion,
+    find_cyclic_row,
     in_omega,
     krylov_determinant,
     pairing_determinant,
@@ -477,6 +483,81 @@ def test_krylov_dependence_matches_sympy(family, data):
             for c in poly:
                 assert_exact_scalar(c)
             assert list(poly) == sympy_char_poly(m)
+
+
+# the bare chain test carries no dependence columns, so it is checked on
+# its own, also where D_w = 0 at every power: low rank and non-regular x
+BARE_FAMILIES = {
+    "integer": int_matrices(8),
+    "rational": st.integers(1, 8).flatmap(lambda n: _square(_rat_entry, n)),
+    "low_rank": low_rank_matrices(8),
+    "non_regular": non_regular_matrices(8),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BARE_FAMILIES))
+@KERNEL_ORACLE
+@given(data=st.data())
+def test_bare_krylov_det_matches_sympy(family, data):
+    x = data.draw(BARE_FAMILIES[family])
+    n, m = x.n, to_sympy(x)
+    q = math.lcm(*(e.denominator for row in x.rows for e in row))
+    xq = [[int(e * q) for e in row] for row in x.rows]
+    e_n = [int(j == n - 1) for j in range(n)]
+    for row in (data.draw(_entries(n, st.integers(-2, 2))), e_n):
+        d_w = _krylov_det(row, xq)
+        assert type(d_w) is int
+        assert Fraction(d_w, q ** (n * (n - 1) // 2)) == sympy_krylov_det(m, row)
+    d = sympy_krylov_det(m, e_n)
+    assert type(krylov_determinant(x)) is Fraction and krylov_determinant(x) == d
+    assert in_omega(x) is (d != 0)
+
+
+def documented_candidates(n, seed):
+    """The rows the ``find_cyclic_row`` docstring lists, in order: e_1, ...,
+    e_(n-1), then MAX_TRIES draws of ``random.Random(seed)`` with entries in
+    [-m, m], m doubling every eight draws, the zero row skipped."""
+    for i in range(n - 1):
+        yield tuple(int(j == i) for j in range(n))
+    rng, m = random.Random(seed), 1
+    for tries in range(MAX_TRIES):
+        if tries and tries % 8 == 0:
+            m *= 2
+        w = tuple(rng.randint(-m, m) for _ in range(n))
+        if any(w):
+            yield w
+
+
+@pytest.mark.parametrize("family", ["off_locus", "uniform"])
+@KERNEL_ORACLE
+@given(data=st.data(), seed=st.integers(0, 10**6))
+def test_find_cyclic_row_returns_the_first_cyclic_candidate(family, data, seed):
+    x = data.draw({"off_locus": off_locus_matrices(6), "uniform": matrices(6)}[family])
+    m = to_sympy(x)
+    cyclic = (w for w in documented_candidates(x.n, seed) if sympy_krylov_det(m, w))
+    expected = next(cyclic, None)
+    if expected is None:
+        with pytest.raises(SearchExhausted):
+            find_cyclic_row(x, seed)
+    else:
+        assert find_cyclic_row(x, seed) == expected
+
+
+@ORACLE
+@given(data=st.data())
+def test_closed_form_conjugate_matches_sympy(data):
+    x = data.draw(matrices(8))
+    n = x.n
+    w = data.draw(_entries(n, st.one_of(_int_entry, _rat_entry)))
+    assume(any(w))
+    k = max(i for i, e in enumerate(w) if e)
+    units = [[int(j == i) for j in range(n)] for i in range(n) if i != k]
+    g = to_sympy(RatMatrix(units + [w]))
+    closed = _scaled_conjugate(x.rows, w, k)
+    w_k = sympy.Rational(w[k].numerator, w[k].denominator)
+    assert to_sympy(RatMatrix(closed)) / w_k == g * to_sympy(x) * g.inv()
+    if all(type(e) is int for e in w) and all(type(e) is int for r in x.rows for e in r):
+        assert all(type(e) is int for row in closed for e in row)
 
 
 def run_analyze(argv, stdin: str):

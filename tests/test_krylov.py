@@ -3,12 +3,14 @@ import io
 import json
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
-from affinv import krylov
+from affinv import exactmat, krylov
 from affinv.cli import main
 from affinv.exactmat import (
+    ExactmatError,
     RatMatrix,
     SingularMatrixError,
     determinant,
@@ -332,6 +334,27 @@ class TestAnalyze:
                 assert w != (0,) * (n - 1) + (1,)
                 assert g == greedy(w) == conjugate_into_omega(x, w)
 
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            ((0, 0), "zero row"),
+            ((1,), "length 1"),
+            ((0, 1, 0), "length 3"),
+            ((1, -1), "not cyclic"),  # a left eigenvector of x
+            ((0, 1), "not cyclic"),  # e_n, and D(x) = 0
+        ],
+    )
+    def test_conjugate_rejects_a_row_that_is_not_cyclic(self, w, message):
+        x = RatMatrix([[1, 1], [0, 2]])  # (1, -1) x = (1, -1)
+        with pytest.raises(ExactmatError, match=message):
+            conjugate_into_omega(x, w)
+
+    def test_conjugate_accepts_a_rational_cyclic_row(self):
+        x = RatMatrix([[1, 0], [0, 2]])
+        g = conjugate_into_omega(x, (Fraction(1, 2), Fraction(-3, 4)))
+        assert g == RatMatrix([[1, 0], [Fraction(1, 2), Fraction(-3, 4)]])
+        assert in_omega(g * x * inverse(g))
+
     def test_block_repeated_structure_rejected(self):
         # two identical companion blocks: minimal polynomial degree n/2
         block = companion([2, 1])
@@ -421,9 +444,10 @@ def test_analyze_reproduces_the_recorded_digest():
     assert digest.hexdigest() == ANALYZE_DIGEST
 
 
-def _count(monkeypatch, name):
-    """Record the arguments of every call of krylov's binding ``name``."""
-    calls, fn = [], getattr(krylov, name)
+def _count(monkeypatch, name, calls=None):
+    """Record the arguments of every call of krylov's binding ``name``, in
+    ``calls`` if given."""
+    calls, fn = [] if calls is None else calls, getattr(krylov, name)
 
     def counted(*args):
         calls.append(args)
@@ -433,6 +457,31 @@ def _count(monkeypatch, name):
     return calls
 
 
+def _count_chains(monkeypatch):
+    """The row w of every Krylov chain, in call order, whether it runs with
+    dependence columns (``_krylov_dependence``) or bare (``_krylov_det``)."""
+    calls = []
+    for name in ("_krylov_dependence", "_krylov_det"):
+        _count(monkeypatch, name, calls)
+    return calls
+
+
+def _dependence_starts(monkeypatch):
+    """The first vector of every elimination that carries dependence columns
+    (``exactmat._with_units``): a Krylov chain's row w, vec(I) for
+    ``min_poly``, or an inverse's first row."""
+    starts, with_units = [], exactmat._with_units
+
+    def recorded(vectors, m):
+        vectors = iter(vectors)
+        first = next(vectors)
+        starts.append(tuple(first))
+        return with_units(chain([first], vectors), m)
+
+    monkeypatch.setattr(exactmat, "_with_units", recorded)
+    return starts
+
+
 def _analyze_cli(monkeypatch, x, extra):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix_to_json(x))))
     return main(["analyze", "-", *extra])
@@ -440,24 +489,26 @@ def _analyze_cli(monkeypatch, x, extra):
 
 @pytest.mark.parametrize("extra, code", [([], 0), (["--conjugate"], 3)])
 def test_non_regular_work_order(extra, code, monkeypatch, capsys):
-    chains, mins, chars = (
-        _count(monkeypatch, name) for name in ("_krylov_dependence", "min_poly", "char_poly")
-    )
+    chains = _count_chains(monkeypatch)
+    mins, chars = (_count(monkeypatch, name) for name in ("min_poly", "char_poly"))
     x = RatMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 2]])  # (t - 2)^2 is minimal
     assert _analyze_cli(monkeypatch, x, extra) == code
     capsys.readouterr()
-    assert [w for w, _ in chains] == [(0, 0, 1)]
+    assert [w for w, *_ in chains] == [(0, 0, 1)]
     assert len(mins) == 1
     assert len(chars) == (0 if code else 1)
 
 
 def test_regular_off_locus_work_order(monkeypatch, capsys):
-    chains, mins, chars = (
-        _count(monkeypatch, name) for name in ("_krylov_dependence", "min_poly", "char_poly")
-    )
+    chains = _count_chains(monkeypatch)
+    mins, chars = (_count(monkeypatch, name) for name in ("min_poly", "char_poly"))
+    starts = _dependence_starts(monkeypatch)
     x = RatMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])  # every unit row fails
     assert _analyze_cli(monkeypatch, x, ["--conjugate"]) == 0
     capsys.readouterr()
-    assert [w for w, _ in chains[:3]] == [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
+    assert [w for w, *_ in chains[:3]] == [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
     assert len(chains) > 3
     assert len(mins) == 1 and chars == []
+    # of the Krylov chains (rows of length n, not min_poly's vec(I)), only
+    # the e_n chain carries dependence columns, and nothing is inverted
+    assert [v for v in starts if len(v) == 3] == [(0, 0, 1)]

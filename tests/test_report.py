@@ -45,12 +45,17 @@ class TestPropertyRecord:
 def test_identity_suite_computes_d_once_per_sample_and_det_once_per_p_element(
     monkeypatch,
 ):
-    chains, det_args, p_elements = [], [], []
-    chain, det, rand_p = krylov._krylov_dependence, krylov.determinant, report._rand_p_element
+    chains, dependence, det_args, p_elements = [], [], [], []
+    chain, dep = krylov._krylov_det, krylov._krylov_dependence
+    det, rand_p = krylov.determinant, report._rand_p_element
 
-    def counted_chain(w, x):
+    def counted_chain(w, xq, cols=None):
         chains.append(w)
-        return chain(w, x)
+        return chain(w, xq, cols)
+
+    def counted_dependence(w, x):
+        dependence.append(w)
+        return dep(w, x)
 
     def counted_det(x):
         det_args.append(x)
@@ -60,13 +65,15 @@ def test_identity_suite_computes_d_once_per_sample_and_det_once_per_p_element(
         p_elements.append(rand_p(rng, n))
         return p_elements[-1]
 
-    monkeypatch.setattr(krylov, "_krylov_dependence", counted_chain)
+    monkeypatch.setattr(krylov, "_krylov_det", counted_chain)
+    monkeypatch.setattr(krylov, "_krylov_dependence", counted_dependence)
     monkeypatch.setattr(krylov, "determinant", counted_det)
     monkeypatch.setattr(report, "_rand_p_element", recorded_p_element)
     assert report.run_identity_suite(4, 3, 7)["pass"]
     # per sample: D(x), D(t x), D(y x y^-1) and D of the companion matrix
     assert len(chains) == 12
     assert all(w == (0, 0, 0, 1) for w in chains)
+    assert dependence == []  # no characteristic polynomial is read from them
     assert len(p_elements) == 3
     assert [sum(a is y.matrix for a in det_args) for y in p_elements] == [1, 1, 1]
 
