@@ -35,14 +35,23 @@ def _trees():
 
 
 def _used_names(tree) -> set:
-    """Names read in a tree, in code and in string annotations."""
+    """Names read in a tree, in code and in string annotations.  Other
+    strings are data: a JSON key such as "in_omega" is not a use of the
+    function of that name."""
+    quoted = {
+        id(part)
+        for node in ast.walk(tree)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if isinstance(annotation, ast.AST)
+        for part in ast.walk(annotation)
+    }
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif isinstance(node, ast.Constant) and id(node) in quoted and isinstance(node.value, str):
             try:  # a quoted annotation such as "RatMatrix"
                 used |= _used_names(ast.parse(node.value, mode="eval"))
             except SyntaxError:
@@ -115,6 +124,7 @@ UNUSED_PUBLIC = {
     "calculus.weak_lie_derivative_grid": "reference: midpoint-rule cross-check of the weak pairing",
     "exactmat.rank": "README: the exactmat layer's exact rank, checked against sympy",
     "invariants.trace_power": "README: tr(x^k)/k is a public Fraction-valued invariant",
+    "krylov.in_omega": "BENCHMARK.json per-layer name krylov.in_omega; the exact D != 0 test",
     "invariants.entry_bracket_pairing": "reference: the dense tr(x^k E_ji) the basis expansion reads",
     "invariants.gradient_commutator_residual": "README: trace-power gradients commute with x",
     "fields.field_from_json": "JSON codec reader: round-trip tested; replay reader (ROADMAP 6)",
