@@ -4,7 +4,9 @@ The digests pin every float of the lemma and weak reports, witnesses
 included, so a speed-up of the float layer must reproduce each report bit
 for bit.  The weak sample counts straddle the 16,384-sample evaluation
 block (one less, one more) and the 200,000-sample chunk (200,003 samples
-are two chunks, the second a partial one).
+are two chunks, the second a partial one), and one weak run holds
+exactly one block.  Two configs set ``fd.h`` or ``quadrature.half_width``
+explicitly, away from or at their defaults.
 """
 
 import hashlib
@@ -39,6 +41,7 @@ LEMMA_DIGESTS = {
 WEAK_DIGESTS = {
     (1, 0): "8322731dea450323fa6b780efffeb7b80b649090064eb815a6bfe09a4764378d",
     (16_383, 1): "0572bcab5d8620c054814aeb178f9a9c1073a1834e4a0ae6bd2c8c382135e33a",
+    (16_384, 6): "bd8ae0679e46dbac66ee125f496db29041ff80c14df2c52fbe16816fb1629e34",
     (16_385, 2): "1e8710baa30def2ad4f26ed5b2618314bb120673ebfbf52b1b017c7434e1293c",
     (50_000, 3): "b22b585b02d6790d8e06c6cb2d704e50853fd9a51a28b4d229e46cc71695d81a",
     (200_003, 4): "54f9908735a563c2e191b274539649807364cb6d840020ddb2bfc3ad6d3c4e05",
@@ -67,3 +70,19 @@ def test_tight_lemma_report_digest():
 def test_weak_report_digest(samples, seed):
     config = {"suite": "weak", "samples": samples, "seed": seed}
     assert _digest(config) == WEAK_DIGESTS[samples, seed]
+
+
+def test_weak_report_digest_with_explicit_step_and_half_width():
+    config = {
+        "suite": "weak",
+        "samples": 20_000,
+        "seed": 5,
+        "fd": {"h": 1e-4},
+        "quadrature": {"half_width": 1.5},
+    }
+    assert _digest(config) == "dbbf8fd29a363e7faa1848aa4210622e020169968f7d1da0eea27311f561b8c1"
+
+
+def test_lemma_report_digest_with_explicit_step():
+    config = {"suite": "lemma", "n": 3, "samples": 4, "seed": 7, "fd": {"h": 1e-5}}
+    assert _digest(config) == "a1292a783389461311420139c26ca4eab5ef8092ef1826d5d0d68639418f9a44"
