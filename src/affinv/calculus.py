@@ -150,8 +150,9 @@ def _adjoint_direction(arr: np.ndarray, i: int, j: int) -> np.ndarray:
 
 def _shifted_entries(x: list, i: int, j: int, h: float) -> tuple:
     """x +- hv for v = [E_ij, x] as entry lists: only row i and column j are
-    new, each v entry formed in _adjoint_direction's order, so both equal
-    x +- h * _adjoint_direction(x, i, j) bit for bit; the rest are x's own."""
+    new, each v entry formed in _adjoint_direction's order and h * v once, so
+    both equal x +- h * _adjoint_direction(x, i, j) bit for bit; the rest are
+    x's own."""
     plus, minus = [row[:] for row in x], [row[:] for row in x]
     for a, row in enumerate(x):
         for b, e in enumerate(row):
@@ -159,19 +160,27 @@ def _shifted_entries(x: list, i: int, j: int, h: float) -> tuple:
                 v = 0.0 + x[j - 1][b] if a == i - 1 else 0.0
                 if b == j - 1:
                     v = v - x[a][i - 1]
-                plus[a][b], minus[a][b] = e + h * v, e - h * v
+                hv = h * v
+                plus[a][b], minus[a][b] = e + hv, e - hv
     return plus, minus
 
 
 def _central_differences(
-    phis: Sequence[ScalarField], plus: list, minus: list, h: float
+    phis: Sequence[ScalarField], plus: list, minus: list, h: float, out=None
 ) -> list:
     """(phi(x + hv) - phi(x - hv)) / 2h of each phi, from the shifted entry
-    lists; each side evaluates the phis as one family."""
-    return [
-        (p - m) / (2.0 * h)
-        for p, m in zip(evaluate_on_entries(phis, plus), evaluate_on_entries(phis, minus))
-    ]
+    lists; each side evaluates the phis as one family.  With ``out``, one
+    writable array per phi, each difference is written there by the same two
+    IEEE operations, and ``out`` is returned."""
+    sides = zip(evaluate_on_entries(phis, plus), evaluate_on_entries(phis, minus))
+    if out is None:
+        return [(p - m) / (2.0 * h) for p, m in sides]
+    import numpy as np
+
+    for row, (p, m) in zip(out, sides):
+        np.subtract(p, m, out=row)
+        np.divide(row, 2.0 * h, out=row)
+    return out
 
 
 def _point_difference(
@@ -352,13 +361,16 @@ def weak_lie_derivative(
     quad: QuadratureSpec = QuadratureSpec(),
     cfg: FDConfig = FDConfig(),
     n: int = 2,
+    paired: Sequence[Sequence[int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo estimates of the weak derivative pairings
     -integral of u * (L_ij psi) over the box and their standard errors: two
     float arrays (estimate, std_error) of shape (psis, densities, pairs),
     entry [m, d, p] for psi = psis[m], u = densities[d] and (i, j) = pairs[p].
-    Raises CalculusError when the box volume (2a)^(n^2) is zero or infinite
-    in floating point, or when x +- hv can leave the float range.
+    ``paired[d]``, when given, lists the indices m of the psis that density d
+    is paired with; only those pairings are formed, and every other entry is
+    NaN.  Raises CalculusError when the box volume (2a)^(n^2) is zero or
+    infinite in floating point, or when x +- hv can leave the float range.
 
     Realizes each density u as a distribution T(psi) = integral(u psi); the
     adjoint fields are divergence free (the weak suite decides it exactly),
@@ -379,6 +391,9 @@ def weak_lie_derivative(
     volume = _volume(2.0 * a, n * n, "box volume (2a)")
     if not a * (1.0 + 2.0 * h) < math.inf:  # >= |x +- h[E_ij, x]|
         raise CalculusError(f"bad fd config: x +- hv overflows at h = {h:g}")
+    formed = np.full((len(psis), len(densities)), paired is None)
+    for d, ms in enumerate(paired or ()):
+        formed[list(ms), d] = True
     check_boundary_decay(psis, n, quad)
     sums = np.zeros((len(psis), len(densities), len(pairs), 2))
     for chunk_idx, start in enumerate(range(0, samples, QUAD_CHUNK), start=1):
@@ -396,13 +411,12 @@ def weak_lie_derivative(
         for p, (i, j) in enumerate(pairs):
             for block in blocks:
                 plus, minus = _shifted_entries(_entries(x[..., block]), i, j, h)
-                for lie_row, diff in zip(lie, _central_differences(psis, plus, minus, h)):
-                    lie_row[block] = diff
-            for m, lie_row in enumerate(lie):
-                for d, u_row in enumerate(u_vals):
-                    np.multiply(u_row, lie_row, out=vals)
-                    np.multiply(vals, vals, out=squares)
-                    sums[m, d, p] += np.sum(vals), np.sum(squares)
+                _central_differences(psis, plus, minus, h, out=lie[:, block])
+            for m, d in zip(*np.nonzero(formed)):
+                np.multiply(u_vals[d], lie[m], out=vals)
+                np.multiply(vals, vals, out=squares)
+                sums[m, d, p] += np.sum(vals), np.sum(squares)
+    sums[~formed] = math.nan
     mean = sums[..., 0] / samples
     var = np.maximum(sums[..., 1] / samples - mean * mean, 0.0)
     return -volume * mean, volume * np.sqrt(var / samples)

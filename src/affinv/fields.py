@@ -103,60 +103,109 @@ def evaluate_on_entries(fields: Sequence[ScalarField], entries, lift: Callable =
     ``lift`` converts Const values into the scalar domain: ``float`` for the
     numeric layer, identity for exact evaluation, a dual scalar for exact
     derivatives.  Scalars only need +, * and integer **, so numpy arrays
-    broadcast through unchanged.  A node object that occurs more than once
-    in the family is evaluated once: a memo keyed by node identity, which
-    lives only for this call, hands its value to every later occurrence.
-    Each value is formed by the same operations in the same order as when
-    its field is evaluated alone.
+    broadcast through unchanged; arrays hold float64, because a sum or a
+    product takes its later terms in place (+=, *=), in the dtype of its
+    first result.  A node object that occurs more than once
+    in the family is evaluated once: one pass counts its occurrences, and a
+    memo keyed by node identity hands its value to each later occurrence and
+    drops it after the last.  Every other value is released as soon as its
+    parent has used it.  Each value is formed by the same operations in the
+    same order as when its field is evaluated alone, and equals (bit for bit
+    over floats) the value of the plain recursion that starts every sum at
+    lift(0) and every product at lift(1).
     """
-    memo: dict = {}
+    fields = list(fields)
+    uses: dict = {}
+    for field in fields:
+        _count_uses(field, uses)
+    memo = {key: [count] for key, count in uses.items() if count > 1}
     return [_evaluate_node(field, entries, lift, memo) for field in fields]
+
+
+def _count_uses(node: ScalarField, uses: dict) -> None:
+    """Adds one occurrence of ``node`` to ``uses`` (keyed by identity); a
+    node's children are counted only at its first occurrence, because a
+    node is evaluated only once."""
+    key = id(node)
+    if key in uses:
+        uses[key] += 1
+        return
+    uses[key] = 1
+    kind = type(node)
+    if kind is Add or kind is Mul:
+        for a in node.args:
+            _count_uses(a, uses)
+    elif kind is Pow:
+        _count_uses(node.base, uses)
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _evaluate_node(node: ScalarField, entries, lift: Callable, memo: dict):
     # A module-level recursion, not a nested closure: a closure that calls
     # itself is a reference cycle, which would keep ``entries`` (whole
     # sample blocks in the weak suite) alive until the cyclic garbage
-    # collector happens to run.
-    key = id(node)
-    if key in memo:
-        return memo[key][1]
-    n = len(entries)
-    if isinstance(node, Const):
-        value = lift(node.value)
-    elif isinstance(node, Var):
+    # collector happens to run.  ``memo`` holds [uses left] for each shared
+    # node, and [uses left, value] once it is evaluated.
+    shared = memo.get(id(node))
+    if shared is not None and len(shared) == 2:
+        shared[0] -= 1
+        if not shared[0]:
+            del memo[id(node)]
+        return shared[1]
+    kind = type(node)
+    if kind is Pow:
+        value = _evaluate_node(node.base, entries, lift, memo) ** node.exp
+    elif kind is Mul:
+        # a product starts from its first factor (x * lift(1) is x: bit for
+        # bit over floats, equal over exact scalars); once formed it is this
+        # node's own value, which takes the later factors in place
+        args = node.args
+        value = _evaluate_node(args[0], entries, lift, memo) if args else lift(_ONE)
+        if len(args) > 1:
+            value = value * _evaluate_node(args[1], entries, lift, memo)
+            for a in args[2:]:
+                value *= _evaluate_node(a, entries, lift, memo)
+    elif kind is Add:
+        # a sum keeps its lift(0) start (0.0 + -0.0 is +0.0), after which it
+        # is this node's own value and takes the later terms in place
+        args = node.args
+        value = lift(_ZERO)
+        if args:
+            value = value + _evaluate_node(args[0], entries, lift, memo)
+            for a in args[1:]:
+                value += _evaluate_node(a, entries, lift, memo)
+    elif kind is Var:
+        n = len(entries)
         if node.i > n or node.j > n:
             raise FieldError(f"var({node.i},{node.j}) out of range for n={n}")
         value = entries[node.i - 1][node.j - 1]
-    elif isinstance(node, Add):
-        value = lift(Fraction(0))
-        for a in node.args:
-            value = value + _evaluate_node(a, entries, lift, memo)
-    elif isinstance(node, Mul):
-        value = lift(Fraction(1))
-        for a in node.args:
-            value = value * _evaluate_node(a, entries, lift, memo)
-    elif isinstance(node, Pow):
-        value = _evaluate_node(node.base, entries, lift, memo) ** node.exp
-    elif isinstance(node, Pk):
+    elif kind is Const:
+        value = lift(node.value)
+    elif kind is Pk:
         # tr(x^k) reads only the diagonal of the last product, each entry
         # summed as _matmul sums it
+        n, k = len(entries), node.k
         acc = entries
-        for _ in range(node.k - 2):
+        for _ in range(k - 2):
             acc = _matmul(acc, entries)
-        if node.k == 1:
+        if k == 1:
             diagonal = [row[i] for i, row in enumerate(entries)]
         else:
             diagonal = [
                 sum(map(mul, acc[i], [row[i] for row in entries])) for i in range(n)
             ]
-        tr = diagonal[0]
+        value = diagonal[0]
         for d in diagonal[1:]:
-            tr = tr + d
-        value = tr * lift(Fraction(1, node.k))
+            value = value + d
+        if k != 1:  # tr * lift(1) is tr
+            value = value * lift(Fraction(1, k))
     else:
         raise FieldError(f"unknown node {node!r}")
-    memo[key] = node, value  # holding the node keeps its id unique
+    if shared is not None:
+        shared[0] -= 1
+        shared.append(value)
     return value
 
 
@@ -183,17 +232,26 @@ def field_from_json(obj) -> ScalarField:
     if kind == "const":
         return Const(parse_rational(obj["value"]))
     if kind == "var":
-        return Var(i=int(obj["i"]), j=int(obj["j"]))
+        return Var(i=_json_int(obj, "i"), j=_json_int(obj, "j"))
     if kind == "add":
         return Add([field_from_json(a) for a in obj["args"]])
     if kind == "mul":
         return Mul([field_from_json(a) for a in obj["args"]])
     if kind == "pow":
-        exp = int(obj["exp"])
+        exp = _json_int(obj, "exp")
         return Pow(base=field_from_json(obj["base"]), exp=exp)
     if kind == "pk":
-        return Pk(k=int(obj["k"]))
+        return Pk(k=_json_int(obj, "k"))
     raise FieldError(f"unknown field node kind {kind!r}")
+
+
+def _json_int(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer: a bool, a float (1.7, 2.0 or
+    Infinity), a string or a missing key is a FieldError, never truncated."""
+    value = obj.get(key)
+    if type(value) is not int:
+        raise FieldError(f"{obj['kind']} {key} must be a JSON integer, got {value!r}")
+    return value
 
 
 # -- generators used by the verification suites ------------------------------

@@ -257,8 +257,14 @@ def run_lemma_suite(n: int, samples: int, seed: int, cfg: FDConfig = FDConfig())
 
 
 def weak_test_functions(n: int, half_width) -> list:
-    """The five bump test functions used by the weak suite: prefactors of
-    mixed parity so non-invariant densities cannot hide by symmetry."""
+    """The five bump test functions used by the weak suite: the prefactors
+    1, p1, p2, x12 and x11 + x21 on one bump W.
+
+    W is even in every entry, so a pairing vanishes whenever its integrand
+    is odd in some entry, and the mixed parity of the prefactors does not
+    stop a non-invariant density from hiding by symmetry.  At degree 2 some
+    do: with 1 + x11^2 or 1 + x11 x22 in place of the invariant density the
+    weak suite still passes, while 1 + x12 fails it (ROADMAP item 5)."""
     prefactors = [
         Const(1),
         Pk(1),
@@ -310,8 +316,11 @@ def run_weak_suite(
     u_wit = Var(1, 1)
     densities = [invariant_density(n), u_wit, Const(1)]
     # [m, d, p] for psis[m], densities[d] and pairs[p]; the Lebesgue density
-    # Const(1) is read with psis[0] only
-    estimate, error = weak_lie_derivative(densities, psis, pairs, quad, cfg, n=n)
+    # Const(1) is paired with psis[0] only
+    every_psi = range(len(psis))
+    estimate, error = weak_lie_derivative(
+        densities, psis, pairs, quad, cfg, n=n, paired=[every_psi, every_psi, [0]]
+    )
     ratio = (np.abs(estimate) / np.maximum(3.0 * error, WEAK_ZERO_TOL_FLOOR)).tolist()
     for m, by_density in enumerate(ratio):
         for (i, j), r in zip(pairs, by_density[0]):

@@ -430,6 +430,21 @@ class TestWeakDerivative:
                     e, s = weak_lie_derivative([u], [psi], [pair], quad)
                     assert (e.item(), s.item()) == (estimate[m, d, p], error[m, d, p])
 
+    def test_only_the_chosen_pairings_are_formed(self):
+        # each density is paired with the psis listed for it (a repeat
+        # forms a pairing once); every other entry is NaN, and every formed
+        # one equals the full pass bit for bit
+        quad = QuadratureSpec(half_width=2.0, n_samples=20_000, seed=5)
+        psis = [bump_field(2, 2, prefactor=p) for p in (Const(1), Pk(1), Var(1, 2))]
+        densities = [invariant_density(2), Const(1)]
+        full = weak_lie_derivative(densities, psis, self.PAIRS, quad)
+        chosen = weak_lie_derivative(densities, psis, self.PAIRS, quad, paired=[[0, 2], [0, 0]])
+        formed = np.zeros((3, 2), dtype=bool)
+        formed[[0, 2], 0] = formed[0, 1] = True
+        for got, want in zip(chosen, full):
+            assert np.isnan(got[~formed]).all()
+            assert got[formed].tobytes() == want[formed].tobytes()
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_shifted_entries_equal_the_full_shift(self, n):
         # bit for bit against x +- h [E_ij, x] on the whole block, with every

@@ -69,7 +69,8 @@ def _copy(field):
 @given(n_family=families, data=st.data())
 def test_family_equals_fields_alone_over_float_arrays(n_family, data):
     n, family = n_family
-    # wide exponents overflow the walls and powers to inf, and inf - inf to NaN
+    # wide exponents overflow the walls and powers to inf, and inf - inf to
+    # NaN; signed zeros are drawn too
     values = st.floats(allow_nan=True, allow_infinity=True, width=64)
     flat = data.draw(st.lists(values, min_size=n * n * 3, max_size=n * n * 3))
     batch = np.array(flat).reshape(n, n, 3)
@@ -78,8 +79,8 @@ def test_family_equals_fields_alone_over_float_arrays(n_family, data):
         together = evaluate_on_entries(family, entries)
         alone = _alone(family, entries, float)
     assert len(together) == len(alone) == len(family)
-    for a, b in zip(together, alone):
-        assert np.array_equal(a, b, equal_nan=True)
+    for a, b in zip(together, alone):  # bits: signed zeros and NaN payloads too
+        assert np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
 
 
 @FAMILY

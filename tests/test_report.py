@@ -7,7 +7,7 @@ import pytest
 
 from affinv import calculus, fields, invariants, krylov, report
 from affinv.exactmat import matrix_from_json, power
-from affinv.fields import Pk, Pow
+from affinv.fields import Add, Const, Mul, Pk, Pow, Var
 from affinv.report import PropertyRecord
 
 
@@ -190,12 +190,14 @@ def test_lemma_suite_runs_each_check_through_its_public_routine(monkeypatch):
 
 def _computations(monkeypatch) -> Counter:
     """Counts, by node object, the evaluations that the memo of a family
-    call does not answer."""
+    call does not answer: the memo holds [uses left] for a shared node not
+    yet evaluated and [uses left, value] after, and no entry for a node
+    that occurs once."""
     computed = Counter()
     evaluate = fields._evaluate_node
 
     def counted(node, entries, lift, memo):
-        if id(node) not in memo:
+        if len(memo.get(id(node), ())) != 2:
             computed[id(node)] += 1
         return evaluate(node, entries, lift, memo)
 
@@ -252,3 +254,33 @@ def _nodes(field):
     yield field
     for child in getattr(field, "args", ()) + ((field.base,) if isinstance(field, Pow) else ()):
         yield from _nodes(child)
+
+
+def _weak_with_density(monkeypatch, density) -> dict:
+    """The weak suite at 200,000 samples, seed 1, with ``density`` in place
+    of the invariant density."""
+    monkeypatch.setattr(report, "invariant_density", lambda n=2: density)
+    return report.run_weak_suite(200_000, 1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: these degree-2 densities pass the weak suite, which "
+    "cannot tell them from an invariant density with its five test functions",
+)
+@pytest.mark.parametrize(
+    "density",
+    [
+        Add([Const(1), Pow(Var(1, 1), 2)]),
+        Add([Const(1), Mul([Var(1, 1), Var(2, 2)])]),
+    ],
+    ids=["1+x11^2", "1+x11*x22"],
+)
+def test_weak_suite_rejects_a_degree_two_noninvariant_density(monkeypatch, density):
+    assert not _weak_with_density(monkeypatch, density)["pass"]
+
+
+def test_weak_suite_rejects_the_noninvariant_density_one_plus_x12(monkeypatch):
+    result = _weak_with_density(monkeypatch, Add([Const(1), Var(1, 2)]))
+    (record,) = [p for p in result["properties"] if p["name"] == "invariant_density_weak_zero"]
+    assert not result["pass"] and record["failures"] > 0 and record["worst_residual"] > 10
