@@ -369,7 +369,8 @@ def weak_lie_derivative(
     entry [m, d, p] for psi = psis[m], u = densities[d] and (i, j) = pairs[p].
     ``paired[d]``, when given, lists the indices m of the psis that density d
     is paired with; only those pairings are formed, and every other entry is
-    NaN.  Raises CalculusError when the box volume (2a)^(n^2) is zero or
+    NaN.  Raises CalculusError when ``paired`` does not list one sequence of
+    psi indices per density, when the box volume (2a)^(n^2) is zero or
     infinite in floating point, or when x +- hv can leave the float range.
 
     Realizes each density u as a distribution T(psi) = integral(u psi); the
@@ -392,8 +393,13 @@ def weak_lie_derivative(
     if not a * (1.0 + 2.0 * h) < math.inf:  # >= |x +- h[E_ij, x]|
         raise CalculusError(f"bad fd config: x +- hv overflows at h = {h:g}")
     formed = np.full((len(psis), len(densities)), paired is None)
-    for d, ms in enumerate(paired or ()):
-        formed[list(ms), d] = True
+    if paired is not None:
+        if len(paired) != len(densities):
+            raise CalculusError(f"paired lists {len(paired)} densities, not {len(densities)}")
+        for d, ms in enumerate(paired):
+            if not all(0 <= m < len(psis) for m in ms):
+                raise CalculusError(f"paired[{d}] = {ms!r} holds an index outside the psis")
+            formed[list(ms), d] = True
     check_boundary_decay(psis, n, quad)
     sums = np.zeros((len(psis), len(densities), len(pairs), 2))
     for chunk_idx, start in enumerate(range(0, samples, QUAD_CHUNK), start=1):

@@ -4,7 +4,7 @@ const, var(i,j), add, mul, pow, pk(k).
 A ``Pk(k)`` node denotes the built-in conjugation invariant tr(x^k)/k.
 Every tree is a polynomial in the matrix entries.  One evaluator,
 duck-typed over the entry scalars, serves every layer: fast with floats
-or numpy arrays, exact with Fraction entries, and exactly differentiated
+or numpy float64 arrays, exact with Fraction entries, and exactly differentiated
 with dual scalars (the invariant layer's gradients).  It takes a family
 of fields and evaluates a node object that several of them hold once;
 the generators build families that share such nodes (each p_k and its
@@ -19,6 +19,9 @@ JSON wire format (shared by the invariant and calculus layers)::
     {"kind": "mul", "args": [...]}
     {"kind": "pow", "base": {...}, "exp": 3}
     {"kind": "pk", "k": 2}
+
+``i``, ``j``, ``exp`` and ``k`` are JSON integers; the reader rejects any
+other value with FieldError rather than truncate it.
 """
 
 from __future__ import annotations
@@ -103,16 +106,18 @@ def evaluate_on_entries(fields: Sequence[ScalarField], entries, lift: Callable =
     ``lift`` converts Const values into the scalar domain: ``float`` for the
     numeric layer, identity for exact evaluation, a dual scalar for exact
     derivatives.  Scalars only need +, * and integer **, so numpy arrays
-    broadcast through unchanged; arrays hold float64, because a sum or a
+    broadcast through unchanged.  Arrays must hold float64: a sum or a
     product takes its later terms in place (+=, *=), in the dtype of its
-    first result.  A node object that occurs more than once
-    in the family is evaluated once: one pass counts its occurrences, and a
-    memo keyed by node identity hands its value to each later occurrence and
-    drops it after the last.  Every other value is released as soon as its
-    parent has used it.  Each value is formed by the same operations in the
-    same order as when its field is evaluated alone, and equals (bit for bit
-    over floats) the value of the plain recursion that starts every sum at
-    lift(0) and every product at lift(1).
+    first result.
+
+    A node object that occurs more than once in the family is evaluated
+    once: one pass counts its occurrences, and a memo keyed by node identity
+    hands its value to each later occurrence and drops it after the last.
+    Every other value is released as soon as its parent has used it.  Each
+    value is formed by the same operations in the same order as when its
+    field is evaluated alone, and equals (bit for bit over floats) the value
+    of the plain recursion that starts every sum at lift(0) and every
+    product at lift(1).
     """
     fields = list(fields)
     uses: dict = {}

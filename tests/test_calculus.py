@@ -445,6 +445,12 @@ class TestWeakDerivative:
             assert np.isnan(got[~formed]).all()
             assert got[formed].tobytes() == want[formed].tobytes()
 
+    @pytest.mark.parametrize("paired", [[[0]], [[0], [1]], [[0], [-1]]])
+    def test_pairings_must_name_one_psi_list_per_density(self, paired):
+        psi = bump_field(2, 2)
+        with pytest.raises(CalculusError, match="paired"):
+            weak_lie_derivative([Const(1), Var(1, 1)], [psi], [(1, 2)], self.QUAD, paired=paired)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_shifted_entries_equal_the_full_shift(self, n):
         # bit for bit against x +- h [E_ij, x] on the whole block, with every
