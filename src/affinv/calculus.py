@@ -302,18 +302,6 @@ def adjoint_field_divergence(n: int, i: int, j: int) -> Fraction:
     return total
 
 
-def _volume(side: float, dim: int, label: str) -> float:
-    """side^dim, the volume of a quadrature box or cell; CalculusError when
-    it is zero or infinite in floating point."""
-    try:
-        volume = side**dim
-    except OverflowError:
-        volume = math.inf
-    if not 0.0 < volume < math.inf:
-        raise CalculusError(f"quadrature {label}^{dim} is zero or infinite")
-    return volume
-
-
 # rng stream for the boundary-shell check; sampling chunks start at 1
 _BOUNDARY_STREAM = 0
 
@@ -389,7 +377,12 @@ def weak_lie_derivative(
     import numpy as np
 
     a, h, samples, seed = quad.half_width, cfg.h, quad.n_samples, quad.seed
-    volume = _volume(2.0 * a, n * n, "box volume (2a)")
+    try:
+        volume = (2.0 * a) ** (n * n)
+    except OverflowError:
+        volume = math.inf
+    if not 0.0 < volume < math.inf:
+        raise CalculusError(f"quadrature box volume (2a)^{n * n} is zero or infinite")
     if not a * (1.0 + 2.0 * h) < math.inf:  # >= |x +- h[E_ij, x]|
         raise CalculusError(f"bad fd config: x +- hv overflows at h = {h:g}")
     formed = np.full((len(psis), len(densities)), paired is None)
@@ -426,33 +419,3 @@ def weak_lie_derivative(
     mean = sums[..., 0] / samples
     var = np.maximum(sums[..., 1] / samples - mean * mean, 0.0)
     return -volume * mean, volume * np.sqrt(var / samples)
-
-
-def weak_lie_derivative_grid(
-    u: ScalarField,
-    psi: ScalarField,
-    i: int,
-    j: int,
-    half_width: float = 2.0,
-    points_per_axis: int = 20,
-    cfg: FDConfig = FDConfig(),
-) -> float:
-    """Deterministic midpoint-rule cross-check of the weak derivative,
-    n = 2 only (a tensor grid in 4 entry coordinates).  Raises CalculusError
-    when the cell volume (2a/points_per_axis)^4 is zero or infinite in
-    floating point."""
-    import numpy as np
-
-    n = 2
-    a = half_width
-    step = 2.0 * a / points_per_axis
-    cell = _volume(step, n * n, f"cell volume (2a/{points_per_axis})")
-    axis = -a + step * (np.arange(points_per_axis) + 0.5)
-    grids = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-    block = np.stack(
-        [g.ravel() for g in grids], axis=0
-    ).reshape(n, n, points_per_axis**4)
-    x = _entries(block)
-    (lie_psi,) = _central_differences([psi], *_shifted_entries(x, i, j, cfg.h), cfg.h)
-    (u_vals,) = evaluate_on_entries([u], x)
-    return float(-cell * np.sum(np.asarray(u_vals * lie_psi)))

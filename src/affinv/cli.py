@@ -29,6 +29,7 @@ from .krylov import analyze
 from .report import SuiteConfigError, run_suite_from_config
 from .sympoly import (
     DEFAULT_N_MAX,
+    SympolyError,
     homogeneous_degree,
     symbolic_krylov_determinant,
     term_list_json,
@@ -40,6 +41,10 @@ EXIT_BAD_INPUT = 2
 EXIT_NOT_REGULAR = 3
 
 
+class _InputError(Exception):
+    """Unreadable input, unwritable output or a malformed environment."""
+
+
 def _n_max() -> int:
     raw = os.environ.get("AFFINV_NMAX")
     if raw is None:
@@ -47,8 +52,7 @@ def _n_max() -> int:
     try:
         return int(raw)
     except ValueError:
-        print("error: AFFINV_NMAX must be an integer", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT)
+        raise _InputError("AFFINV_NMAX must be an integer") from None
 
 
 def _read_json(path: str | None):
@@ -58,8 +62,7 @@ def _read_json(path: str | None):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, huge number
-        print(f"error: cannot read JSON input: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT)
+        raise _InputError(f"cannot read JSON input: {exc}") from None
 
 
 def _dump(obj: dict) -> str:
@@ -74,8 +77,7 @@ def _emit(text: str, out: str | None):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:  # a missing directory, a directory, no permission
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT)
+        raise _InputError(f"cannot write output: {exc}") from None
 
 
 def _emit_result(payload: dict, render, args):
@@ -93,11 +95,7 @@ def cmd_analyze(args) -> int:
     """D, both polynomials and, with --conjugate, a conjugator, from
     ``krylov.analyze``; exit 3 if a conjugator is asked for but x is not
     regular."""
-    try:
-        x = matrix_from_json(_read_json(args.input))
-    except MatrixJSONError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    x = matrix_from_json(_read_json(args.input))
     found = analyze(x, args.conjugate, args.seed)
     if args.conjugate and not found.regular:
         print(
@@ -108,19 +106,15 @@ def cmd_analyze(args) -> int:
         )
         return EXIT_NOT_REGULAR
     g = found.conjugator
-    try:
-        result = {
-            "D": format_rational(found.d),
-            "in_omega": found.d != 0,
-            "regular": found.regular,
-            "min_poly": [format_rational(c) for c in found.min_poly],
-            "char_poly": [format_rational(c) for c in found.char_poly],
-            "conjugator": None if g is None else matrix_to_json(g),
-            "sign_convention": "(-1)^(n(n-1)/2)",
-        }
-    except MatrixJSONError as exc:  # a value too long to write
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    result = {  # MatrixJSONError for a value too long to write
+        "D": format_rational(found.d),
+        "in_omega": found.d != 0,
+        "regular": found.regular,
+        "min_poly": [format_rational(c) for c in found.min_poly],
+        "char_poly": [format_rational(c) for c in found.char_poly],
+        "conjugator": None if g is None else matrix_to_json(g),
+        "sign_convention": "(-1)^(n(n-1)/2)",
+    }
     _emit_result(result, _analyze_markdown, args)
     return EXIT_OK
 
@@ -143,11 +137,7 @@ def cmd_verify(args) -> int:
     config = _read_json(args.config)
     if args.seed is not None and isinstance(config, dict):
         config = {**config, "seed": args.seed}
-    try:
-        report = run_suite_from_config(config)
-    except SuiteConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    report = run_suite_from_config(config)
     _emit_result(report, _report_markdown, args)
     return EXIT_OK if report["pass"] else EXIT_SUITE_FAILED
 
@@ -171,11 +161,7 @@ def _report_markdown(payload: dict) -> str:
 
 
 def cmd_sympoly(args) -> int:
-    try:
-        poly = symbolic_krylov_determinant(args.n, n_max=_n_max())
-    except ValueError as exc:  # FeasibilityBoundError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    poly = symbolic_krylov_determinant(args.n, n_max=_n_max())
     degree = homogeneous_degree(poly)
     payload = {
         "n": args.n,
@@ -244,8 +230,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:  # raised by input helpers; normalize to a code
-        return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
+    except (MatrixJSONError, SuiteConfigError, SympolyError, _InputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

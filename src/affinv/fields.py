@@ -21,7 +21,8 @@ JSON wire format (shared by the invariant and calculus layers)::
     {"kind": "pk", "k": 2}
 
 ``i``, ``j``, ``exp`` and ``k`` are JSON integers; the reader rejects any
-other value with FieldError rather than truncate it.
+other value with FieldError rather than truncate it, and likewise a
+missing key, ``args`` that are not a list and a malformed constant.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, Sequence
 
-from .exactmat import _matmul, format_rational, parse_rational
+from .exactmat import MatrixJSONError, _matmul, format_rational, parse_rational
 
 
 class FieldError(ValueError):
@@ -235,16 +236,20 @@ def field_from_json(obj) -> ScalarField:
         raise FieldError(f"field JSON node must be an object with a kind: {obj!r}")
     kind = obj["kind"]
     if kind == "const":
-        return Const(parse_rational(obj["value"]))
+        try:
+            return Const(parse_rational(obj.get("value")))
+        except MatrixJSONError as exc:
+            raise FieldError(f"const value: {exc}") from None
     if kind == "var":
         return Var(i=_json_int(obj, "i"), j=_json_int(obj, "j"))
-    if kind == "add":
-        return Add([field_from_json(a) for a in obj["args"]])
-    if kind == "mul":
-        return Mul([field_from_json(a) for a in obj["args"]])
+    if kind in ("add", "mul"):
+        args = obj.get("args")
+        if not isinstance(args, list):
+            raise FieldError(f"{kind} args must be a JSON list, got {args!r}")
+        return (Add if kind == "add" else Mul)([field_from_json(a) for a in args])
     if kind == "pow":
         exp = _json_int(obj, "exp")
-        return Pow(base=field_from_json(obj["base"]), exp=exp)
+        return Pow(base=field_from_json(obj.get("base")), exp=exp)
     if kind == "pk":
         return Pk(k=_json_int(obj, "k"))
     raise FieldError(f"unknown field node kind {kind!r}")

@@ -25,7 +25,6 @@ from affinv.calculus import (
     p_invariance_residual,
     reduced_system_check,
     weak_lie_derivative,
-    weak_lie_derivative_grid,
 )
 from affinv.exactmat import RatMatrix, commutator, power
 from affinv.fields import (
@@ -469,20 +468,10 @@ class TestWeakDerivative:
                             if a != i - 1 and b != j - 1:
                                 assert got[a][b] is x[a][b]
 
-    def test_grid_cross_validation(self):
-        psi = bump_field(2, 2, prefactor=Var(1, 2))
-        [[[mc]]], [[[mc_error]]] = weak_lie_derivative(
-            [Var(1, 1)], [psi], [(2, 1)], self.QUAD
-        )
-        grid = weak_lie_derivative_grid(Var(1, 1), psi, 2, 1)
-        tol = 0.03 * max(1.0, abs(mc)) + 5 * mc_error
-        assert math.isclose(grid, mc, abs_tol=tol)
-
     @pytest.mark.parametrize("half_width", [1e-90, 1e80])
     def test_box_volume_out_of_float_range_is_rejected(self, half_width):
         # (2a)^4 underflows to 0 (a vacuous estimate 0 +- 0) or overflows; the
-        # library call and the weak suite's config reject it alike, and the
-        # grid reference its cell (2a/20)^4 likewise
+        # library call and the weak suite's config reject it alike
         quad = QuadratureSpec(half_width=half_width, n_samples=1_000, seed=0)
         psi = bump_field(2, half_width)
         with pytest.raises(CalculusError, match="box volume") as lib:
@@ -491,5 +480,3 @@ class TestWeakDerivative:
         with pytest.raises(SuiteConfigError) as suite:
             run_suite_from_config(cfg)
         assert str(suite.value) == str(lib.value)
-        with pytest.raises(CalculusError, match=r"cell volume \(2a/20\)\^4 is zero"):
-            weak_lie_derivative_grid(Var(1, 1), psi, 2, 1, half_width=half_width)

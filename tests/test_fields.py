@@ -118,6 +118,22 @@ class TestJsonRoundTrip:
         with pytest.raises(FieldError, match="must be a JSON integer"):
             field_from_json(json.loads(text))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "add"}',
+            '{"kind": "pow", "exp": 2}',
+            '{"kind": "const"}',
+            '{"kind": "add", "args": 5}',
+            '{"kind": "const", "value": 1.5}',
+            '{"kind": "const", "value": true}',
+        ],
+    )
+    def test_malformed_node_raises_field_error(self, text):
+        # once a raw KeyError or TypeError, or MatrixJSONError for a constant
+        with pytest.raises(FieldError):
+            field_from_json(json.loads(text))
+
 
 class TestValidation:
     def test_negative_pow_rejected(self):

@@ -121,13 +121,12 @@ def test_report_imports_no_private_calculus_name():
 UNUSED_PUBLIC = {
     "calculus.fd_directional": "reference: lie_derivatives matches it bit for bit; criterion 8",
     "calculus.lie_derivative": "BENCHMARK.json per-layer name calculus.lie_derivative",
-    "calculus.weak_lie_derivative_grid": "reference: midpoint-rule cross-check of the weak pairing",
     "exactmat.rank": "README: the exactmat layer's exact rank, checked against sympy",
     "invariants.trace_power": "README: tr(x^k)/k is a public Fraction-valued invariant",
     "krylov.in_omega": "BENCHMARK.json per-layer name krylov.in_omega; the exact D != 0 test",
     "invariants.entry_bracket_pairing": "reference: the dense tr(x^k E_ji) the basis expansion reads",
     "invariants.gradient_commutator_residual": "README: trace-power gradients commute with x",
-    "fields.field_from_json": "JSON codec reader: round-trip tested; replay reader (ROADMAP 6)",
+    "fields.field_from_json": "JSON codec reader: round-trip tested; replay reader (ROADMAP 8)",
 }
 
 
@@ -270,7 +269,6 @@ NUMPY_FUNCTIONS = {
     "calculus.lie_derivatives",
     "calculus.check_boundary_decay",
     "calculus.weak_lie_derivative",
-    "calculus.weak_lie_derivative_grid",
     "report.run_weak_suite",
     "report.run_suite_from_config",
 }
