@@ -65,17 +65,22 @@ def _read_json(path: str | None):
         raise _InputError(f"cannot read JSON input: {exc}") from None
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _dump(obj: dict, stream) -> None:
+    """The indent-2, sorted-key JSON of ``obj`` and a newline, written to
+    ``stream`` piece by piece as the encoder yields them, so the whole text
+    never exists at once."""
+    json.dump(obj, stream, indent=2, sort_keys=True)
+    stream.write("\n")
 
 
-def _emit(text: str, out: str | None):
+def _emit(obj: dict, out: str | None):
+    """``_dump`` to stdout, or to the file ``out`` if given."""
     if not out:
-        sys.stdout.write(text)
+        _dump(obj, sys.stdout)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _dump(obj, fh)
     except OSError as exc:  # a missing directory, a directory, no permission
         raise _InputError(f"cannot write output: {exc}") from None
 
@@ -86,9 +91,9 @@ def _emit_result(payload: dict, render, args):
     if args.markdown:
         sys.stdout.write(render(payload))
         if args.out:
-            _emit(_dump(payload), args.out)
+            _emit(payload, args.out)
     else:
-        _emit(_dump(payload), args.out)
+        _emit(payload, args.out)
 
 
 def cmd_analyze(args) -> int:
@@ -170,7 +175,7 @@ def cmd_sympoly(args) -> int:
         "terms": len(poly.terms),
         "term_list": term_list_json(poly),
     }
-    _emit(_dump(payload), args.out)
+    _emit(payload, args.out)
     return EXIT_OK
 
 

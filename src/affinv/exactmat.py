@@ -6,11 +6,16 @@ pure-int arithmetic and rational ones exactly the Fraction arithmetic.
 Every exact elimination runs through one fraction-free kernel, ``_eliminate``,
 which reduces integer vectors one at a time as they are drawn.  Each job scales
 its input once to an integer multiple q x and feeds the kernel: ``determinant``
-and ``rank`` the rows, ``inverse`` the rows and then the unit rows; ``min_poly``,
-the Krylov determinant D and the Krylov dependence behind ``analyze`` draw the
-lazy chain ``_krylov_rows`` (the only place v -> v x is written) up to its first
-dependent vector.  ``char_poly`` reads the traces of the first n powers of q x
-from the same chain and solves Newton's identities for det(tI - q x).
+and ``rank`` the rows, ``inverse`` the rows and then the unit rows; the Krylov
+determinant D, Krylov's method (``_krylov_chain``, behind ``analyze`` and
+``min_poly``) and ``min_poly``'s power chain draw the lazy chain
+``_krylov_rows`` (the only place v -> v x is written) up to its first dependent
+vector.  ``min_poly`` takes two routes, both exact eliminations: Krylov's
+method on one fixed probe row w, which decides it whenever w is cyclic for x
+(then mu_w = chi, and mu_w | mu_x | chi), and otherwise the chain of powers of
+q x, the only route for a non-regular x, which has no cyclic row.
+``char_poly`` reads the traces of the first n powers of q x from the same
+chain and solves Newton's identities for det(tI - q x).
 A product multiplies the integer multiples qa a and qb b and divides once by
 qa qb.  The kernel's divisions are exact integer divisions; every other
 division goes through ``Fraction``.  So no float can appear, and equality tests
@@ -28,9 +33,11 @@ Index convention: documentation and all JSON interfaces are 1-based (entry
 
 from __future__ import annotations
 
+import random
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import chain, islice
 from math import lcm
 from operator import mul
@@ -274,10 +281,10 @@ def _with_units(vectors: Iterable[Sequence[int]], m: int):
 
     The unit indices are dependence columns: ``_eliminate`` carries m more
     entries per row, which only a caller that reads the dependence pays for.
-    These are ``_chain_dependence`` (for ``min_poly`` and Krylov's method for
-    the characteristic polynomial on the e_n chain of ``analyze``) and
-    ``inverse``; a determinant or a cyclic-row test reads only the pivots,
-    and ``_det_rows`` runs without them."""
+    These are ``_chain_dependence`` (for ``min_poly``'s power chain and
+    Krylov's method, ``_krylov_chain``) and ``inverse``; a determinant or a
+    cyclic-row test reads only the pivots, and ``_det_rows`` runs without
+    them."""
     for k, v in zip(range(m), vectors):
         yield [*v, *[0] * k, 1, *[0] * (m - 1 - k)]
 
@@ -300,6 +307,17 @@ def _chain_dependence(vectors: Iterable[Sequence[int]], ncols: int, dim: int):
             return pivots, y[-1], y
         pivots.append(c)
     raise AssertionError(f"more than {dim} independent vectors")  # pragma: no cover
+
+
+def _krylov_chain(w: Sequence[int], xq) -> tuple[list[int], int, list[int]]:
+    """Krylov's method on the integer row w and the integer matrix xq:
+    ``_chain_dependence`` on the chain w, w xq, w xq^2, ... of rows of length
+    n, stopped at its first dependent row w xq^m, m = deg mu_w.  Returns (the
+    pivot columns, last pivot, y) with sum y_k w xq^k = 0.  When w is cyclic
+    (m = n), sign(pivot order) * last = det(w, w xq, ..., w xq^(n-1)) and
+    sum (y_k / last) t^k = det(t - xq)."""
+    n = len(w)
+    return _chain_dependence(chain.from_iterable(_krylov_rows([w], xq)), n, n)
 
 
 def _descaled(y: Sequence[Rat], q: int) -> tuple:
@@ -355,17 +373,40 @@ def char_poly(x: RatMatrix) -> tuple:
     return _descaled(b[::-1], q)
 
 
+@cache
+def _probe_row(n: int) -> tuple[int, ...]:
+    """The fixed probe row of ``min_poly`` for size n: n integers drawn from
+    ``random.Random(n)`` in [-2^16, 2^16], at first use, and kept.  For a
+    regular x, det(w, wx, ..., wx^(n-1)) is a nonzero polynomial of degree n
+    in w, so by Schwartz (1980) and Zippel (1979) at most a share
+    n / (2^17 + 1) of the rows in that range is not cyclic for x; such an x
+    only takes the slower route."""
+    rng = random.Random(n)
+    return tuple(rng.randint(-(2**16), 2**16) for _ in range(n))
+
+
 def min_poly(x: RatMatrix) -> tuple:
-    """Monic minimal polynomial from the chain I, qx, (qx)^2, ... of powers of
-    the integer multiple q x, flattened to vectors: the chain kernel stops
-    at the first power m that depends on the lower ones, the degree, so no
-    higher one is formed; y gives t^m + sum (y_i / last) t^i for q x, whose
-    t^i coefficient is q^(m-i) times that for x."""
+    """Monic minimal polynomial of x, by one of two exact routes on the
+    integer multiple q x; both end in the same ``_descaled`` normal form of
+    a dependence y of q x's chain, whose t^i coefficient is q^(m-i) times
+    that for x, and the monic minimal polynomial is unique.
+
+    First, Krylov's method (``_krylov_chain``) on the probe row w =
+    ``_probe_row(n)``.  If its n chain rows are independent, w is cyclic,
+    so mu_w = chi; since mu_w | mu_x | chi, x is regular and the dependence
+    of w (qx)^n is its minimal polynomial.  Otherwise (always for a
+    non-regular x, which has no cyclic row) the chain I, qx, (qx)^2, ... of
+    powers, flattened to vectors of length n^2: the chain kernel stops at
+    the first power m that depends on the lower ones, the degree, so no
+    higher one is formed."""
     n = x.n
     xq, q = _integer_multiple(x.rows)
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    powers = (sum(p, []) for p in _krylov_rows(ident, xq))
-    return _descaled(_chain_dependence(powers, n * n, n)[2], q)
+    pivots, _, y = _krylov_chain(_probe_row(n), xq)
+    if len(pivots) < n:
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        powers = (sum(p, []) for p in _krylov_rows(ident, xq))
+        y = _chain_dependence(powers, n * n, n)[2]
+    return _descaled(y, q)
 
 
 def inverse(x: RatMatrix) -> RatMatrix:

@@ -25,10 +25,10 @@ from .exactmat import (
     ExactmatError,
     RatMatrix,
     SingularMatrixError,
-    _chain_dependence,
     _descaled,
     _det_rows,
     _integer_multiple,
+    _krylov_chain,
     _krylov_rows,
     _matmul,
     _order_sign,
@@ -111,17 +111,15 @@ def krylov_determinant(x: RatMatrix) -> Fraction:
 def _krylov_dependence(w: Sequence, x: RatMatrix) -> tuple[Fraction, tuple | None]:
     """D_w(x) = det(w, wx, ..., wx^(n-1)) for an integer row w and, if it is
     nonzero, the characteristic polynomial of x (else None), by Krylov's
-    method: the chain kernel draws w, w (qx), w (qx)^2, ... for the integer
-    multiple q x and stops at the first dependent row, deg mu_w; if that is
-    row n, sign * last = q^(n(n-1)/2) D_w(x) and the dependence
-    sum y_k w (qx)^k = 0 gives det(t - qx) = sum (y_k / last) t^k, whose t^i
+    method ``_krylov_chain`` on w and the integer multiple q x: it stops at
+    the first dependent row, deg mu_w; if that is row n, sign * last =
+    q^(n(n-1)/2) D_w(x) and the dependence gives det(t - qx), whose t^i
     coefficient is q^(n-i) x's.  The rows carry n + 1 dependence columns for
     that polynomial, so only ``analyze`` calls this, on e_n; every test that
     needs D_w alone runs the bare ``_krylov_det``."""
     n = x.n
     xq, q = _integer_multiple(x.rows)
-    rows = chain.from_iterable(_krylov_rows([w], xq))
-    pivots, last, y = _chain_dependence(rows, n, n)
+    pivots, last, y = _krylov_chain(w, xq)
     if len(pivots) < n:
         return Fraction(0), None
     d_w = Fraction(_order_sign(pivots) * last, q ** (n * (n - 1) // 2))

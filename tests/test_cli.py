@@ -449,6 +449,22 @@ class TestSympoly:
         assert code == 0
         assert target.read_bytes() == (GOLDEN / f"sympoly_n{n}.json").read_bytes()
 
+    def test_stdout_gets_the_golden_bytes_piece_by_piece(self, monkeypatch):
+        # the encoder's chunks go to the stream as they come, so the whole
+        # indent-2 text never exists as one string
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr("sys.stdout", Recorder())
+        assert main(["sympoly", "--n", "3"]) == 0
+        golden = (GOLDEN / "sympoly_n3.json").read_bytes().decode()
+        assert "".join(writes) == golden
+        assert max(map(len, writes)) < len(golden) / 10
+
     def test_n2_single_term(self, capsys):
         code = main(["sympoly", "--n", "2"])
         assert code == 0

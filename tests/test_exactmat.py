@@ -340,6 +340,14 @@ class TestMinPoly:
                 cp = sympy.Poly(list(reversed(char_poly(x))), t)
                 assert sympy.rem(cp, sympy.Poly(list(reversed(m)), t)).is_zero
 
+    def test_probe_rows_are_fixed_wide_and_nonzero(self):
+        # min_poly's probe row is drawn once per n and then kept
+        for n in range(1, 13):
+            w = exactmat._probe_row(n)
+            assert len(w) == n and any(w)
+            assert all(type(e) is int and -(2**16) <= e <= 2**16 for e in w)
+            assert exactmat._probe_row(n) is w
+
     def test_degree_minimality(self):
         # powers strictly below the minimal degree stay independent
         rng = random.Random(43)

@@ -29,6 +29,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from sympy.combinatorics import Permutation  # noqa: E402
 
+from affinv import exactmat  # noqa: E402
 from affinv.cli import main  # noqa: E402
 from affinv.exactmat import (  # noqa: E402
     RatMatrix,
@@ -600,6 +601,87 @@ def test_analyze_matches_sympy(family, data):
             g = to_sympy(matrix_from_json(out["conjugator"]))
             assert g.det() != 0
             assert sympy_krylov_det(g * m * g.inv(), e_n) != 0
+
+
+# min_poly's two routes: Krylov's method on the probe row, which decides a
+# regular x whenever that row is cyclic, and else the power chain, the only
+# route for a non-regular x.  Each run of the chain kernel is recorded, so
+# the tests see which route ran; the second route is also forced on regular
+# x by a probe row that is not cyclic for it.
+
+
+def min_poly_routes(x: RatMatrix, probe=None) -> tuple[tuple, list]:
+    """min_poly(x) and the (ncols, independent vectors) of each chain-kernel
+    run it made, with ``_probe_row`` replaced by ``probe`` if given."""
+    runs, kernel = [], exactmat._chain_dependence
+
+    def recorded(vectors, ncols, dim):
+        pivots, last, y = kernel(vectors, ncols, dim)
+        runs.append((ncols, len(pivots)))
+        return pivots, last, y
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactmat, "_chain_dependence", recorded)
+        if probe is not None:
+            mp.setattr(exactmat, "_probe_row", lambda n: probe)
+        return min_poly(x), runs
+
+
+@st.composite
+def regular_with_left_eigenvector(draw, max_n=8):
+    """(x, w) with x = U^-1 diag U, distinct integer or rational eigenvalues,
+    U unimodular, and w a row of U: x is regular, and the integer row w is a
+    left eigenvector (w x = lambda w), so its chain is dependent at power 1."""
+    n = draw(st.integers(2, max_n))
+    eigen = draw(
+        st.lists(st.one_of(_int_entry, _rat_entry), min_size=n, max_size=n, unique=True)
+    )
+    small = st.integers(-2, 2)
+    u = _unimodular(n, draw(_grid(n, n, small)), draw(_grid(n, n, small)))
+    d = sympy.diag(*[sympy.Rational(e.numerator, e.denominator) for e in eigen])
+    w = [int(e) for e in u.row(draw(st.integers(0, n - 1)))]
+    return from_sympy_matrix(u.inv() * d * u), w
+
+
+@ORACLE
+@given(non_regular_matrices(8))
+def test_min_poly_of_non_regular_matrices_takes_the_power_chain(x):
+    p, runs = min_poly_routes(x)
+    n = x.n
+    # the probe chain stops below n, and the power chain of vec(I) decides
+    assert len(runs) == 2 and runs[0][0] == n and runs[0][1] < n
+    assert runs[1][0] == n * n
+    assert all(type(c) is int for c in p)  # an integer x keeps int coefficients
+    assert list(p) == sympy_min_poly(to_sympy(x))
+
+
+@pytest.mark.parametrize("family", ["companion", "off_locus", "uniform"])
+@KERNEL_ORACLE
+@given(data=st.data())
+def test_min_poly_of_regular_matrices_takes_the_probe_row(family, data):
+    x = data.draw(KERNEL_FAMILIES[family])
+    m = to_sympy(x)
+    assume(sympy_is_regular(m))
+    p, runs = min_poly_routes(x)
+    assert runs == [(x.n, x.n)]  # the probe row is cyclic: one chain of rows
+    for c in p:
+        assert_exact_scalar(c)
+    assert list(p) == sympy_char_poly(m) == sympy_min_poly(m)
+
+
+@pytest.mark.parametrize("probe", ["zero", "left_eigenvector"])
+@ORACLE
+@given(pair=regular_with_left_eigenvector())
+def test_min_poly_falls_back_when_the_probe_row_is_not_cyclic(probe, pair):
+    x, w = pair
+    n = x.n
+    row = tuple(w) if probe == "left_eigenvector" else (0,) * n
+    p, runs = min_poly_routes(x, row)
+    stopped = 1 if probe == "left_eigenvector" else 0
+    assert runs == [(n, stopped), (n * n, n)]
+    for c in p:
+        assert_exact_scalar(c)
+    assert list(p) == sympy_char_poly(to_sympy(x)) == sympy_min_poly(to_sympy(x))
 
 
 # The chain kernel stops at the first dependent vector, so it is checked on

@@ -468,8 +468,9 @@ def _count_chains(monkeypatch):
 
 def _dependence_starts(monkeypatch):
     """The first vector of every elimination that carries dependence columns
-    (``exactmat._with_units``): a Krylov chain's row w, vec(I) for
-    ``min_poly``, or an inverse's first row."""
+    (``exactmat._with_units``): a Krylov chain's row w (e_n's, or
+    ``min_poly``'s probe row), vec(I) for ``min_poly``'s power chain, or an
+    inverse's first row."""
     starts, with_units = [], exactmat._with_units
 
     def recorded(vectors, m):
@@ -491,12 +492,16 @@ def _analyze_cli(monkeypatch, x, extra):
 def test_non_regular_work_order(extra, code, monkeypatch, capsys):
     chains = _count_chains(monkeypatch)
     mins, chars = (_count(monkeypatch, name) for name in ("min_poly", "char_poly"))
+    starts = _dependence_starts(monkeypatch)
     x = RatMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 2]])  # (t - 2)^2 is minimal
     assert _analyze_cli(monkeypatch, x, extra) == code
     capsys.readouterr()
     assert [w for w, *_ in chains] == [(0, 0, 1)]
     assert len(mins) == 1
     assert len(chars) == (0 if code else 1)
+    # the e_n chain, then min_poly's probe row, which no row of a non-regular
+    # x can be cyclic for, then its fallback, the power chain from vec(I)
+    assert starts == [(0, 0, 1), exactmat._probe_row(3), (1, 0, 0, 0, 1, 0, 0, 0, 1)]
 
 
 def test_regular_off_locus_work_order(monkeypatch, capsys):
@@ -509,6 +514,7 @@ def test_regular_off_locus_work_order(monkeypatch, capsys):
     assert [w for w, *_ in chains[:3]] == [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
     assert len(chains) > 3
     assert len(mins) == 1 and chars == []
-    # of the Krylov chains (rows of length n, not min_poly's vec(I)), only
-    # the e_n chain carries dependence columns, and nothing is inverted
-    assert [v for v in starts if len(v) == 3] == [(0, 0, 1)]
+    # only the e_n chain and min_poly's probe row carry dependence columns:
+    # the probe row is cyclic, so min_poly's power chain from vec(I) never
+    # runs, and nothing is inverted
+    assert starts == [(0, 0, 1), exactmat._probe_row(3)]
