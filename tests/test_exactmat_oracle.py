@@ -661,12 +661,12 @@ def test_min_poly_of_non_regular_matrices_takes_the_power_chain(x):
 def test_min_poly_of_regular_matrices_takes_the_probe_row(family, data):
     x = data.draw(KERNEL_FAMILIES[family])
     m = to_sympy(x)
-    assume(sympy_is_regular(m))
+    assume(family != "uniform" or sympy_is_regular(m))  # the others are regular
     p, runs = min_poly_routes(x)
     assert runs == [(x.n, x.n)]  # the probe row is cyclic: one chain of rows
     for c in p:
         assert_exact_scalar(c)
-    assert list(p) == sympy_char_poly(m) == sympy_min_poly(m)
+    assert list(p) == sympy_char_poly(m)  # x is regular: mu = chi
 
 
 @pytest.mark.parametrize("probe", ["zero", "left_eigenvector"])
@@ -681,7 +681,7 @@ def test_min_poly_falls_back_when_the_probe_row_is_not_cyclic(probe, pair):
     assert runs == [(n, stopped), (n * n, n)]
     for c in p:
         assert_exact_scalar(c)
-    assert list(p) == sympy_char_poly(to_sympy(x)) == sympy_min_poly(to_sympy(x))
+    assert list(p) == sympy_char_poly(to_sympy(x))  # x is regular: mu = chi
 
 
 # The chain kernel stops at the first dependent vector, so it is checked on
