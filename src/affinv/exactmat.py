@@ -6,8 +6,9 @@ pure-int arithmetic and rational ones exactly the Fraction arithmetic.
 Every exact elimination runs through one fraction-free kernel, ``_eliminate``,
 which reduces integer vectors one at a time as they are drawn.  Each job scales
 its input once to an integer multiple q x and feeds the kernel: ``determinant``
-and ``rank`` the rows, ``inverse`` the rows and then the unit rows; the Krylov
-determinant D, Krylov's method (``_krylov_chain``, behind ``analyze`` and
+and ``rank`` the rows, ``_scaled_inverse`` (the integer M = s x^-1 behind
+``inverse`` and the transformation law) the rows and then the unit rows; the
+Krylov determinant D, Krylov's method (``_krylov_chain``, behind ``analyze`` and
 ``min_poly``) and ``min_poly``'s power chain draw the lazy chain
 ``_krylov_rows`` (the only place v -> v x is written) up to its first dependent
 vector.  ``min_poly`` takes two routes, both exact eliminations: Krylov's
@@ -21,11 +22,12 @@ qa qb.  The kernel's divisions are exact integer divisions; every other
 division goes through ``Fraction``.  So no float can appear, and equality tests
 (``determinant(x) != 0``, residual ``== 0``) are decisions, not tolerance
 checks.  Public scalar results (``determinant``, ``RatMatrix.trace``) are
-always ``Fraction``.  A polynomial is the tuple of its exact coefficients in
-ascending degree, each ``int`` when integral and ``Fraction`` otherwise; the
-monic ones end in 1, and the degree is ``len(p) - 1``.  Matrices are
-immutable; every operation returns a fresh value and is safe to call
-concurrently.
+always ``Fraction``.  ``RatMatrix`` takes rows whose entries are all exactly
+``int`` as they are and normalises any other rows entry by entry.  A
+polynomial is the tuple of its exact coefficients in ascending degree, each
+``int`` when integral and ``Fraction`` otherwise; the monic ones end in 1,
+and the degree is ``len(p) - 1``.  Matrices are immutable; every operation
+returns a fresh value and is safe to call concurrently.
 
 Index convention: documentation and all JSON interfaces are 1-based (entry
 ``(i, j)`` with ``1 <= i, j <= n``); internal storage is 0-based row-major.
@@ -144,7 +146,11 @@ class RatMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Sequence[Sequence[Rat]]):
-        converted = tuple(tuple(_exact_scalar(e) for e in row) for row in rows)
+        # rows whose entries are all exactly int are in normal form already:
+        # one C-level scan finds them, and only other rows are normalised
+        converted = tuple(map(tuple, rows))
+        if not {int}.issuperset(map(type, chain.from_iterable(converted))):
+            converted = tuple(tuple(map(_exact_scalar, row)) for row in converted)
         n = len(converted)
         if n < 1:
             raise ExactmatError("matrix must have dimension >= 1")
@@ -282,9 +288,9 @@ def _with_units(vectors: Iterable[Sequence[int]], m: int):
     The unit indices are dependence columns: ``_eliminate`` carries m more
     entries per row, which only a caller that reads the dependence pays for.
     These are ``_chain_dependence`` (for ``min_poly``'s power chain and
-    Krylov's method, ``_krylov_chain``) and ``inverse``; a determinant or a
-    cyclic-row test reads only the pivots, and ``_det_rows`` runs without
-    them."""
+    Krylov's method, ``_krylov_chain``) and ``_scaled_inverse``; a
+    determinant or a cyclic-row test reads only the pivots, and ``_det_rows``
+    runs without them."""
     for k, v in zip(range(m), vectors):
         yield [*v, *[0] * k, 1, *[0] * (m - 1 - k)]
 
@@ -409,11 +415,12 @@ def min_poly(x: RatMatrix) -> tuple:
     return _descaled(y, q)
 
 
-def inverse(x: RatMatrix) -> RatMatrix:
-    """Exact inverse: eliminates the rows of the integer multiple q x with
-    unit indices, then reduces each e_j against them without storing it:
-    sum y_k (q x)_k + last e_j = 0, so row j of x^-1 is -q y / last.  Raises
-    SingularMatrixError when det = 0."""
+def _scaled_inverse(x: RatMatrix) -> tuple[list[list[int]], int]:
+    """(M, s) with M = s x^-1 an integer matrix and s a nonzero integer.
+    Eliminates the rows of the integer multiple q x with unit indices, then
+    reduces each e_j against them without storing it: sum y_k (q x)_k +
+    last e_j = 0, so row j of x^-1 is -q y / last, and M = -q y, s = last.
+    Raises SingularMatrixError when det = 0."""
     n = x.n
     rows, q = _integer_multiple(x.rows)
     units = ([int(i == j) for i in range(n)] + [0] * n for j in range(n))
@@ -421,8 +428,14 @@ def inverse(x: RatMatrix) -> RatMatrix:
     pivots = [row[c] for c, row in islice(reduced, n) if c is not None]
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    last = pivots[-1]
-    return RatMatrix([[Fraction(-q * e, last) for e in row[n:]] for _, row in reduced])
+    return [[-q * e for e in row[n:]] for _, row in reduced], pivots[-1]
+
+
+def inverse(x: RatMatrix) -> RatMatrix:
+    """Exact inverse M / s from the scaled inverse (M, s) of
+    ``_scaled_inverse``.  Raises SingularMatrixError when det = 0."""
+    m, s = _scaled_inverse(x)
+    return RatMatrix([[Fraction(e, s) for e in row] for row in m])
 
 
 def matrix_to_json(x: RatMatrix) -> dict:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import mul
 from typing import Sequence
 
 from .exactmat import (
@@ -43,9 +45,9 @@ def trace_form(x: RatMatrix, y: RatMatrix) -> Fraction:
     """B(x, y) = tr(xy), computed as the standard bilinear sum."""
     if x.n != y.n:
         raise DimensionMismatchError(f"dimension {x.n} vs {y.n}")
-    n = x.n
+    # x_ac y_ca over a, then c: x's rows against y's columns, flattened
     return Fraction(
-        sum(x.rows[a][c] * y.rows[c][a] for a in range(n) for c in range(n))
+        sum(map(mul, chain.from_iterable(x.rows), chain.from_iterable(zip(*y.rows))))
     )
 
 

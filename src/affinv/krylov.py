@@ -18,7 +18,8 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import accumulate, chain, islice, repeat
+from operator import mul
 from typing import Sequence
 
 from .exactmat import (
@@ -32,11 +33,11 @@ from .exactmat import (
     _krylov_rows,
     _matmul,
     _order_sign,
+    _probe_row,
+    _scaled_inverse,
     char_poly,
     determinant,
-    inverse,
     min_poly,
-    power,
 )
 from .invariants import basis_matrix, trace_form
 
@@ -127,22 +128,20 @@ def _krylov_dependence(w: Sequence, x: RatMatrix) -> tuple[Fraction, tuple | Non
 
 
 def pairing_matrix(x: RatMatrix) -> RatMatrix:
-    """The matrix with (k+1, j) entry tr(x^k E_jn), built from explicit
-    matrix powers and literal trace pairings.
+    """The matrix with (k+1, j) entry tr(x^k E_jn), built from matrix powers
+    by successive products and literal trace pairings.
 
     An independent construction of the same matrix as the Krylov rows
-    krylov_rows(e_n, x), by powers instead of the chain and with its own
-    ``determinant`` call; the verification suites compare its determinant
-    with krylov_determinant exactly.
+    krylov_rows(e_n, x), by products of whole matrices instead of the chain
+    and with its own ``determinant`` call; the verification suites compare
+    its determinant with krylov_determinant exactly.
     """
     n = x.n
-    rows = []
-    for k in range(n):
-        xk = power(x, k)
-        rows.append(
-            [trace_form(xk, basis_matrix(n, j, n)) for j in range(1, n + 1)]
-        )
-    return RatMatrix(rows)
+    powers = chain([RatMatrix.identity(n)], accumulate(repeat(x), mul, initial=x))
+    return RatMatrix(
+        [trace_form(xk, basis_matrix(n, j, n)) for j in range(1, n + 1)]
+        for xk in islice(powers, n)
+    )
 
 
 def pairing_determinant(x: RatMatrix) -> Fraction:
@@ -178,18 +177,30 @@ def companion_sign(n: int) -> int:
 
 
 def is_regular(x: RatMatrix) -> bool:
-    """True iff the minimal polynomial has full degree n."""
-    return len(min_poly(x)) == x.n + 1
+    """True iff the minimal polynomial has full degree n.  The bare chain
+    test ``_krylov_det`` on ``min_poly``'s probe row decides it when that
+    row is cyclic (deg mu_w = n and mu_w | mu_x); only otherwise is
+    ``min_poly`` computed."""
+    n = x.n
+    if _krylov_det(_probe_row(n), _integer_multiple(x.rows)[0]):
+        return True
+    return len(min_poly(x)) == n + 1
 
 
 def transformation_law(
     x: RatMatrix, y: PGroupElement, d: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Return (D(y x y^-1), det(y)^-1 d) for the D(x) = d that the caller
-    holds; the two are equal for y in P."""
-    ym = y.matrix
-    conjugated = ym * x * inverse(ym)
-    return krylov_determinant(conjugated), d / y.det()
+    holds; the two are equal for y in P.  With the integer multiple q x and
+    the scaled inverse M = s y^-1 of ``_scaled_inverse``, y x y^-1 =
+    y (q x) M / (q s), and D is homogeneous of degree n(n-1)/2, so D(y x
+    y^-1) is D of the product y (q x) M, an integer matrix for an integer
+    y, divided once by (q s)^(n(n-1)/2)."""
+    n = x.n
+    xq, q = _integer_multiple(x.rows)
+    m, s = _scaled_inverse(y.matrix)
+    conjugated = RatMatrix(_matmul(_matmul(y.matrix.rows, xq), m))
+    return krylov_determinant(conjugated) / (q * s) ** (n * (n - 1) // 2), d / y.det()
 
 
 def homogeneity_check(x: RatMatrix, t, d: Fraction) -> tuple[Fraction, Fraction]:

@@ -8,6 +8,7 @@ import pytest
 from affinv import exactmat
 from affinv.exactmat import (
     DimensionMismatchError,
+    ExactmatError,
     MatrixJSONError,
     RatMatrix,
     SingularMatrixError,
@@ -371,6 +372,66 @@ def _sympy_at_matrix(sympy, p, x):
     for c in reversed(p):
         acc = acc * m + sympy.Rational(c.numerator, c.denominator) * sympy.eye(x.n)
     return acc
+
+
+class _Small(int):
+    """An int subclass, which the normal form stores as a plain int."""
+
+
+def _types(x: RatMatrix) -> list:
+    return [[type(e) for e in row] for row in x.rows]
+
+
+class TestNormalForm:
+    """RatMatrix takes all-int rows as they are and normalises every other
+    row: each entry exactly int when integral, Fraction otherwise."""
+
+    @pytest.mark.parametrize(
+        "entry", [True, False, _Small(3), Fraction(4, 2), Fraction(0)], ids=repr
+    )
+    def test_integral_entries_become_exactly_int(self, entry):
+        for rows in ([[entry]], [[entry, 1], [2, 3]], [[1, 2], [3, entry]]):
+            x = RatMatrix(rows)
+            assert all(t is int for row in _types(x) for t in row)
+            assert x == RatMatrix([[int(e) for e in row] for row in rows])
+            assert hash(x) == hash(RatMatrix([[int(e) for e in row] for row in rows]))
+
+    def test_int_rows_are_kept_and_fractions_stay(self):
+        x = RatMatrix([[1, 2], [3, 4]])
+        assert x.rows == ((1, 2), (3, 4)) and _types(x) == [[int, int], [int, int]]
+        y = RatMatrix([[1, Fraction(1, 2)], [Fraction(6, 3), -4]])
+        assert y.rows == ((1, Fraction(1, 2)), (2, -4))
+        assert _types(y) == [[int, Fraction], [int, int]]
+
+    def test_rows_given_by_generators(self):
+        x = RatMatrix((e for e in row) for row in [[1, 2], [3, 4]])
+        assert x.rows == ((1, 2), (3, 4))
+        y = RatMatrix(iter([(Fraction(1, 2), True), (0, 1)]))
+        assert y.rows == ((Fraction(1, 2), 1), (0, 1))
+        assert _types(y) == [[Fraction, int], [int, int]]
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 2], [3]], [[1], [2]], [[1, 2]], [[Fraction(1, 2), 2], [3]], []]
+    )
+    def test_ragged_or_empty_rows_are_rejected(self, rows):
+        with pytest.raises(ExactmatError):
+            RatMatrix(rows)
+
+    @pytest.mark.parametrize("bad", [1.0, 0.5, "2", None])
+    def test_float_or_str_entry_is_a_type_error(self, bad):
+        for rows in ([[bad]], [[1, 2], [3, bad]]):
+            with pytest.raises(TypeError):
+                RatMatrix(rows)
+
+    def test_products_and_scales_normalise(self):
+        x = RatMatrix([[Fraction(1, 2), 0], [1, 2]])
+        product = x * x  # q = 4 > 1: every entry passes through Fraction
+        assert product.rows == ((Fraction(1, 4), 0), (Fraction(5, 2), 4))
+        assert _types(product) == [[Fraction, int], [Fraction, int]]
+        half = RatMatrix([[2, 3], [4, 6]]).scale(Fraction(1, 2))
+        assert half.rows == ((1, Fraction(3, 2)), (2, 3))
+        assert _types(half) == [[int, Fraction], [int, int]]
+        assert _types(half.scale(Fraction(4, 2))) == [[int, int], [int, int]]
 
 
 class TestInverse:

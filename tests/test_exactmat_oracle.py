@@ -1,7 +1,8 @@
 """Oracle tests for the integer-first exact layer.
 
 sympy shares no code with affinv, so it serves as an independent oracle
-for determinant, inverse, rank, char_poly and min_poly on
+for determinant, inverse (and the scaled inverse behind it), rank,
+char_poly and min_poly on
 hypothesis-drawn integer and rational matrices, and for the Krylov kernel
 behind ``analyze`` (D_w and the characteristic polynomial from one
 chain) and the ``analyze`` JSON itself.  Uniform draws are almost always
@@ -37,6 +38,7 @@ from affinv.exactmat import (  # noqa: E402
     _chain_dependence,
     _eliminate,
     _krylov_rows,
+    _scaled_inverse,
     char_poly,
     commutator,
     determinant,
@@ -58,6 +60,7 @@ from affinv.invariants import (  # noqa: E402
 )
 from affinv.krylov import (  # noqa: E402
     MAX_TRIES,
+    PGroupElement,
     SearchExhausted,
     _krylov_dependence,
     _krylov_det,
@@ -67,6 +70,8 @@ from affinv.krylov import (  # noqa: E402
     in_omega,
     krylov_determinant,
     pairing_determinant,
+    pairing_matrix,
+    transformation_law,
 )
 
 ORACLE = settings(max_examples=40, deadline=None, derandomize=True)
@@ -241,6 +246,55 @@ def test_inverse_matches_sympy(x):
     assert [list(row) for row in inv.rows] == [
         [from_sympy(expected[i, j]) for j in range(x.n)] for i in range(x.n)
     ]
+
+
+@ORACLE
+@given(matrices())
+def test_scaled_inverse_is_integer_and_matches_sympy(x):
+    m = to_sympy(x)
+    if m.det() == 0:
+        with pytest.raises(SingularMatrixError):
+            _scaled_inverse(x)
+        return
+    scaled, s = _scaled_inverse(x)
+    assert type(s) is int and s != 0
+    assert all(type(e) is int for row in scaled for e in row)
+    assert sympy.Matrix(scaled) / s == m.inv()
+
+
+@st.composite
+def p_elements(draw, n):
+    """An invertible integer y in P: n - 1 rows in [-3, 3] over e_n."""
+    top = draw(_grid(n - 1, n, st.integers(-3, 3)))
+    rows = top + [[0] * (n - 1) + [1]]
+    assume(sympy.Matrix(rows).det() != 0)
+    return PGroupElement(matrix=RatMatrix(rows))
+
+
+@pytest.mark.parametrize("entry", ["integer", "rational"])
+@ORACLE
+@given(data=st.data())
+def test_transformation_law_matches_sympy(entry, data):
+    # a p/q x runs the law through the integer multiple q x
+    n = data.draw(st.integers(1, 6))
+    x = data.draw(_square({"integer": _int_entry, "rational": _rat_entry}[entry], n))
+    y = data.draw(p_elements(n))
+    e_n = [int(j == n - 1) for j in range(n)]
+    my = to_sympy(y.matrix)
+    d = krylov_determinant(x)
+    a, b = transformation_law(x, y, d)
+    assert type(a) is Fraction
+    assert a == sympy_krylov_det(my * to_sympy(x) * my.inv(), e_n)
+    assert b == d / from_sympy(my.det())
+
+
+@ORACLE
+@given(matrices())
+def test_pairing_matrix_matches_sympy(x):
+    n, m = x.n, to_sympy(x)
+    e = [sympy.Matrix(n, n, lambda a, b: int((a, b) == (j, n - 1))) for j in range(n)]
+    expected = [[from_sympy((m**k * e[j]).trace()) for j in range(n)] for k in range(n)]
+    assert [list(row) for row in pairing_matrix(x).rows] == expected
 
 
 @ORACLE

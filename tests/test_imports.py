@@ -122,6 +122,10 @@ UNUSED_PUBLIC = {
     "calculus.fd_directional": "reference: lie_derivatives matches it bit for bit; criterion 8",
     "calculus.lie_derivative": "BENCHMARK.json per-layer name calculus.lie_derivative",
     "exactmat.rank": "README: the exactmat layer's exact rank, checked against sympy",
+    "exactmat.inverse": (
+        "BENCHMARK.json per-layer name exactmat.inverse; README: the exact inverse, "
+        "checked against sympy"
+    ),
     "invariants.trace_power": "README: tr(x^k)/k is a public Fraction-valued invariant",
     "krylov.in_omega": "BENCHMARK.json per-layer name krylov.in_omega; the exact D != 0 test",
     "invariants.entry_bracket_pairing": "reference: the dense tr(x^k E_ji) the basis expansion reads",

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from affinv import calculus, fields, invariants, krylov, report
+from affinv import calculus, exactmat, fields, invariants, krylov, report
 from affinv.exactmat import matrix_from_json, power
 from affinv.fields import Add, Const, Mul, Pk, Pow, Var
 from affinv.report import PropertyRecord
@@ -50,8 +50,8 @@ def test_identity_suite_computes_d_once_per_sample_and_det_once_per_p_element(
     det, rand_p = krylov.determinant, report._rand_p_element
 
     def counted_chain(w, xq, cols=None):
-        chains.append(w)
-        return chain(w, xq, cols)
+        chains.append((w, chain(w, xq, cols)))
+        return chains[-1][1]
 
     def counted_dependence(w, x):
         dependence.append(w)
@@ -65,14 +65,30 @@ def test_identity_suite_computes_d_once_per_sample_and_det_once_per_p_element(
         p_elements.append(rand_p(rng, n))
         return p_elements[-1]
 
+    def forbidden(*args):
+        raise AssertionError("the identity suite must not call this")
+
     monkeypatch.setattr(krylov, "_krylov_det", counted_chain)
     monkeypatch.setattr(krylov, "_krylov_dependence", counted_dependence)
     monkeypatch.setattr(krylov, "determinant", counted_det)
     monkeypatch.setattr(report, "_rand_p_element", recorded_p_element)
+    # no power from scratch, no rational inverse, no minimal polynomial
+    for name in ("power", "inverse", "min_poly"):
+        for module in (exactmat, krylov, invariants, report):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
     assert report.run_identity_suite(4, 3, 7)["pass"]
-    # per sample: D(x), D(t x), D(y x y^-1) and D of the companion matrix
-    assert len(chains) == 12
-    assert all(w == (0, 0, 0, 1) for w in chains)
+    # per sample: D(x), D(t x), D(y x y^-1), the probe row's chain when
+    # D(x) != 0 (the regularity test) and D of the companion matrix
+    e_n, probe = (0, 0, 0, 1), exactmat._probe_row(4)
+    expected, i = [], 0
+    while i < len(chains):
+        block = [e_n] * 3 + [probe] * (chains[i][1] != 0) + [e_n]
+        expected += block
+        i += len(block)
+    assert [w for w, _ in chains] == expected
+    assert [w for w, _ in chains].count(e_n) == 12
+    assert 0 < [w for w, _ in chains].count(probe) <= 3
     assert dependence == []  # no characteristic polynomial is read from them
     assert len(p_elements) == 3
     assert [sum(a is y.matrix for a in det_args) for y in p_elements] == [1, 1, 1]
