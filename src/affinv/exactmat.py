@@ -146,8 +146,8 @@ class RatMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Sequence[Sequence[Rat]]):
-        # rows whose entries are all exactly int are in normal form already:
-        # one C-level scan finds them, and only other rows are normalised
+        # entries that are all exactly int are in normal form already: one
+        # C-level scan finds them, and only otherwise is each one normalised
         converted = tuple(map(tuple, rows))
         if not {int}.issuperset(map(type, chain.from_iterable(converted))):
             converted = tuple(tuple(map(_exact_scalar, row)) for row in converted)

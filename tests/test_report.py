@@ -81,14 +81,12 @@ def test_identity_suite_computes_d_once_per_sample_and_det_once_per_p_element(
     # per sample: D(x), D(t x), D(y x y^-1), the probe row's chain when
     # D(x) != 0 (the regularity test) and D of the companion matrix
     e_n, probe = (0, 0, 0, 1), exactmat._probe_row(4)
-    expected, i = [], 0
-    while i < len(chains):
-        block = [e_n] * 3 + [probe] * (chains[i][1] != 0) + [e_n]
-        expected += block
-        i += len(block)
-    assert [w for w, _ in chains] == expected
-    assert [w for w, _ in chains].count(e_n) == 12
-    assert 0 < [w for w, _ in chains].count(probe) <= 3
+    rows, expected = [w for w, _ in chains], []
+    while len(expected) < len(chains):
+        d_x = chains[len(expected)][1]  # the sample's first chain is D(x)
+        expected += [e_n] * 3 + [probe] * (d_x != 0) + [e_n]
+    assert rows == expected
+    assert rows.count(e_n) == 12 and 0 < rows.count(probe) <= 3
     assert dependence == []  # no characteristic polynomial is read from them
     assert len(p_elements) == 3
     assert [sum(a is y.matrix for a in det_args) for y in p_elements] == [1, 1, 1]
