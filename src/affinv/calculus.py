@@ -5,25 +5,27 @@ of local invariance.
 
 All derivative estimates use one central-difference kernel,
 (f(x+hv) - f(x-hv))/2h along the adjoint direction v = [E_ij, x], that
-works on an (n, n) point and on an (n, n, N) batch of samples alike, and
-evaluates a family of fields on each side at once.  At a point, where
-x +- hv must be finite, ``lie_derivatives`` stacks all n^2 directions into
-one batch and returns one table per field as a nested list of Python
-floats.  Each point check (P-invariance, the full contraction identity, the
-reduced system) reads a table and x's float powers ``FloatMatrix.powers``,
-drawn once per point from the exact layer's Krylov-row builder, as plain
-floats: its maxima keep a NaN and its dot products add left to right on
-every Python version.  The reduced system is checked at rational points
-only: its gate |D(x)| >= delta, which keeps it away from the hypersurface
-where finite differences degrade, reads |D| from the exact determinant the
-caller holds.  Scalar fields built from trace powers are exactly invariant,
-so their Lie derivatives measure pure finite-difference noise; the default
-tolerances are sized for entries clamped to [-2, 2] at h = 1e-5.
+writes into the caller's arrays, works on an (n, n) point and on an
+(n, n, N) batch of samples alike, and evaluates a family of fields on each
+side at once; one builder forms every shifted point x +- hv.  At a point,
+where x +- hv must be finite, ``lie_derivatives`` reads x as x + 0.0 (a
+-0.0 entry as +0.0), stacks all n^2 directions into one batch and returns
+one table per field as a nested list of Python floats.  Each point check
+(P-invariance, the full contraction identity, the reduced system) reads a
+table and x's float powers ``FloatMatrix.powers`` as plain floats: its
+maxima keep a NaN and its dot products, the powers' entries among them, add
+left to right on every Python version.  The reduced system is checked at
+rational points only: its gate |D(x)| >= delta, which keeps it away from
+the hypersurface where finite differences degrade, reads |D| from the
+exact determinant the caller holds.  Scalar fields built from trace powers
+are exactly invariant, so their Lie derivatives measure pure
+finite-difference noise; the default tolerances are sized for entries
+clamped to [-2, 2] at h = 1e-5.
 
 numpy serves only where a batch of samples is evaluated (the shifted points
-of ``lie_derivatives``, the weak suite), and each function that needs it
-imports it itself, so the command-line tool loads this module without numpy
-until a lemma or weak suite runs.
+of ``lie_derivatives``, the differences, the weak suite), and each function
+that needs it imports it itself, so the command-line tool loads this module
+without numpy until a lemma or weak suite runs.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from typing import Sequence
 
-from .exactmat import RatMatrix, _krylov_rows
+from .exactmat import RatMatrix
 from .fields import ScalarField, evaluate_on_entries
 from .invariants import basis_bracket, basis_matrix
 
@@ -79,10 +81,14 @@ class FloatMatrix:
 
     @cached_property
     def powers(self) -> tuple:
-        """x^0, ..., x^(n-1) as nested float lists, drawn on first use from the
-        exact layer's Krylov-row builder started at the identity."""
-        identity = [[float(a == b) for b in range(self.n)] for a in range(self.n)]
-        return tuple(islice(_krylov_rows(identity, self.entries.tolist()), self.n))
+        """x^0, ..., x^(n-1) as nested float lists, formed on first use by
+        successive products whose entries are each one _dot, added left to
+        right on every Python version."""
+        cols = list(zip(*self.entries.tolist()))
+        powers = [[[float(a == b) for b in range(self.n)] for a in range(self.n)]]
+        for _ in range(1, self.n):
+            powers.append([[_dot(row, col) for col in cols] for row in powers[-1]])
+        return tuple(powers)
 
 
 @dataclass(frozen=True)
@@ -138,21 +144,11 @@ def _entries(arr: np.ndarray) -> list:
     return [list(row) for row in arr]
 
 
-def _adjoint_direction(arr: np.ndarray, i: int, j: int) -> np.ndarray:
-    """[E_ij, x] for an (n, n) point or an (n, n, N) batch."""
-    import numpy as np
-
-    v = np.zeros_like(arr)
-    v[i - 1] += arr[j - 1]
-    v[:, j - 1] -= arr[:, i - 1]
-    return v
-
-
 def _shifted_entries(x: list, i: int, j: int, h: float) -> tuple:
-    """x +- hv for v = [E_ij, x] as entry lists: only row i and column j are
-    new, each v entry formed in _adjoint_direction's order and h * v once, so
-    both equal x +- h * _adjoint_direction(x, i, j) bit for bit; the rest are
-    x's own."""
+    """x +- hv for v = [E_ij, x] as entry lists, the one builder of the
+    shifted points: only row i and column j are new, each v entry formed as
+    (0.0 + x_jb) - x_ai in row-then-column order and h * v once; the rest
+    are x's own entries, handed on unchanged."""
     plus, minus = [row[:] for row in x], [row[:] for row in x]
     for a, row in enumerate(x):
         for b, e in enumerate(row):
@@ -166,34 +162,17 @@ def _shifted_entries(x: list, i: int, j: int, h: float) -> tuple:
 
 
 def _central_differences(
-    phis: Sequence[ScalarField], plus: list, minus: list, h: float, out=None
-) -> list:
-    """(phi(x + hv) - phi(x - hv)) / 2h of each phi, from the shifted entry
-    lists; each side evaluates the phis as one family.  With ``out``, one
-    writable array per phi, each difference is written there by the same two
-    IEEE operations, and ``out`` is returned."""
-    sides = zip(evaluate_on_entries(phis, plus), evaluate_on_entries(phis, minus))
-    if out is None:
-        return [(p - m) / (2.0 * h) for p, m in sides]
+    phis: Sequence[ScalarField], plus: list, minus: list, h: float, out
+) -> None:
+    """Write (phi(x + hv) - phi(x - hv)) / 2h of each phi, from the shifted
+    entry lists, into ``out``, one writable array per phi; each side
+    evaluates the phis as one family."""
     import numpy as np
 
+    sides = zip(evaluate_on_entries(phis, plus), evaluate_on_entries(phis, minus))
     for row, (p, m) in zip(out, sides):
         np.subtract(p, m, out=row)
         np.divide(row, 2.0 * h, out=row)
-    return out
-
-
-def _point_difference(
-    phis: Sequence[ScalarField], arr: np.ndarray, v: np.ndarray, h: float
-) -> list:
-    """_central_differences at points, where x +- hv must be finite."""
-    import numpy as np
-
-    with np.errstate(over="ignore"):  # reported below
-        plus, minus = arr + h * v, arr - h * v
-    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
-        raise CalculusError(f"x +- hv leaves the float range at h = {h:g}")
-    return _central_differences(phis, _entries(plus), _entries(minus), h)
 
 
 def abs_max(values) -> float:
@@ -215,8 +194,17 @@ def _dot(a, b) -> float:
 def fd_directional(
     phi: ScalarField, x: FloatMatrix, v: FloatMatrix, cfg: FDConfig = FDConfig()
 ) -> float:
-    """Central-difference directional derivative of phi at x along v."""
-    return float(_point_difference([phi], x.entries, v.entries, cfg.h)[0])
+    """Central-difference directional derivative of phi at x along v, where
+    x +- hv must be finite."""
+    import numpy as np
+
+    h, out = cfg.h, np.empty((1, 1))
+    with np.errstate(over="ignore"):  # reported below
+        plus, minus = x.entries + h * v.entries, x.entries - h * v.entries
+    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+        raise CalculusError(f"x +- hv leaves the float range at h = {h:g}")
+    _central_differences([phi], _entries(plus), _entries(minus), h, out)
+    return float(out[0, 0])
 
 
 def lie_derivatives(
@@ -224,17 +212,23 @@ def lie_derivatives(
 ) -> list:
     """The (phis, n, n) nested list of Python floats L_ij phi(x), one (n, n)
     table per phi, from one central difference over all 2n^2 shifted points,
-    built once for the whole family; entry [m][i][j] equals fd_directional of
-    phis[m] along [E_ij, x] bit for bit.  The point checks read a table with
-    x's float powers, which come from the exact layer's Krylov-row builder."""
+    built by _shifted_entries and evaluated as one batch for the whole
+    family.  x is read as x + 0.0, so a -0.0 entry reads as +0.0, as it does
+    in x + h * 0; entry [m][i][j] equals fd_directional of phis[m] along
+    [E_ij, x] bit for bit.  x +- hv must be finite.  The point checks read a
+    table with x's float powers."""
     import numpy as np
 
-    n, arr = x.n, x.entries
+    n, h, entries = x.n, cfg.h, (x.entries + 0.0).tolist()
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    v = np.stack([_adjoint_direction(arr, i, j) for i, j in pairs], axis=-1)
-    tables = _point_difference(phis, arr[..., None], v, cfg.h)
-    # a constant field evaluates to one float, not to a batch
-    return [np.broadcast_to(t, (n * n,)).reshape(n, n).tolist() for t in tables]
+    # (2, n, n, n^2): the + and - sides, one sample per (i, j)
+    points = np.moveaxis(np.array([_shifted_entries(entries, i, j, h) for i, j in pairs]), 0, -1)
+    if not np.isfinite(points).all():
+        raise CalculusError(f"x +- hv leaves the float range at h = {h:g}")
+    plus, minus = points
+    out = np.empty((len(phis), n * n))
+    _central_differences(phis, _entries(plus), _entries(minus), h, out)
+    return [table.reshape(n, n).tolist() for table in out]
 
 
 def lie_derivative(
@@ -410,7 +404,7 @@ def weak_lie_derivative(
         for p, (i, j) in enumerate(pairs):
             for block in blocks:
                 plus, minus = _shifted_entries(_entries(x[..., block]), i, j, h)
-                _central_differences(psis, plus, minus, h, out=lie[:, block])
+                _central_differences(psis, plus, minus, h, lie[:, block])
             for m, d in zip(*np.nonzero(formed)):
                 np.multiply(u_vals[d], lie[m], out=vals)
                 np.multiply(vals, vals, out=squares)

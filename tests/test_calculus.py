@@ -1,3 +1,4 @@
+import builtins
 import math
 import random
 from fractions import Fraction
@@ -150,6 +151,26 @@ class TestLieDerivatives:
                         ref = fd_directional(phi, fx, v, CFG)
                         assert table[i - 1][j - 1].hex() == ref.hex()
 
+    def test_negative_zero_entry_reads_as_fd_directional_does(self):
+        # x is read as x + 0.0: with x11 = -0.0 handed on as it is,
+        # L_23 (x11 x21) would read -0.0 against fd_directional's 0.0
+        x = FloatMatrix([[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        phi = Mul([Var(1, 1), Var(2, 1)])
+        v = FloatMatrix([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # [E_23, x]
+        got = lie_derivatives([phi], x, CFG)[0][1][2]
+        assert got.hex() == fd_directional(phi, x, v, CFG).hex() == (0.0).hex()
+
+    def test_shift_out_of_float_range_is_rejected_at_points(self):
+        # x + h [E_11, x] has the entry 1e308 + 1e308 at h = 1
+        x = FloatMatrix([[1e308, 1e308], [0.0, 1.0]])
+        v = FloatMatrix([[0.0, 1e308], [0.0, 0.0]])
+        cfg = FDConfig(h=1.0)
+        for call in (lambda: lie_derivatives([Var(1, 1)], x, cfg),
+                     lambda: fd_directional(Var(1, 1), x, v, cfg)):
+            with pytest.raises(CalculusError) as err:
+                call()
+            assert str(err.value) == "x +- hv leaves the float range at h = 1"
+
     def test_constant_field_reads_zero_everywhere(self):
         # a constant tree evaluates to one float, which the table broadcasts
         x = FloatMatrix([[1, 2], [3, 4]])
@@ -271,6 +292,16 @@ class TestReducedSystem:
         table = [[0.0] * 3, [0.0] * 3, [1.0] * 3]
         assert reduced_system_check(table, x, 1.0, CFG)[1] == 0.0
         assert full_identity_residual(table, x, 1) == 0.0
+
+    def test_float_powers_add_left_to_right(self, monkeypatch):
+        # (x^2)_11 = 1 + 1e16 - 1e16 is 0.0 left to right and 1.0 compensated;
+        # with the builtin sum made compensated, as it is for floats from
+        # Python 3.12 on, the powers must still read 0.0
+        monkeypatch.setattr(builtins, "sum", math.fsum)
+        x = FloatMatrix([[1, 1e16, -1e16], [1, 0.5, 0.25], [1, 3, 1]])
+        assert x.powers[2][0][0] == 0.0
+        assert x.powers[1] == x.entries.tolist()
+        assert x.powers[0] == np.eye(3).tolist()
 
 
 class TestAbsMax:
@@ -459,7 +490,9 @@ class TestWeakDerivative:
         h = 1e-3
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                v = calculus._adjoint_direction(block, i, j)
+                v = np.zeros_like(block)
+                v[i - 1] += block[j - 1]
+                v[:, j - 1] -= block[:, i - 1]
                 plus, minus = calculus._shifted_entries(x, i, j, h)
                 for got, want in [(plus, block + h * v), (minus, block - h * v)]:
                     assert np.stack([np.stack(row) for row in got]).tobytes() == want.tobytes()

@@ -1,12 +1,16 @@
-"""Replay of the benchmark's exact request pools.
+"""Replay of the benchmark's request pools, symbolic-export's excepted.
 
-Every request of the exact-identity and analyze-mix pools is rebuilt with
-``perfbench/workloads.py`` and run in process through ``affinv.cli.main``.
-Its exit code and its output digest (sha256 with the ``timestamp`` line
-removed) must equal those captured in ``perfbench/refs/<workload>.json``,
-which is what the benchmark's correctness oracle checks byte for byte, so a
-change to any exact output fails here before a benchmark run.  The perfbench
-files are only read.
+Every request of the exact-identity, analyze-mix and float-suites pools is
+rebuilt with ``perfbench/workloads.py`` and run in process through
+``affinv.cli.main``.  For the exact pools its exit code and its output
+digest (sha256 with the ``timestamp`` line removed) must equal those
+captured in ``perfbench/refs/<workload>.json``, which is what the
+benchmark's correctness oracle checks byte for byte.  A float-suites report
+is judged by ``perfbench/oracle.py`` itself: the exit code, every count and
+verdict exactly, and each worst residual within the oracle's REL_TOL and
+TOL_SHARE.  So a change to any output fails here before a benchmark run.
+symbolic-export is left out: its n = 5 export alone takes seconds.  The
+perfbench files are only read.
 """
 
 import importlib.util
@@ -31,6 +35,27 @@ def _workloads():
         spec = importlib.util.spec_from_file_location(name, BENCH / "workloads.py")
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _oracle():
+    """perfbench/oracle.py, loaded once under a name of its own; it imports
+    the workloads module as ``workloads``, which names the loaded one while
+    it loads."""
+    name = "perfbench_oracle"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, BENCH / "oracle.py")
+        module = importlib.util.module_from_spec(spec)
+        saved = sys.modules.get("workloads")
+        sys.modules["workloads"] = _workloads()
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            if saved is None:
+                del sys.modules["workloads"]
+            else:
+                sys.modules["workloads"] = saved
+        sys.modules[name] = module
     return sys.modules[name]
 
 
@@ -67,3 +92,18 @@ def test_pool_outputs_match_the_captured_references(workload):
         if (code, wl.output_digest(text)) != (ref["exit"], ref["out"]):
             mismatched.append(rid)
     assert mismatched == []
+
+
+def test_float_pool_passes_the_oracle():
+    wl, oracle = _workloads(), _oracle()
+    refs = oracle.load_refs("float-suites")
+    pool = wl.WORKLOADS["float-suites"].pool()
+    assert sorted(refs) == pool
+    mismatched = {}
+    for rid in pool:
+        code, text = _run(wl.build(rid))
+        resp = {"id": rid, "error": None, "exit": code, "stdout": text}
+        problems = oracle.check(resp, refs[rid])
+        if problems:
+            mismatched[rid] = problems
+    assert mismatched == {}
