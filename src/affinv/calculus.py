@@ -8,9 +8,10 @@ All derivative estimates use one central-difference kernel,
 writes into the caller's arrays, works on an (n, n) point and on an
 (n, n, N) batch of samples alike, and evaluates a family of fields on each
 side at once; one builder forms every shifted point x +- hv.  At a point,
-where x +- hv must be finite, ``lie_derivatives`` reads x as x + 0.0 (a
--0.0 entry as +0.0), stacks all n^2 directions into one batch and returns
-one table per field as a nested list of Python floats.  Each point check
+where x +- hv must be finite, ``lie_derivatives`` stacks all n^2
+directions into one batch, reads its + side plus 0.0 (a -0.0 entry as
++0.0, as x + h * 0 does) and returns one table per field as a nested list
+of Python floats.  Each point check
 (P-invariance, the full contraction identity, the reduced system) reads a
 table and x's float powers ``FloatMatrix.powers`` as plain floats: its
 maxima keep a NaN and its dot products, the powers' entries among them, add
@@ -213,18 +214,20 @@ def lie_derivatives(
     """The (phis, n, n) nested list of Python floats L_ij phi(x), one (n, n)
     table per phi, from one central difference over all 2n^2 shifted points,
     built by _shifted_entries and evaluated as one batch for the whole
-    family.  x is read as x + 0.0, so a -0.0 entry reads as +0.0, as it does
-    in x + h * 0; entry [m][i][j] equals fd_directional of phis[m] along
-    [E_ij, x] bit for bit.  x +- hv must be finite.  The point checks read a
-    table with x's float powers."""
+    family, where x +- hv must be finite.  The + side is read plus 0.0, as
+    x + hv reads an entry that hv leaves at 0, so entry [m][i][j] equals
+    fd_directional of phis[m] along [E_ij, x] bit for bit, but for the sign
+    of a zero where h * v underflows to -0.0 at a -0.0 entry.  The point
+    checks read a table with x's float powers."""
     import numpy as np
 
-    n, h, entries = x.n, cfg.h, (x.entries + 0.0).tolist()
+    n, h, entries = x.n, cfg.h, x.entries.tolist()
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     # (2, n, n, n^2): the + and - sides, one sample per (i, j)
     points = np.moveaxis(np.array([_shifted_entries(entries, i, j, h) for i, j in pairs]), 0, -1)
     if not np.isfinite(points).all():
         raise CalculusError(f"x +- hv leaves the float range at h = {h:g}")
+    points[0] += 0.0  # x + h * 0 turns a -0.0 entry into +0.0; x - h * 0 keeps it
     plus, minus = points
     out = np.empty((len(phis), n * n))
     _central_differences(phis, _entries(plus), _entries(minus), h, out)

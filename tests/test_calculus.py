@@ -151,22 +151,43 @@ class TestLieDerivatives:
                         ref = fd_directional(phi, fx, v, CFG)
                         assert table[i - 1][j - 1].hex() == ref.hex()
 
-    def test_negative_zero_entry_reads_as_fd_directional_does(self):
-        # x is read as x + 0.0: with x11 = -0.0 handed on as it is,
-        # L_23 (x11 x21) would read -0.0 against fd_directional's 0.0
-        x = FloatMatrix([[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        phi = Mul([Var(1, 1), Var(2, 1)])
-        v = FloatMatrix([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # [E_23, x]
-        got = lie_derivatives([phi], x, CFG)[0][1][2]
-        assert got.hex() == fd_directional(phi, x, v, CFG).hex() == (0.0).hex()
+    @pytest.mark.parametrize(
+        "rows, phi, i, j, v, want",
+        [
+            (
+                [[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                Mul([Var(1, 1), Var(2, 1)]),
+                2, 3,
+                [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                0.0,
+            ),
+            (
+                [[-0.0, 1.0], [0.0, -1.0]],
+                Mul([Var(1, 1), Var(2, 2), Var(2, 1)]),
+                1, 1,
+                [[0.0, 1.0], [0.0, 0.0]],
+                -0.0,
+            ),
+        ],
+    )
+    def test_negative_zero_entry_reads_as_fd_directional_does(self, rows, phi, i, j, v, want):
+        # x + h * 0 turns x11 = -0.0 into +0.0 and x - h * 0 keeps it; the
+        # first probe reads -0.0 when the + side keeps it too, the second
+        # reads 0.0 when the - side turns it as well (v = [E_ij, x])
+        x = FloatMatrix(rows)
+        got = lie_derivatives([phi], x, CFG)[0][i - 1][j - 1]
+        assert got.hex() == fd_directional(phi, x, FloatMatrix(v), CFG).hex() == want.hex()
 
     def test_shift_out_of_float_range_is_rejected_at_points(self):
         # x + h [E_11, x] has the entry 1e308 + 1e308 at h = 1
         x = FloatMatrix([[1e308, 1e308], [0.0, 1.0]])
         v = FloatMatrix([[0.0, 1e308], [0.0, 0.0]])
         cfg = FDConfig(h=1.0)
-        for call in (lambda: lie_derivatives([Var(1, 1)], x, cfg),
-                     lambda: fd_directional(Var(1, 1), x, v, cfg)):
+        calls = [
+            lambda: lie_derivatives([Var(1, 1)], x, cfg),
+            lambda: fd_directional(Var(1, 1), x, v, cfg),
+        ]
+        for call in calls:
             with pytest.raises(CalculusError) as err:
                 call()
             assert str(err.value) == "x +- hv leaves the float range at h = 1"

@@ -20,6 +20,7 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -46,15 +47,8 @@ def _oracle():
     if name not in sys.modules:
         spec = importlib.util.spec_from_file_location(name, BENCH / "oracle.py")
         module = importlib.util.module_from_spec(spec)
-        saved = sys.modules.get("workloads")
-        sys.modules["workloads"] = _workloads()
-        try:
+        with patch.dict(sys.modules, workloads=_workloads()):
             spec.loader.exec_module(module)
-        finally:
-            if saved is None:
-                del sys.modules["workloads"]
-            else:
-                sys.modules["workloads"] = saved
         sys.modules[name] = module
     return sys.modules[name]
 
