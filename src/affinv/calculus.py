@@ -11,17 +11,17 @@ side at once; one builder forms every shifted point x +- hv.  At a point,
 where x +- hv must be finite, ``lie_derivatives`` stacks all n^2
 directions into one batch, reads its + side plus 0.0 (a -0.0 entry as
 +0.0, as x + h * 0 does) and returns one table per field as a nested list
-of Python floats.  Each point check
-(P-invariance, the full contraction identity, the reduced system) reads a
-table and x's float powers ``FloatMatrix.powers`` as plain floats: its
-maxima keep a NaN and its dot products, the powers' entries among them, add
-left to right on every Python version.  The reduced system is checked at
-rational points only: its gate |D(x)| >= delta, which keeps it away from
-the hypersurface where finite differences degrade, reads |D| from the
-exact determinant the caller holds.  Scalar fields built from trace powers
-are exactly invariant, so their Lie derivatives measure pure
-finite-difference noise; the default tolerances are sized for entries
-clamped to [-2, 2] at h = 1e-5.
+of Python floats.  Each point check (P-invariance, the full contraction
+identity, the reduced system) reads a table and x's float powers
+``FloatMatrix.powers`` as plain floats: its maxima keep a NaN and its dot
+products, the powers' entries among them, add left to right on every
+Python version.  The reduced system is checked at rational points only:
+its gate |D(x)| >= delta, which keeps it away from the hypersurface where
+finite differences degrade, reads |D| from the exact determinant the
+caller holds.  Scalar fields built from trace powers are exactly
+invariant, so their Lie derivatives measure pure finite-difference noise;
+the default tolerances are sized for entries clamped to [-2, 2] at
+h = 1e-5.
 
 numpy serves only where a batch of samples is evaluated (the shifted points
 of ``lie_derivatives``, the differences, the weak suite), and each function
@@ -147,9 +147,9 @@ def _entries(arr: np.ndarray) -> list:
 
 def _shifted_entries(x: list, i: int, j: int, h: float) -> tuple:
     """x +- hv for v = [E_ij, x] as entry lists, the one builder of the
-    shifted points: only row i and column j are new, each v entry formed as
-    (0.0 + x_jb) - x_ai in row-then-column order and h * v once; the rest
-    are x's own entries, handed on unchanged."""
+    shifted points: only row i and column j are new, their v entries formed
+    from 0.0 by adding x_jb (row i) and then subtracting x_ai (column j),
+    and h * v once; the rest are x's own entries, handed on unchanged."""
     plus, minus = [row[:] for row in x], [row[:] for row in x]
     for a, row in enumerate(x):
         for b, e in enumerate(row):
