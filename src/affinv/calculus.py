@@ -1,5 +1,5 @@
-"""Floating-point layer: finite-difference directional and Lie
-derivatives, the reduced linear system in the last-row bracket
+"""Floating-point layer: finite-difference Lie derivatives along the
+adjoint fields, the reduced linear system in the last-row bracket
 derivatives, and a quadrature analogue of the weak (distributional) form
 of local invariance.
 
@@ -23,10 +23,12 @@ invariant, so their Lie derivatives measure pure finite-difference noise;
 the default tolerances are sized for entries clamped to [-2, 2] at
 h = 1e-5.
 
-numpy serves only where a batch of samples is evaluated (the shifted points
-of ``lie_derivatives``, the differences, the weak suite), and each function
-that needs it imports it itself, so the command-line tool loads this module
-without numpy until a lemma or weak suite runs.
+The point type ``FloatMatrix`` holds a tuple of row tuples of Python
+floats and needs no numpy.  numpy serves only where a batch of samples is
+evaluated (the shifted points of ``lie_derivatives``, the differences, the
+weak suite), and each function that needs it imports it itself, so the
+command-line tool loads this module without numpy until a lemma or weak
+suite runs.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
-from .exactmat import RatMatrix
 from .fields import ScalarField, evaluate_on_entries
 from .invariants import basis_bracket, basis_matrix
 
@@ -57,35 +58,31 @@ class BoundaryLeak(CalculusError):
 
 @dataclass(frozen=True)
 class FloatMatrix:
-    """Square float64 matrix with finite entries."""
+    """Square matrix of finite Python floats, a tuple of row tuples."""
 
-    entries: np.ndarray
+    entries: tuple
 
     def __init__(self, entries):
-        import numpy as np
-
-        arr = np.array(entries, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise CalculusError(f"expected square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        try:
+            rows = tuple(tuple(map(float, row)) for row in entries)
+        except (TypeError, ValueError):  # a number for a row (1-D), a list for an entry (3-D)
+            rows = ()
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise CalculusError("expected a non-empty square matrix of real numbers")
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
             raise CalculusError("matrix entries must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", rows)
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def from_rat(cls, x: RatMatrix) -> "FloatMatrix":
-        return cls([[float(e) for e in row] for row in x.rows])
+        return len(self.entries)
 
     @cached_property
     def powers(self) -> tuple:
         """x^0, ..., x^(n-1) as nested float lists, formed on first use by
         successive products whose entries are each one _dot, added left to
         right on every Python version."""
-        cols = list(zip(*self.entries.tolist()))
+        cols = list(zip(*self.entries))
         powers = [[[float(a == b) for b in range(self.n)] for a in range(self.n)]]
         for _ in range(1, self.n):
             powers.append([[_dot(row, col) for col in cols] for row in powers[-1]])
@@ -150,7 +147,7 @@ def _shifted_entries(x: list, i: int, j: int, h: float) -> tuple:
     shifted points: only row i and column j are new, their v entries formed
     from 0.0 by adding x_jb (row i) and then subtracting x_ai (column j),
     and h * v once; the rest are x's own entries, handed on unchanged."""
-    plus, minus = [row[:] for row in x], [row[:] for row in x]
+    plus, minus = [list(row) for row in x], [list(row) for row in x]
     for a, row in enumerate(x):
         for b, e in enumerate(row):
             if a == i - 1 or b == j - 1:
@@ -192,22 +189,6 @@ def _dot(a, b) -> float:
     return total
 
 
-def fd_directional(
-    phi: ScalarField, x: FloatMatrix, v: FloatMatrix, cfg: FDConfig = FDConfig()
-) -> float:
-    """Central-difference directional derivative of phi at x along v, where
-    x +- hv must be finite."""
-    import numpy as np
-
-    h, out = cfg.h, np.empty((1, 1))
-    with np.errstate(over="ignore"):  # reported below
-        plus, minus = x.entries + h * v.entries, x.entries - h * v.entries
-    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
-        raise CalculusError(f"x +- hv leaves the float range at h = {h:g}")
-    _central_differences([phi], _entries(plus), _entries(minus), h, out)
-    return float(out[0, 0])
-
-
 def lie_derivatives(
     phis: Sequence[ScalarField], x: FloatMatrix, cfg: FDConfig = FDConfig()
 ) -> list:
@@ -215,13 +196,14 @@ def lie_derivatives(
     table per phi, from one central difference over all 2n^2 shifted points,
     built by _shifted_entries and evaluated as one batch for the whole
     family, where x +- hv must be finite.  The + side is read plus 0.0, as
-    x + hv reads an entry that hv leaves at 0, so entry [m][i][j] equals
-    fd_directional of phis[m] along [E_ij, x] bit for bit, but for the sign
-    of a zero where h * v underflows to -0.0 at a -0.0 entry.  The point
+    x + hv reads an entry that hv leaves at 0, so entry [m][i][j] equals the
+    central difference of phis[m] along [E_ij, x] at x +- hv
+    (``fd_directional`` in ``tests/reference.py``) bit for bit, but for the
+    sign of a zero where h * v underflows to -0.0 at a -0.0 entry.  The point
     checks read a table with x's float powers."""
     import numpy as np
 
-    n, h, entries = x.n, cfg.h, x.entries.tolist()
+    n, h, entries = x.n, cfg.h, x.entries
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     # (2, n, n, n^2): the + and - sides, one sample per (i, j)
     points = np.moveaxis(np.array([_shifted_entries(entries, i, j, h) for i, j in pairs]), 0, -1)

@@ -5,8 +5,8 @@ integral and a ``fractions.Fraction`` otherwise, so integer matrices run
 pure-int arithmetic and rational ones exactly the Fraction arithmetic.
 Every exact elimination runs through one fraction-free kernel, ``_eliminate``,
 which reduces integer vectors one at a time as they are drawn.  Each job scales
-its input once to an integer multiple q x and feeds the kernel: ``determinant``
-and ``rank`` the rows, ``_scaled_inverse`` (the integer M = s x^-1 behind
+its input once to an integer multiple q x and feeds the kernel:
+``determinant`` the rows, ``_scaled_inverse`` (the integer M = s x^-1 behind
 ``inverse`` and the transformation law) the rows and then the unit rows; the
 Krylov determinant D, Krylov's method (``_krylov_chain``, behind ``analyze`` and
 ``min_poly``) and ``min_poly``'s power chain draw the lazy chain
@@ -21,8 +21,8 @@ A product multiplies the integer multiples qa a and qb b and divides once by
 qa qb.  The kernel's divisions are exact integer divisions; every other
 division goes through ``Fraction``.  So no float can appear, and equality tests
 (``determinant(x) != 0``, residual ``== 0``) are decisions, not tolerance
-checks.  Public scalar results (``determinant``, ``RatMatrix.trace``) are
-always ``Fraction``.  ``RatMatrix`` takes rows whose entries are all exactly
+checks.  ``determinant``, the public scalar result, is always a
+``Fraction``.  ``RatMatrix`` takes rows whose entries are all exactly
 ``int`` as they are and normalises any other rows entry by entry.  A
 polynomial is the tuple of its exact coefficients in ascending degree, each
 ``int`` when integral and ``Fraction`` otherwise; the monic ones end in 1,
@@ -171,9 +171,6 @@ class RatMatrix:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ExactmatError(f"index ({i},{j}) out of range 1..{self.n}")
         return self.rows[i - 1][j - 1]
-
-    def trace(self) -> Fraction:
-        return Fraction(sum(self.rows[i][i] for i in range(self.n)))
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.rows for e in row)
@@ -351,13 +348,6 @@ def determinant(x: RatMatrix) -> Fraction:
     ``_det_rows`` / q^n."""
     rows, q = _integer_multiple(x.rows)
     return Fraction(_det_rows(rows, x.n), q**x.n)
-
-
-def rank(x: RatMatrix) -> int:
-    """Exact rank over the rationals: the number of independent rows of the
-    integer multiple q x."""
-    rows, _ = _integer_multiple(x.rows)
-    return sum(c is not None for c, _ in _eliminate(rows, x.n))
 
 
 def char_poly(x: RatMatrix) -> tuple:

@@ -1,12 +1,10 @@
-"""Trace-form pairing on gl(n), trace-power invariants and their
-gradients, and the exact basis-expansion identity
+"""Trace-form pairing on gl(n), the elementary matrices E_ij and their
+brackets [E_ij, x], and the exact basis-expansion identity
 sum_ij tr(x^k E_ji) [E_ij, x] = 0.
 
-Gradient convention: with the pairing B(x, y) = tr(xy), the gradient
-matrix of a scalar field f has (i, j) entry df/dx_ji.  Each partial is
-exact: the field evaluator run on dual scalars (forward mode).  The
-convention is locked by the identity grad of tr(x^2)/2 = x and verified
-against finite differences in the calculus layer.
+The trace powers' gradients under this pairing, and the gradient
+convention, live with the other test-only references in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -17,14 +15,7 @@ from itertools import chain
 from operator import mul
 from typing import Sequence
 
-from .exactmat import (
-    DimensionMismatchError,
-    ExactmatError,
-    RatMatrix,
-    commutator,
-    power,
-)
-from .fields import ScalarField, evaluate_on_entries
+from .exactmat import DimensionMismatchError, ExactmatError, RatMatrix
 
 
 @lru_cache(maxsize=None)
@@ -49,18 +40,6 @@ def trace_form(x: RatMatrix, y: RatMatrix) -> Fraction:
     return Fraction(
         sum(map(mul, chain.from_iterable(x.rows), chain.from_iterable(zip(*y.rows))))
     )
-
-
-def trace_power(x: RatMatrix, k: int) -> Fraction:
-    """The invariant tr(x^k)/k, k >= 1."""
-    if k < 1:
-        raise ExactmatError(f"trace power index {k} must be >= 1")
-    return power(x, k).trace() / k
-
-
-def entry_bracket_pairing(x: RatMatrix, k: int, i: int, j: int) -> Fraction:
-    """tr(x^k E_ji), which equals entry (i, j) of x^k."""
-    return trace_form(power(x, k), basis_matrix(x.n, j, i))
 
 
 def _add_basis_bracket(acc: list[list], x: RatMatrix, i: int, j: int, coef) -> None:
@@ -92,9 +71,9 @@ def basis_expansion_residual(x: RatMatrix, xk: Sequence[Sequence]) -> RatMatrix:
 
     The sum telescopes to [x^k, x] = 0, but it is assembled literally,
     pair by pair: each coefficient tr(x^k E_ji) is read as the entry
-    (x^k)_ij (``entry_bracket_pairing`` computes the pairing itself) and
-    each bracket is added entry by entry, so exact cancellation is what the
-    suites certify.
+    (x^k)_ij (``entry_bracket_pairing`` in ``tests/reference.py`` computes
+    the pairing itself) and each bracket is added entry by entry, so exact
+    cancellation is what the suites certify.
     """
     n = x.n
     acc = [[0] * n for _ in range(n)]
@@ -103,58 +82,3 @@ def basis_expansion_residual(x: RatMatrix, xk: Sequence[Sequence]) -> RatMatrix:
             if coef != 0:
                 _add_basis_bracket(acc, x, i, j, coef)
     return RatMatrix(acc)
-
-
-class _Dual:
-    """a + b*eps with eps^2 = 0 over exact scalars: evaluating a field on
-    dual entries carries one directional derivative along (forward mode)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = a
-        self.b = b
-
-    def __add__(self, o):
-        if isinstance(o, _Dual):
-            return _Dual(self.a + o.a, self.b + o.b)
-        return _Dual(self.a + o, self.b)
-
-    __radd__ = __add__
-
-    def __mul__(self, o):
-        if isinstance(o, _Dual):
-            return _Dual(self.a * o.a, self.a * o.b + self.b * o.a)
-        return _Dual(self.a * o, self.b * o)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k == 0:
-            return _Dual(1)
-        lower = self.a ** (k - 1)
-        return _Dual(lower * self.a, k * lower * self.b)
-
-
-def gradient_matrix(f: ScalarField, x: RatMatrix) -> RatMatrix:
-    """Exact gradient of a polynomial field at x under the trace form.
-
-    Entry (i, j) is df/dx_ji, the eps part of f evaluated at x + eps E_ji
-    on dual scalars through the one field evaluator.
-    """
-    n = x.n
-    grad = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            entries = [
-                [_Dual(e, int((a, b) == (j, i))) for b, e in enumerate(row)]
-                for a, row in enumerate(x.rows)
-            ]
-            grad[i][j] = evaluate_on_entries([f], entries, lift=_Dual)[0].b
-    return RatMatrix(grad)
-
-
-def gradient_commutator_residual(f: ScalarField, x: RatMatrix) -> RatMatrix:
-    """[grad f(x), x], exactly; zero whenever f is a polynomial in the
-    trace powers p_1..p_n."""
-    return commutator(gradient_matrix(f, x), x)

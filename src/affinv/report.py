@@ -221,7 +221,7 @@ def run_lemma_suite(n: int, samples: int, seed: int, cfg: FDConfig = FDConfig())
     rec_tie = PropertyRecord("float_residuals_tie_to_exact_krylov")
     rec_full = PropertyRecord("full_identity_arbitrary_fields")
     for x, krylov, d in points:
-        fx = FloatMatrix.from_rat(x)
+        fx = FloatMatrix(x.rows)
         exact_rows = [[float(e) for e in row] for row in krylov.rows]
         abs_d = abs(float(d))
         wit_x = {"matrix": matrix_to_json(x)}

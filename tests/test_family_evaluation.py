@@ -30,7 +30,7 @@ from affinv.fields import (  # noqa: E402
     random_invariant_field,
     random_polynomial_field,
 )
-from affinv.invariants import _Dual  # noqa: E402
+from reference import _Dual  # noqa: E402
 
 FAMILY = settings(max_examples=40, deadline=None, derandomize=True)
 

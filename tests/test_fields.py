@@ -27,9 +27,9 @@ from affinv.fields import (
     random_invariant_field,
     random_polynomial_field,
 )
-from affinv.invariants import _Dual
 from affinv.report import weak_test_functions
 from conftest import rand_rational_matrix
+from reference import _Dual
 
 
 def evaluate_exact(field, x: RatMatrix):

@@ -8,7 +8,8 @@ must be referenced somewhere in ``src/``, so leftovers of a refactor show
 up as failures.  The command-line module and the suites reach the
 library through public names only, and every public module-level function
 or class is used in ``src/`` or named, with its reason, in
-``UNUSED_PUBLIC``; likewise every public method, property or classmethod
+``UNUSED_PUBLIC``, which admits only names the benchmark's per-layer list
+measures and the replay reader to come; likewise every public method, property or classmethod
 of a class is read as an attribute in ``src/`` or named in
 ``UNUSED_MEMBERS``.  In ``calculus`` and ``report`` only the functions in
 ``NUMPY_FUNCTIONS``, which evaluate or reduce batches of samples, import
@@ -117,19 +118,17 @@ def test_report_imports_no_private_calculus_name():
     assert [name for name in _private_imports("report.py") if name.startswith("calculus.")] == []
 
 
-# public names that no module in src/ uses, each with the reason it stays
+# public names that no module in src/ uses, each with the reason it stays;
+# references that only tests read live in tests/reference.py instead
 UNUSED_PUBLIC = {
-    "calculus.fd_directional": "reference: lie_derivatives matches it bit for bit; criterion 8",
     "calculus.lie_derivative": "BENCHMARK.json per-layer name calculus.lie_derivative",
-    "exactmat.rank": "README: the exactmat layer's exact rank, checked against sympy",
+    "exactmat.commutator": "BENCHMARK.json per-layer name exactmat.commutator",
     "exactmat.inverse": (
         "BENCHMARK.json per-layer name exactmat.inverse; README: the exact inverse, "
         "checked against sympy"
     ),
-    "invariants.trace_power": "README: tr(x^k)/k is a public Fraction-valued invariant",
+    "exactmat.power": "BENCHMARK.json per-layer name exactmat.power",
     "krylov.in_omega": "BENCHMARK.json per-layer name krylov.in_omega; the exact D != 0 test",
-    "invariants.entry_bracket_pairing": "reference: the dense tr(x^k E_ji) the basis expansion reads",
-    "invariants.gradient_commutator_residual": "README: trace-power gradients commute with x",
     "fields.field_from_json": "JSON codec reader: round-trip tested; replay reader (ROADMAP 8)",
 }
 
@@ -152,6 +151,15 @@ def test_every_public_name_is_used_or_listed():
         and not any(node.name in used for stmt, used in reads if stmt is not node)
     }
     assert unused == set(UNUSED_PUBLIC)
+
+
+def test_unused_public_names_are_pinned_by_the_benchmark():
+    # a public name that src/ never calls stays only while a per-layer name
+    # of BENCHMARK.json measures it, but for the replay reader to come; a
+    # test-only reference belongs in tests/reference.py
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    pinned = {entry["name"].rpartition(".")[0] for entry in per_layer}
+    assert set(UNUSED_PUBLIC) - {"fields.field_from_json"} <= pinned
 
 
 # public class members that no module in src/ reads, each with the reason it stays
@@ -266,9 +274,7 @@ def test_float_suites_load_numpy():
 # evaluates or reduces a batch of samples, while a point check runs on
 # Python floats
 NUMPY_FUNCTIONS = {
-    "calculus.FloatMatrix.__init__",
     "calculus._central_differences",  # only to write into the caller's arrays
-    "calculus.fd_directional",
     "calculus.lie_derivatives",
     "calculus.check_boundary_decay",
     "calculus.weak_lie_derivative",

@@ -5,17 +5,15 @@ import pytest
 
 from affinv.exactmat import RatMatrix, commutator, power
 from affinv.fields import Mul, Pk, Pow, Var, random_invariant_field
-from affinv.invariants import (
-    basis_expansion_residual,
-    basis_matrix,
+from affinv.invariants import basis_expansion_residual, basis_matrix, trace_form
+from affinv.report import _rand_matrix
+from conftest import rand_rational_matrix
+from reference import (
     entry_bracket_pairing,
     gradient_commutator_residual,
     gradient_matrix,
-    trace_form,
     trace_power,
 )
-from affinv.report import _rand_matrix
-from conftest import rand_rational_matrix
 
 
 class TestTraceForm:

@@ -28,9 +28,10 @@ from affinv.fields import (  # noqa: E402
     random_invariant_field,
     random_polynomial_field,
 )
-from affinv.invariants import _Dual, gradient_matrix, trace_form  # noqa: E402
+from affinv.invariants import trace_form  # noqa: E402
 from affinv.sympoly import symbolic_krylov_determinant  # noqa: E402
 from conftest import rand_rational_matrix  # noqa: E402
+from reference import _Dual, gradient_matrix  # noqa: E402
 
 
 def _symbol_matrix(n):
