@@ -65,7 +65,9 @@ class FloatMatrix:
     def __init__(self, entries):
         try:
             rows = tuple(tuple(map(float, row)) for row in entries)
-        except (TypeError, ValueError):  # a number for a row (1-D), a list for an entry (3-D)
+        except OverflowError:  # an int or Fraction beyond the float range
+            raise CalculusError("matrix entries must be finite") from None
+        except (TypeError, ValueError):  # a 1-D or 3-D list, a non-numeric string
             rows = ()
         if not rows or any(len(row) != len(rows) for row in rows):
             raise CalculusError("expected a non-empty square matrix of real numbers")

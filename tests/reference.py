@@ -67,6 +67,7 @@ def rank(x: RatMatrix) -> int:
 
 
 def trace(x: RatMatrix) -> Fraction:
+    """tr(x), as a Fraction."""
     return Fraction(sum(x.rows[i][i] for i in range(x.n)))
 
 

@@ -396,9 +396,10 @@ class TestConfigValidation:
             [[1, 2], [3, 4], [5, 6]],
             [[1.0, float("inf")], [0.0, 1.0]],
             [[1.0, float("nan")], [0.0, 1.0]],
+            [[Fraction(10**400, 3)]],
         ],
         ids=["ragged", "empty", "one_dimensional", "three_dimensional", "three_by_two",
-             "inf_entry", "nan_entry"],
+             "inf_entry", "nan_entry", "fraction_beyond_float_range"],
     )
     def test_malformed_matrix_rejected(self, entries):
         with pytest.raises(CalculusError):

@@ -9,9 +9,9 @@ up as failures.  The command-line module and the suites reach the
 library through public names only, and every public module-level function
 or class is used in ``src/`` or named, with its reason, in
 ``UNUSED_PUBLIC``, which admits only names the benchmark's per-layer list
-measures and the replay reader to come; likewise every public method, property or classmethod
-of a class is read as an attribute in ``src/`` or named in
-``UNUSED_MEMBERS``.  In ``calculus`` and ``report`` only the functions in
+measures and the replay reader to come; likewise every public method,
+property or classmethod of a class is read as an attribute in ``src/`` or
+named in ``UNUSED_MEMBERS``.  In ``calculus`` and ``report`` only the functions in
 ``NUMPY_FUNCTIONS``, which evaluate or reduce batches of samples, import
 numpy.  Every layer and ``module.function`` that the benchmark's
 trace mode reports (the ``per_layer`` list of ``BENCHMARK.json``) exists.
