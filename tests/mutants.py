@@ -6,7 +6,7 @@ that occurs exactly once in it, its replacement, the test node ids that must
 each fail on the edited tree, and the CHANGES.md line that first reported
 the mutant.  Run from anywhere as
 
-    python tests/mutants.py [ID ...]
+    python tests/mutants.py
 
 It copies src/, tests/, pyproject.toml, README.md, BENCHMARK.json and
 perfbench/ to a temporary directory (a README test reads the README; the
@@ -288,13 +288,8 @@ def _run(tree: Path, node_ids) -> tuple:
     return done.returncode, failed
 
 
-def main(argv: list) -> int:
-    known = {m.id for m in MUTANTS}
-    if set(argv) - known:
-        print(f"unknown mutant ids: {sorted(set(argv) - known)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not argv or m.id in argv]
-    stale = [m.id for m in chosen if m.id in stale_anchors()]
+def main() -> int:
+    stale = stale_anchors()
     for mutant_id in stale:
         print(f"STALE    {mutant_id}: its anchor does not occur exactly once")
     started = time.perf_counter()
@@ -308,11 +303,11 @@ def main(argv: list) -> int:
             else:
                 shutil.copy2(source, target)
         # a test that fails, or is missing, on the unmutated tree kills nothing
-        code, failed = _run(tree, sorted({t for m in chosen for t in m.tests}))
+        code, failed = _run(tree, sorted({t for m in MUTANTS for t in m.tests}))
         if code != 0:
             print(f"unmutated tree: pytest exit code {code}, failing {sorted(failed)}")
             return 1
-        for m in chosen:
+        for m in MUTANTS:
             if m.id in stale:
                 continue
             path = tree / "src" / "affinv" / m.file
@@ -331,11 +326,11 @@ def main(argv: list) -> int:
             else:
                 print(f"killed   {m.id} by {len(m.tests)} tests{' (timeout)' * (code is None)}")
     print(
-        f"{len(chosen) - len(survivors) - len(stale)} of {len(chosen)} mutants killed, "
+        f"{len(MUTANTS) - len(survivors) - len(stale)} of {len(MUTANTS)} mutants killed, "
         f"{len(stale)} stale, in {time.perf_counter() - started:.0f} s"
     )
     return 1 if survivors or stale else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
