@@ -82,12 +82,12 @@ class FloatMatrix:
     @cached_property
     def powers(self) -> tuple:
         """x^0, ..., x^(n-1) as nested float lists, formed on first use by
-        successive products whose entries are each one _dot, added left to
+        successive products whose entries are each one dot, added left to
         right on every Python version."""
         cols = list(zip(*self.entries))
         powers = [[[float(a == b) for b in range(self.n)] for a in range(self.n)]]
         for _ in range(1, self.n):
-            powers.append([[_dot(row, col) for col in cols] for row in powers[-1]])
+            powers.append([[dot(row, col) for col in cols] for row in powers[-1]])
         return tuple(powers)
 
 
@@ -183,7 +183,7 @@ def abs_max(values) -> float:
     return float(max(magnitudes, default=0.0))
 
 
-def _dot(a, b) -> float:
+def dot(a, b) -> float:
     """sum_i a_i b_i from 0.0, left to right (sum() is compensated from 3.12 on)."""
     total = 0.0
     for c, d in zip(a, b):
@@ -246,7 +246,7 @@ def full_identity_residual(table: list, x: FloatMatrix, k: int) -> float:
     """
     if not 0 <= k <= x.n - 1:
         raise CalculusError(f"power index {k} out of range 0..{x.n - 1}")
-    return abs(_dot(chain.from_iterable(x.powers[k]), chain.from_iterable(table)))
+    return abs(dot(chain.from_iterable(x.powers[k]), chain.from_iterable(table)))
 
 
 def reduced_system_check(
@@ -266,7 +266,7 @@ def reduced_system_check(
     """
     if abs_d < cfg.delta:
         raise PreconditionViolated(f"|D(x)| = {abs_d:.3g} < delta = {cfg.delta}")
-    return tuple(_dot(p[-1], table[-1]) for p in x.powers)
+    return tuple(dot(p[-1], table[-1]) for p in x.powers)
 
 
 def adjoint_field_divergence(n: int, i: int, j: int) -> Fraction:

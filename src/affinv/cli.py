@@ -73,27 +73,20 @@ def _dump(obj: dict, stream) -> None:
     stream.write("\n")
 
 
-def _emit(obj: dict, out: str | None):
-    """``_dump`` to stdout, or to the file ``out`` if given."""
-    if not out:
-        _dump(obj, sys.stdout)
-        return
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            _dump(obj, fh)
-    except OSError as exc:  # a missing directory, a directory, no permission
-        raise _InputError(f"cannot write output: {exc}") from None
-
-
-def _emit_result(payload: dict, render, args):
-    """JSON to stdout or ``--out``; with ``--markdown``, ``render(payload)``
-    goes to stdout and the JSON only to ``--out``, if given."""
-    if args.markdown:
+def _emit(payload: dict, args, render=None):
+    """``_dump`` of ``payload`` to the file ``--out``, if given, before
+    anything reaches stdout; then, with ``--markdown``, ``render(payload)``
+    to stdout, or else the JSON to stdout if there is no ``--out``."""
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                _dump(payload, fh)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise _InputError(f"cannot write output: {exc}") from None
+    if render is not None and args.markdown:
         sys.stdout.write(render(payload))
-        if args.out:
-            _emit(payload, args.out)
-    else:
-        _emit(payload, args.out)
+    elif not args.out:
+        _dump(payload, sys.stdout)
 
 
 def cmd_analyze(args) -> int:
@@ -120,7 +113,7 @@ def cmd_analyze(args) -> int:
         "conjugator": None if g is None else matrix_to_json(g),
         "sign_convention": "(-1)^(n(n-1)/2)",
     }
-    _emit_result(result, _analyze_markdown, args)
+    _emit(result, args, _analyze_markdown)
     return EXIT_OK
 
 
@@ -143,7 +136,7 @@ def cmd_verify(args) -> int:
     if args.seed is not None and isinstance(config, dict):
         config = {**config, "seed": args.seed}
     report = run_suite_from_config(config)
-    _emit_result(report, _report_markdown, args)
+    _emit(report, args, _report_markdown)
     return EXIT_OK if report["pass"] else EXIT_SUITE_FAILED
 
 
@@ -175,7 +168,7 @@ def cmd_sympoly(args) -> int:
         "terms": len(poly.terms),
         "term_list": term_list_json(poly),
     }
-    _emit(payload, args.out)
+    _emit(payload, args)
     return EXIT_OK
 
 

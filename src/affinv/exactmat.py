@@ -47,7 +47,7 @@ from typing import Iterable, Sequence, Union
 
 Rat = Union[Fraction, int]
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class ExactmatError(ValueError):
@@ -92,11 +92,12 @@ def _times_columns(a, cols) -> list[list]:
 
 
 def _krylov_rows(w, x, cols=None):
-    """The lazy chain w, wx, wx^2, ... for nested sequences w (one row, or the
-    identity for the powers of x) and x, over the same scalars as ``_matmul``;
-    each term is formed only when drawn, from the columns of x taken once per
-    chain, or never by a caller that runs many chains through one x and
-    passes them as ``cols``."""
+    """The lazy chain w, wx, wx^2, ... for nested sequences w (one row, the
+    identity or x itself for the powers of x, as ``fields`` draws them for
+    ``Pk``) and x, over the same scalars as ``_matmul``; each term is formed
+    only when drawn, from the columns of x taken once per chain, or never by
+    a caller that runs many chains through one x and passes them as
+    ``cols``."""
     cols = cols or tuple(zip(*x))
     while True:
         yield w
@@ -104,12 +105,13 @@ def _krylov_rows(w, x, cols=None):
 
 
 def parse_rational(text) -> Fraction:
-    """Parse a wire-format rational: ``"p"`` or ``"p/q"`` (or a bare int)."""
+    """Parse a wire-format rational: a whole string ``"p"`` or ``"p/q"`` in
+    ASCII digits (or a bare int)."""
     if isinstance(text, bool):
         raise MatrixJSONError("booleans are not rationals")
     if isinstance(text, int):
         return Fraction(text)
-    if not isinstance(text, str) or not _RAT_RE.match(text):
+    if not isinstance(text, str) or not _RAT_RE.fullmatch(text):
         raise MatrixJSONError(f"malformed rational {text!r}")
     try:
         num, _, den = text.partition("/")

@@ -31,10 +31,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from operator import mul
 from typing import Callable, Sequence
 
-from .exactmat import MatrixJSONError, _matmul, format_rational, parse_rational
+from .exactmat import MatrixJSONError, _krylov_rows, format_rational, parse_rational
 
 
 class FieldError(ValueError):
@@ -113,7 +114,7 @@ def evaluate_on_entries(fields: Sequence[ScalarField], entries, lift: Callable =
 
     A node object that occurs more than once in the family is evaluated
     once: one pass counts its occurrences, and a memo keyed by node identity
-    hands its value to each later occurrence and drops it after the last.
+    keeps its value for the call and hands it to each later occurrence.
     Every other value is released as soon as its parent has used it.  Each
     value is formed by the same operations in the same order as when its
     field is evaluated alone, and equals (bit for bit over floats) the value
@@ -124,7 +125,7 @@ def evaluate_on_entries(fields: Sequence[ScalarField], entries, lift: Callable =
     uses: dict = {}
     for field in fields:
         _count_uses(field, uses)
-    memo = {key: [count] for key, count in uses.items() if count > 1}
+    memo = {key: None for key, count in uses.items() if count > 1}
     return [_evaluate_node(field, entries, lift, memo) for field in fields]
 
 
@@ -152,14 +153,12 @@ def _evaluate_node(node: ScalarField, entries, lift: Callable, memo: dict):
     # A module-level recursion, not a nested closure: a closure that calls
     # itself is a reference cycle, which would keep ``entries`` (whole
     # sample blocks in the weak suite) alive until the cyclic garbage
-    # collector happens to run.  ``memo`` holds [uses left] for each shared
-    # node, and [uses left, value] once it is evaluated.
-    shared = memo.get(id(node))
-    if shared is not None and len(shared) == 2:
-        shared[0] -= 1
-        if not shared[0]:
-            del memo[id(node)]
-        return shared[1]
+    # collector happens to run.  ``memo`` maps each shared node's id to
+    # None until the node is evaluated, and to its value after.
+    key = id(node)
+    value = memo.get(key)
+    if value is not None:
+        return value
     kind = type(node)
     if kind is Pow:
         value = _evaluate_node(node.base, entries, lift, memo) ** node.exp
@@ -190,18 +189,16 @@ def _evaluate_node(node: ScalarField, entries, lift: Callable, memo: dict):
     elif kind is Const:
         value = lift(node.value)
     elif kind is Pk:
-        # tr(x^k) reads only the diagonal of the last product, each entry
-        # summed as _matmul sums it
+        # tr(x^k) reads only the diagonal of x^(k-1) x: x^(k-1) is drawn from
+        # the Krylov-row chain of x, and each diagonal entry is summed as the
+        # chain sums its products
         n, k = len(entries), node.k
-        acc = entries
-        for _ in range(k - 2):
-            acc = _matmul(acc, entries)
         if k == 1:
             diagonal = [row[i] for i, row in enumerate(entries)]
         else:
-            diagonal = [
-                sum(map(mul, acc[i], [row[i] for row in entries])) for i in range(n)
-            ]
+            cols = tuple(zip(*entries))
+            acc = next(islice(_krylov_rows(entries, entries, cols), k - 2, None))
+            diagonal = [sum(map(mul, acc[i], cols[i])) for i in range(n)]
         value = diagonal[0]
         for d in diagonal[1:]:
             value = value + d
@@ -209,9 +206,8 @@ def _evaluate_node(node: ScalarField, entries, lift: Callable, memo: dict):
             value = value * lift(Fraction(1, k))
     else:
         raise FieldError(f"unknown node {node!r}")
-    if shared is not None:
-        shared[0] -= 1
-        shared.append(value)
+    if key in memo:
+        memo[key] = value
     return value
 
 

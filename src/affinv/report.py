@@ -29,6 +29,7 @@ from .calculus import (
     QuadratureSpec,
     abs_max,
     adjoint_field_divergence,
+    dot,
     full_identity_residual,
     lie_derivatives,
     p_invariance_residual,
@@ -168,10 +169,7 @@ def run_identity_suite(n: int, samples: int, seed: int) -> dict:
         if n >= 2:
             y = _rand_p_element(rng, n)
             a, b = transformation_law(x, y, d)
-            same_omega = (a != 0) == (d != 0)
-            rec_law.check_exact(
-                a == b and same_omega, {**wit, "y": matrix_to_json(y.matrix)}
-            )
+            rec_law.check_exact(a == b, {**wit, "y": matrix_to_json(y.matrix)})
         if d != 0:
             rec_omega.check_exact(is_regular(x), wit)
         alpha = [rng.randint(-9, 9) for _ in range(n)]
@@ -233,12 +231,7 @@ def run_lemma_suite(n: int, samples: int, seed: int, cfg: FDConfig = FDConfig())
             residuals = reduced_system_check(table, fx, abs_d, cfg)
             rec_lemma.check_residual(abs_max(table[-1]), cfg.tau_lemma, wit)
             rec_sys.check_residual(abs_max(residuals), cfg.tau_sys, wit)
-            tie = []
-            for r, row in zip(residuals, exact_rows):
-                total = 0.0
-                for c, s in zip(row, table[-1]):  # left to right on every Python
-                    total += c * s
-                tie.append(r - total)
+            tie = [r - dot(row, table[-1]) for r, row in zip(residuals, exact_rows)]
             rec_tie.check_residual(abs_max(tie), 1e-10, wit)
         wit_any = {**wit_x, "field": field_to_json(f_any)}
         for k in range(n):

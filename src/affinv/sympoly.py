@@ -108,9 +108,6 @@ class MultiPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         """Terms in graded-lex order: degree descending, exps descending."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)

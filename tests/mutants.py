@@ -63,6 +63,24 @@ _RANDOM_ROWS = """\
             return w
 """
 
+# cli._emit's two writes, swapped by one mutant: --out, then stdout
+_EMIT_OUT = """\
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                _dump(payload, fh)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise _InputError(f"cannot write output: {exc}") from None
+"""
+_EMIT_STDOUT = """\
+    if render is not None and args.markdown:
+        sys.stdout.write(render(payload))
+    elif not args.out:
+        _dump(payload, sys.stdout)
+"""
+_UNWRITABLE = "tests/test_cli.py::test_unwritable_out_exits_2_with_one_error_line"
+_RATIONAL = "tests/test_cli.py::TestAnalyze::test_rational_beyond_ascii_p_or_p_over_q_exits_2"
+
 MUTANTS = [
     Mutant(
         "shift-i-j-swapped",
@@ -248,6 +266,75 @@ MUTANTS = [
             "tests/test_pool_replay.py::test_pool_outputs_match_the_captured_references[analyze-mix]",
         ),
         "CHANGES.md:34",
+    ),
+    Mutant(
+        "memo-keeps-only-unshared-nodes",
+        "fields.py",
+        "    if key in memo:\n        memo[key] = value\n",
+        "    if key not in memo:\n        memo[key] = value\n",
+        (
+            "tests/test_report.py::test_weak_suite_evaluates_each_wall_once_per_block_and_side",
+            "tests/test_report.py::test_lemma_suite_evaluates_each_trace_power_once_per_family_and_side",
+        ),
+        "CHANGES.md:74",
+    ),
+    Mutant(
+        "pk-one-product-too-many",
+        "fields.py",
+        "islice(_krylov_rows(entries, entries, cols), k - 2, None)",
+        "islice(_krylov_rows(entries, entries, cols), k - 1, None)",
+        (
+            "tests/test_fields.py::TestExactEvaluation::test_trace_power_node",
+            "tests/test_calculus.py::TestEvalField::test_p2_value",
+            "tests/test_cli.py::TestVerify::test_lemma_report_golden[cfg0-lemma_n2_s50_seed1.json-0]",
+        ),
+        "CHANGES.md:74",
+    ),
+    Mutant(
+        "tie-reads-the-first-row",
+        "report.py",
+        "tie = [r - dot(row, table[-1]) for r, row in zip(residuals, exact_rows)]",
+        "tie = [r - dot(row, table[0]) for r, row in zip(residuals, exact_rows)]",
+        (
+            "tests/test_cli.py::TestVerify::test_lemma_suite_small",
+            "tests/test_cli.py::TestVerify::test_lemma_report_golden[cfg0-lemma_n2_s50_seed1.json-0]",
+            "tests/test_float_digests.py::test_lemma_report_digest[3-0]",
+        ),
+        "CHANGES.md:74",
+    ),
+    Mutant(
+        "emit-stdout-before-out",
+        "cli.py",
+        _EMIT_OUT + _EMIT_STDOUT,
+        _EMIT_STDOUT + _EMIT_OUT,
+        (
+            _UNWRITABLE + '[argv1-{"n":2,"entries":[["1","2"],["3","4"]]}-missing]',
+            _UNWRITABLE + '[argv4-{"suite":"identity","n":1,"samples":1}-directory]',
+        ),
+        "CHANGES.md:74",
+    ),
+    Mutant(
+        "rational-prefix-match",
+        "exactmat.py",
+        "not _RAT_RE.fullmatch(text)",
+        "not _RAT_RE.match(text)",
+        (
+            _RATIONAL + "[5\\n]",
+            _RATIONAL + "[1/2\\n]",
+        ),
+        "CHANGES.md:74",
+    ),
+    Mutant(
+        "rational-unicode-digits",
+        "exactmat.py",
+        '_RAT_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")',
+        '_RAT_RE = re.compile(r"[+-]?\\d+(/\\d+)?")',
+        (
+            _RATIONAL + "[\\u0663]",
+            _RATIONAL + "[\\uff13]",
+            _RATIONAL + "[\\u0661/\\u0662]",
+        ),
+        "CHANGES.md:74",
     ),
 ]
 

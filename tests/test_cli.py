@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from affinv.cli import main
+from affinv.cli import _analyze_markdown, _report_markdown, main
+from affinv.exactmat import MatrixJSONError, parse_rational
+from affinv.fields import FieldError, field_from_json
 from affinv.report import _SUITE_KEYS, SuiteConfigError, _read_config, run_suite_from_config
 
 ROOT = Path(__file__).parent.parent
@@ -16,6 +18,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 GENERIC_2X2 = '{"n":2,"entries":[["1","2"],["3","4"]]}'
 COMPANION_N2 = '{"n":2,"entries":[["0","1"],["1","1"]]}'
+IDENTITY_N1 = '{"suite":"identity","n":1,"samples":1}'
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -76,6 +79,21 @@ class TestAnalyze:
     def test_malformed_input_exits_2(self, monkeypatch, capsys):
         code = run_cli(["analyze", "-"], '{"n":2,"entries":[["1/0","2"],["3","4"]]}', monkeypatch)
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["5\n", "1/2\n", "\u0663", "\uff13", "\u0661/\u0662"])
+    def test_rational_beyond_ascii_p_or_p_over_q_exits_2(self, text, monkeypatch, capsys):
+        # "$" matches before a trailing newline and "\d" any Unicode digit,
+        # and int() reads both
+        with pytest.raises(MatrixJSONError):
+            parse_rational(text)
+        with pytest.raises(FieldError, match="const value: malformed rational"):
+            field_from_json({"kind": "const", "value": text})
+        code = run_cli(["analyze", "-"], json.dumps({"n": 1, "entries": [[text]]}), monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed rational")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("entry", ['"' + "9" * 5000 + '"', "9" * 5000])
     def test_entry_beyond_int_string_limit_exits_2(self, entry, monkeypatch, capsys):
@@ -425,20 +443,43 @@ class TestVerify:
     [
         (["analyze", "-"], GENERIC_2X2),
         (["analyze", "-", "--markdown"], GENERIC_2X2),
-        (["verify", "-"], '{"suite":"identity","n":1,"samples":1}'),
+        (["verify", "-"], IDENTITY_N1),
         (["sympoly", "--n", "2"], None),
+        (["verify", "-", "--markdown"], IDENTITY_N1),
     ],
 )
 def test_unwritable_out_exits_2_with_one_error_line(
     argv, stdin_text, target, tmp_path, monkeypatch, capsys
 ):
+    # --out is written before anything reaches stdout, so a --markdown table
+    # is not printed ahead of the error
     out = tmp_path / "absent" / "x.json" if target == "missing" else tmp_path
     code = run_cli(argv + ["--out", str(out)], stdin_text, monkeypatch)
     captured = capsys.readouterr()
     assert code == 2
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
-    assert "--markdown" in argv or captured.out == ""
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, render",
+    [
+        (["analyze", "-"], GENERIC_2X2, _analyze_markdown),
+        (["verify", "-"], IDENTITY_N1, _report_markdown),
+    ],
+)
+def test_markdown_with_writable_out_writes_the_json_file_and_the_table(
+    argv, stdin_text, render, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "x.json"
+    code = run_cli(argv + ["--markdown", "--out", str(out)], stdin_text, monkeypatch)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    text = out.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert captured.out == render(payload)
 
 
 class TestSympoly:

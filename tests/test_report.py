@@ -204,14 +204,14 @@ def test_lemma_suite_runs_each_check_through_its_public_routine(monkeypatch):
 
 def _computations(monkeypatch) -> Counter:
     """Counts, by node object, the evaluations that the memo of a family
-    call does not answer: the memo holds [uses left] for a shared node not
-    yet evaluated and [uses left, value] after, and no entry for a node
-    that occurs once."""
+    call does not answer: the memo maps a shared node's id to None until it
+    is evaluated and to its value after, and holds no entry for a node that
+    occurs once."""
     computed = Counter()
     evaluate = fields._evaluate_node
 
     def counted(node, entries, lift, memo):
-        if len(memo.get(id(node), ())) != 2:
+        if memo.get(id(node)) is None:
             computed[id(node)] += 1
         return evaluate(node, entries, lift, memo)
 
