@@ -55,13 +55,24 @@ def _n_max() -> int:
         raise _InputError("AFFINV_NMAX must be an integer") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of ``pairs``, or ValueError for a key given twice: the
+    input would otherwise mean whichever value came last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: str | None):
     try:
         if path is None or path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, huge number
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:  # bad JSON, a repeated key, a huge number
         raise _InputError(f"cannot read JSON input: {exc}") from None
 
 

@@ -10,11 +10,13 @@ its input once to an integer multiple q x and feeds the kernel:
 ``inverse`` and the transformation law) the rows and then the unit rows; the
 Krylov determinant D, Krylov's method (``_krylov_chain``, behind ``analyze`` and
 ``min_poly``) and ``min_poly``'s power chain draw the lazy chain
-``_krylov_rows`` (the only place v -> v x is written) up to its first dependent
-vector.  ``min_poly`` takes two routes, both exact eliminations: Krylov's
-method on one fixed probe row w, which decides it whenever w is cyclic for x
-(then mu_w = chi, and mu_w | mu_x | chi), and otherwise the chain of powers of
-q x, the only route for a non-regular x, which has no cyclic row.
+``_krylov_rows`` up to its first dependent vector.  One yes-or-no question
+skips the kernel: whether a row is cyclic, which ``_is_cyclic`` decides on a
+chain of its own content-reduced rows.  ``min_poly`` takes two routes, both
+exact eliminations: Krylov's method on one fixed probe row w, which decides
+it whenever w is cyclic for x (then mu_w = chi, and mu_w | mu_x | chi), and
+otherwise the chain of powers of q x, the only route for a non-regular x,
+which has no cyclic row.
 ``char_poly`` reads the traces of the first n powers of q x from the same
 chain and solves Newton's identities for det(tI - q x).
 A product multiplies the integer multiples qa a and qb b and divides once by
@@ -41,7 +43,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -287,9 +289,9 @@ def _with_units(vectors: Iterable[Sequence[int]], m: int):
     The unit indices are dependence columns: ``_eliminate`` carries m more
     entries per row, which only a caller that reads the dependence pays for.
     These are ``_chain_dependence`` (for ``min_poly``'s power chain and
-    Krylov's method, ``_krylov_chain``) and ``_scaled_inverse``; a
-    determinant or a cyclic-row test reads only the pivots, and ``_det_rows``
-    runs without them."""
+    Krylov's method, ``_krylov_chain``) and ``_scaled_inverse``.  A
+    determinant reads only the pivots, and ``_det_rows`` runs without them;
+    the cyclic-row test ``_is_cyclic`` runs on its own reduced chain."""
     for k, v in zip(range(m), vectors):
         yield [*v, *[0] * k, 1, *[0] * (m - 1 - k)]
 
@@ -343,6 +345,43 @@ def _det_rows(vectors: Iterable[Sequence[int]], n: int) -> int:
             return 0
         pivots.append(c)
     return _order_sign(pivots) * row[c]
+
+
+def _is_cyclic(w: Sequence[int], xq, cols=None) -> bool:
+    """Whether det(w, w xq, ..., w xq^(n-1)) != 0 for the integer row w and
+    integer matrix xq, decided on a content-reduced chain: each row is
+    eliminated without fractions against the stored rows, row <- p * row -
+    f * b for the pivot p of b in its column c and f = row[c], and divided
+    by its content; the next row is that reduced row b_k times xq.  Before
+    the first dependence, b_0, ..., b_k span what w, ..., w xq^k span, and
+    a content division keeps a span, so the first row that reduces to zero
+    is the first dependent one, and False is returned there.  Only the
+    decision comes out, so the rows need not be the minors of
+    ``_eliminate``; on structured x they stay far smaller.  A caller
+    testing many rows of one xq passes its columns as ``cols``, so they are
+    taken once."""
+    n = len(w)
+    cols = cols or tuple(zip(*xq))
+    stored: list[tuple[int, list[int]]] = []
+    row = w
+    while True:
+        for c, b in stored:
+            f = row[c]
+            if f:
+                p = b[c]
+                row = [p * a - f * e for a, e in zip(row, b)]
+        for c in range(n):
+            if row[c]:
+                break
+        else:
+            return False
+        content = gcd(*row)
+        if content > 1:
+            row = [a // content for a in row]
+        stored.append((c, row))
+        if len(stored) == n:
+            return True
+        row = _times_columns([row], cols)[0]
 
 
 def determinant(x: RatMatrix) -> Fraction:

@@ -7,7 +7,10 @@ The determinant of the rows e_n, e_n x, ..., e_n x^(n-1) is written D(x)
 throughout, matching the analysis-JSON key ``"D"``.  D is a homogeneous
 polynomial of degree n(n-1)/2 in the entries of x, transforms under
 conjugation by y in P as D(y x y^-1) = det(y)^-1 D(x), and is nonzero
-exactly when e_n is a cyclic row vector for x.  Conventions for n = 1:
+exactly when e_n is a cyclic row vector for x.  The value of D comes from
+the Bareiss kernel of ``exactmat`` (``_krylov_det``); every test of whether
+a row is cyclic, D != 0 included, runs the decision-only kernel
+``exactmat._is_cyclic`` on a content-reduced chain.  Conventions for n = 1:
 the Krylov matrix is [1], D is identically 1, every element is regular,
 and P is the trivial group.
 """
@@ -29,6 +32,7 @@ from .exactmat import (
     _descaled,
     _det_rows,
     _integer_multiple,
+    _is_cyclic,
     _krylov_chain,
     _krylov_rows,
     _matmul,
@@ -87,23 +91,24 @@ def _unit_row(n: int, k: int) -> tuple[int, ...]:
     return tuple(int(j == k) for j in range(n))
 
 
-def _krylov_det(w: Sequence[int], xq, cols=None) -> int:
+def _krylov_det(w: Sequence[int], xq) -> int:
     """q^(n(n-1)/2) D_w(x) = det(w, w (qx), ..., w (qx)^(n-1)) for an integer
     row w and the integer multiple xq = q x, 0 at the first dependent row.
     The n chain rows go to ``_eliminate`` alone, with no dependence columns:
-    D and the cyclic-row test read only the pivots.  A caller testing many
-    rows of one x passes the columns of xq as ``cols``, so they are taken
-    once."""
+    the value of D reads only the pivots.  A test of D_w != 0 alone runs
+    ``_is_cyclic`` instead."""
     n = len(w)
-    rows = chain.from_iterable(_krylov_rows([w], xq, cols))
+    rows = chain.from_iterable(_krylov_rows([w], xq))
     return _det_rows(islice(rows, n), n)
 
 
 def krylov_determinant(x: RatMatrix) -> Fraction:
-    """D(x), the determinant of the Krylov rows of e_n, from the bare chain
-    test ``_krylov_det``: 0 at the first dependent row e_n x^k.  It carries
-    no dependence columns; only ``analyze``, which reads the characteristic
-    polynomial from the same chain, runs ``_krylov_dependence`` instead."""
+    """D(x), the determinant of the Krylov rows of e_n, from the bare
+    Bareiss chain ``_krylov_det``: 0 at the first dependent row e_n x^k.  It
+    carries no dependence columns; only ``analyze``, which reads the
+    characteristic polynomial from the same chain, runs
+    ``_krylov_dependence`` instead, and ``in_omega``, which reads only
+    whether D != 0, runs ``_is_cyclic``."""
     n = x.n
     xq, q = _integer_multiple(x.rows)
     return Fraction(_krylov_det(_unit_row(n, n - 1), xq), q ** (n * (n - 1) // 2))
@@ -117,7 +122,8 @@ def _krylov_dependence(w: Sequence, x: RatMatrix) -> tuple[Fraction, tuple | Non
     q^(n(n-1)/2) D_w(x) and the dependence gives det(t - qx), whose t^i
     coefficient is q^(n-i) x's.  The rows carry n + 1 dependence columns for
     that polynomial, so only ``analyze`` calls this, on e_n; every test that
-    needs D_w alone runs the bare ``_krylov_det``."""
+    needs D_w alone runs the bare ``_krylov_det``, and every test of D_w !=
+    0 alone the decision kernel ``_is_cyclic``."""
     n = x.n
     xq, q = _integer_multiple(x.rows)
     pivots, last, y = _krylov_chain(w, xq)
@@ -151,8 +157,8 @@ def pairing_determinant(x: RatMatrix) -> Fraction:
 
 def in_omega(x: RatMatrix) -> bool:
     """Exact test D(x) != 0, i.e. e_n is a cyclic row vector for x, by the
-    bare chain test ``_krylov_det``."""
-    return _krylov_det(_unit_row(x.n, x.n - 1), _integer_multiple(x.rows)[0]) != 0
+    decision kernel ``_is_cyclic`` on e_n and the integer multiple q x."""
+    return _is_cyclic(_unit_row(x.n, x.n - 1), _integer_multiple(x.rows)[0])
 
 
 def companion(alpha: Sequence) -> RatMatrix:
@@ -177,12 +183,12 @@ def companion_sign(n: int) -> int:
 
 
 def is_regular(x: RatMatrix) -> bool:
-    """True iff the minimal polynomial has full degree n.  The bare chain
-    test ``_krylov_det`` on ``min_poly``'s probe row decides it when that
+    """True iff the minimal polynomial has full degree n.  The decision
+    kernel ``_is_cyclic`` on ``min_poly``'s probe row decides it when that
     row is cyclic (deg mu_w = n and mu_w | mu_x); only otherwise is
     ``min_poly`` computed."""
     n = x.n
-    if _krylov_det(_probe_row(n), _integer_multiple(x.rows)[0]):
+    if _is_cyclic(_probe_row(n), _integer_multiple(x.rows)[0]):
         return True
     return len(min_poly(x)) == n + 1
 
@@ -260,15 +266,15 @@ def find_cyclic_row(x: RatMatrix, seed: int = 0) -> tuple[int, ...]:
     rows with entries in [-m, m], m doubling every eight draws, deterministic
     given the seed.  Raises SearchExhausted after MAX_TRIES random draws,
     which has probability zero in exact arithmetic for a regular x but is
-    certain for a non-regular one.  Each candidate runs the bare chain test
-    ``_krylov_det``, with no dependence columns, on the integer multiple q x
+    certain for a non-regular one.  Each candidate runs the decision kernel
+    ``_is_cyclic``, which forms no value of D_w, on the integer multiple q x
     and its columns, formed once for the whole search."""
     n = x.n
     xq, _ = _integer_multiple(x.rows)
     cols = tuple(zip(*xq))
     for i in range(n - 1):
         w = _unit_row(n, i)
-        if _krylov_det(w, xq, cols):
+        if _is_cyclic(w, xq, cols):
             return w
     rng = random.Random(seed)
     m = 1
@@ -276,7 +282,7 @@ def find_cyclic_row(x: RatMatrix, seed: int = 0) -> tuple[int, ...]:
         if tries and tries % 8 == 0:
             m *= 2
         w = tuple(rng.randint(-m, m) for _ in range(n))
-        if any(w) and _krylov_det(w, xq, cols):
+        if any(w) and _is_cyclic(w, xq, cols):
             return w
     raise SearchExhausted(f"no cyclic row found in {MAX_TRIES} random draws")
 
@@ -302,9 +308,9 @@ def conjugate_into_omega(x: RatMatrix, w: Sequence) -> RatMatrix:
     by the standard basis rows but e_k, for the last k with w_k != 0, in
     index order (det g = +-w_k).  Then e_n (g x g^-1)^k = w x^k g^-1, so
     D(g x g^-1) = det(g)^-1 det(w, wx, ..., wx^(n-1)) != 0, checked exactly:
-    D is homogeneous, so the bare chain test ``_krylov_det`` decides it on
-    the integer matrix q w_k g x g^-1 of ``_scaled_conjugate``, with no
-    inverse and no dependence columns.  (A rational w is first scaled to an
+    D is homogeneous, so the decision kernel ``_is_cyclic`` decides it on
+    e_n and the integer matrix q w_k g x g^-1 of ``_scaled_conjugate``, with
+    no inverse and no value of D.  (A rational w is first scaled to an
     integer multiple c w; that moves g by diag(1, ..., 1, c) in P, which
     keeps D != 0 as it is.)  Raises ExactmatError when w has the wrong
     length, is zero, or is not cyclic for x."""
@@ -317,6 +323,6 @@ def conjugate_into_omega(x: RatMatrix, w: Sequence) -> RatMatrix:
     g = RatMatrix([_unit_row(n, i) for i in range(n) if i != k] + [w])
     xq, _ = _integer_multiple(x.rows)
     (wq,), _ = _integer_multiple(g.rows[-1:])
-    if not _krylov_det(_unit_row(n, n - 1), _scaled_conjugate(xq, wq, k)):
+    if not _is_cyclic(_unit_row(n, n - 1), _scaled_conjugate(xq, wq, k)):
         raise ExactmatError("row is not cyclic for x: D(g x g^-1) = 0")
     return g

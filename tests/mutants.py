@@ -49,7 +49,7 @@ class Mutant(NamedTuple):
 _UNIT_ROWS = """\
     for i in range(n - 1):
         w = _unit_row(n, i)
-        if _krylov_det(w, xq, cols):
+        if _is_cyclic(w, xq, cols):
             return w
 """
 _RANDOM_ROWS = """\
@@ -59,7 +59,7 @@ _RANDOM_ROWS = """\
         if tries and tries % 8 == 0:
             m *= 2
         w = tuple(rng.randint(-m, m) for _ in range(n))
-        if any(w) and _krylov_det(w, xq, cols):
+        if any(w) and _is_cyclic(w, xq, cols):
             return w
 """
 
@@ -78,6 +78,7 @@ _EMIT_STDOUT = """\
     elif not args.out:
         _dump(payload, sys.stdout)
 """
+_IS_CYCLIC = "tests/test_exactmat_oracle.py::test_is_cyclic_matches_sympy_and_the_bareiss_chain"
 _UNWRITABLE = "tests/test_cli.py::test_unwritable_out_exits_2_with_one_error_line"
 _RATIONAL = "tests/test_cli.py::TestAnalyze::test_rational_beyond_ascii_p_or_p_over_q_exits_2"
 
@@ -185,6 +186,42 @@ MUTANTS = [
             "tests/test_krylov.py::test_non_regular_work_order[extra0-0]",
         ),
         "CHANGES.md:63",
+    ),
+    Mutant(
+        "cyclic-content-without-last-entry",
+        "exactmat.py",
+        "content = gcd(*row)",
+        "content = gcd(*row[:-1])",
+        (
+            _IS_CYCLIC + "[integer]",
+            _IS_CYCLIC + "[off_locus]",
+            "tests/test_krylov.py::test_analyze_reproduces_the_recorded_digest",
+        ),
+        "CHANGES.md:76",
+    ),
+    Mutant(
+        "cyclic-reduced-against-the-first-row-only",
+        "exactmat.py",
+        "        for c, b in stored:\n",
+        "        for c, b in stored[:1]:\n",
+        (
+            _IS_CYCLIC + "[non_regular]",
+            _IS_CYCLIC + "[off_locus]",
+            "tests/test_exactmat_oracle.py::test_find_cyclic_row_returns_the_first_cyclic_candidate[off_locus]",
+        ),
+        "CHANGES.md:76",
+    ),
+    Mutant(
+        "cyclic-pivot-search-skips-column-1",
+        "exactmat.py",
+        "        for c in range(n):\n            if row[c]:\n",
+        "        for c in range(1, n):\n            if row[c]:\n",
+        (
+            _IS_CYCLIC + "[off_locus]",
+            "tests/test_krylov.py::TestCyclicRowSearch::test_unit_row_before_random_rows",
+            "tests/test_pool_replay.py::test_pool_outputs_match_the_captured_references[analyze-mix]",
+        ),
+        "CHANGES.md:76",
     ),
     Mutant(
         "char-poly-without-1/k",

@@ -80,6 +80,20 @@ class TestAnalyze:
         code = run_cli(["analyze", "-"], '{"n":2,"entries":[["1/0","2"],["3","4"]]}', monkeypatch)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "stdin_text",
+        ['{"n":3,"n":1,"entries":[["2"]]}', '{"n":1,"entries":[["2"]],"entries":[["3"]]}'],
+    )
+    def test_repeated_key_exits_2_with_one_error_line(self, stdin_text, monkeypatch, capsys):
+        # json.load keeps the last value of a repeated key: the first input
+        # read as the 1 x 1 matrix [2]
+        code = run_cli(["analyze", "-"], stdin_text, monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read JSON input: repeated key")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["5\n", "1/2\n", "\u0663", "\uff13", "\u0661/\u0662"])
     def test_rational_beyond_ascii_p_or_p_over_q_exits_2(self, text, monkeypatch, capsys):
         # "$" matches before a trailing newline and "\d" any Unicode digit,
@@ -373,6 +387,23 @@ class TestVerify:
         self, cfg, monkeypatch, capsys
     ):
         self._assert_one_error_line(cfg, monkeypatch, capsys)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            '{"suite":"identity","n":99,"n":2,"samples":1}',
+            '{"suite":"weak","samples":2000,"seed":1,"fd":{"h":0.1,"h":1e-17}}',
+        ],
+    )
+    def test_repeated_key_exits_2_with_one_error_line(self, cfg, monkeypatch, capsys):
+        # json.load keeps the last value of a repeated key: the first config
+        # ran an n = 2 identity suite, though n = 99 alone exits 2
+        code = run_cli(["verify", "-"], cfg, monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read JSON input: repeated key")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "cfg",

@@ -37,6 +37,7 @@ from affinv.exactmat import (  # noqa: E402
     SingularMatrixError,
     _chain_dependence,
     _eliminate,
+    _is_cyclic,
     _krylov_rows,
     _scaled_inverse,
     char_poly,
@@ -567,6 +568,28 @@ def test_bare_krylov_det_matches_sympy(family, data):
     d = sympy_krylov_det(m, e_n)
     assert type(krylov_determinant(x)) is Fraction and krylov_determinant(x) == d
     assert in_omega(x) is (d != 0)
+
+
+# the decision kernel forms no value, so its verdict is checked against the
+# oracle and the Bareiss chain alike, also off the locus, where e_n and many
+# small rows are not cyclic for a regular x
+CYCLIC_FAMILIES = {**BARE_FAMILIES, "off_locus": off_locus_matrices(8)}
+
+
+@pytest.mark.parametrize("family", sorted(CYCLIC_FAMILIES))
+@KERNEL_ORACLE
+@given(data=st.data())
+def test_is_cyclic_matches_sympy_and_the_bareiss_chain(family, data):
+    x = data.draw(CYCLIC_FAMILIES[family])
+    n, m = x.n, to_sympy(x)
+    q = math.lcm(*(e.denominator for row in x.rows for e in row))
+    xq = [[int(e * q) for e in row] for row in x.rows]
+    e_n = [int(j == n - 1) for j in range(n)]
+    for row in (data.draw(_entries(n, st.integers(-2, 2))), e_n):
+        cyclic = _is_cyclic(row, xq)
+        assert type(cyclic) is bool
+        assert cyclic is (sympy_krylov_det(m, row) != 0)
+        assert cyclic is (_krylov_det(row, xq) != 0)
 
 
 def documented_candidates(n, seed):

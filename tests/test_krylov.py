@@ -459,9 +459,10 @@ def _count(monkeypatch, name, calls=None):
 
 def _count_chains(monkeypatch):
     """The row w of every Krylov chain, in call order, whether it runs with
-    dependence columns (``_krylov_dependence``) or bare (``_krylov_det``)."""
+    dependence columns (``_krylov_dependence``), bare (``_krylov_det``) or
+    content-reduced for a decision alone (``_is_cyclic``)."""
     calls = []
-    for name in ("_krylov_dependence", "_krylov_det"):
+    for name in ("_krylov_dependence", "_krylov_det", "_is_cyclic"):
         _count(monkeypatch, name, calls)
     return calls
 

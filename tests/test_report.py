@@ -46,11 +46,15 @@ def test_identity_suite_computes_d_once_per_sample_and_det_once_per_p_element(
     monkeypatch,
 ):
     chains, dependence, det_args, p_elements = [], [], [], []
-    chain, dep = krylov._krylov_det, krylov._krylov_dependence
+    chain, cyclic, dep = krylov._krylov_det, krylov._is_cyclic, krylov._krylov_dependence
     det, rand_p = krylov.determinant, report._rand_p_element
 
-    def counted_chain(w, xq, cols=None):
-        chains.append((w, chain(w, xq, cols)))
+    def counted_chain(w, xq):
+        chains.append((w, chain(w, xq)))
+        return chains[-1][1]
+
+    def counted_cyclic(w, xq, cols=None):
+        chains.append((w, cyclic(w, xq, cols)))
         return chains[-1][1]
 
     def counted_dependence(w, x):
@@ -69,6 +73,7 @@ def test_identity_suite_computes_d_once_per_sample_and_det_once_per_p_element(
         raise AssertionError("the identity suite must not call this")
 
     monkeypatch.setattr(krylov, "_krylov_det", counted_chain)
+    monkeypatch.setattr(krylov, "_is_cyclic", counted_cyclic)
     monkeypatch.setattr(krylov, "_krylov_dependence", counted_dependence)
     monkeypatch.setattr(krylov, "determinant", counted_det)
     monkeypatch.setattr(report, "_rand_p_element", recorded_p_element)
