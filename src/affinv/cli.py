@@ -3,11 +3,13 @@ symbolic determinant export.
 
 Exit codes: 0 success, 1 suite failure (report still emitted), 2 malformed
 input or config (including a dimension above the symbolic bound), 3
-conjugation requested on a non-regular matrix.
+conjugation requested on a non-regular matrix, 141 (128 + SIGPIPE) stdout
+closed by its reader before the output was written.
 
 The environment variable AFFINV_NMAX overrides the symbolic feasibility
 bound (default 4, at most 5).  All JSON output is emitted with sorted keys
-and fixed indentation so identical inputs produce byte-identical files.
+and fixed indentation, and no output reads a clock, so identical inputs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NOT_REGULAR = 3
+EXIT_CLOSED_STDOUT = 128 + 13  # as a shell reports a process ended by SIGPIPE
 
 
 class _InputError(Exception):
@@ -238,10 +241,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except (MatrixJSONError, SuiteConfigError, SympolyError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except BrokenPipeError:
+        # the unwritten rest still sits in stdout's buffer; the interpreter's
+        # exit flush sends it to devnull instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 Each suite draws seeded samples, checks a fixed list of properties, and
 returns its report as a JSON-ready dict: ``"pass"`` is true exactly when
 every property record has zero failures, and every failure carries a
-replayable witness (the offending input in wire format).  Reports are
-deterministic given (config, seed) except for the ``"timestamp"`` field.
+replayable witness (the offending input in wire format).  A report is a
+function of (config, seed) alone: it reads no clock, so equal inputs give
+byte-identical output.
 Only the lemma and weak suites import numpy, so ``verify`` of an identity
 config runs without it.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -116,7 +116,6 @@ def _finish(suite, n, samples, seed, records, config) -> dict:
         "properties": [asdict(r) for r in records],
         "config": config,
         "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
 

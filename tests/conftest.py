@@ -1,8 +1,39 @@
 import random
+import signal
 from fractions import Fraction
 from math import prod
 
+import pytest
+
 from affinv.exactmat import RatMatrix
+
+# well above the slowest test on working code (about 6 s), so that a fault
+# which makes a test crawl fails it instead of stalling the run
+TEST_TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that runs past TEST_TIME_LIMIT_S.  A BaseException,
+    so that hypothesis reports it at once instead of replaying the example
+    with no time limit left."""
+
+
+@pytest.fixture(autouse=True)
+def _time_limit(request):
+    if not hasattr(signal, "SIGALRM"):  # Windows has no alarm
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{request.node.nodeid} ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rand_rational_matrix(rng: random.Random, n: int) -> RatMatrix:

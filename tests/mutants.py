@@ -81,6 +81,8 @@ _EMIT_STDOUT = """\
 _IS_CYCLIC = "tests/test_exactmat_oracle.py::test_is_cyclic_matches_sympy_and_the_bareiss_chain"
 _UNWRITABLE = "tests/test_cli.py::test_unwritable_out_exits_2_with_one_error_line"
 _RATIONAL = "tests/test_cli.py::TestAnalyze::test_rational_beyond_ascii_p_or_p_over_q_exits_2"
+_BAD_NUMERIC = "tests/test_cli.py::TestVerify::test_bad_numeric_config_exits_2_with_one_error_line"
+_CLOSED_STDOUT = "tests/test_cli.py::test_closed_stdout_exits_141_without_a_traceback"
 
 MUTANTS = [
     Mutant(
@@ -151,6 +153,19 @@ MUTANTS = [
             "tests/test_weak_oracle.py::test_weak_suite_pairings_lie_within_five_sigma_of_their_exact_values",
         ),
         "CHANGES.md:61",
+    ),
+    Mutant(
+        "lie-derivatives-without-finite-check",
+        "calculus.py",
+        '    if not np.isfinite(points).all():\n'
+        '        raise CalculusError(f"x +- hv leaves the float range at h = {h:g}")\n',
+        "",
+        (
+            "tests/test_calculus.py::TestLieDerivatives::test_shift_out_of_float_range_is_rejected_at_points",
+            "tests/test_calculus.py::TestLieDerivatives::test_shift_out_of_float_range_rejected",
+            _BAD_NUMERIC + '[{"suite":"lemma","n":3,"samples":3,"seed":0,"fd":{"h":1.7e308}}]',
+        ),
+        "CHANGES.md:69",
     ),
     Mutant(
         "bareiss-without-divisor",
@@ -293,6 +308,42 @@ MUTANTS = [
         "CHANGES.md:66",
     ),
     Mutant(
+        "law-exponent-n-plus-1",
+        "krylov.py",
+        "/ (q * s) ** (n * (n - 1) // 2)",
+        "/ (q * s) ** (n * (n + 1) // 2)",
+        (
+            "tests/test_krylov.py::TestTransformationLaw::test_by_hand",
+            "tests/test_exactmat_oracle.py::test_transformation_law_matches_sympy[integer]",
+            "tests/test_cli.py::TestVerify::test_identity_report_golden",
+        ),
+        "CHANGES.md:66",
+    ),
+    Mutant(
+        "law-conjugates-by-y-inverse",  # y^-1 x y in place of y x y^-1
+        "krylov.py",
+        "_matmul(_matmul(y.matrix.rows, xq), m)",
+        "_matmul(_matmul(m, xq), y.matrix.rows)",
+        (
+            "tests/test_krylov.py::TestTransformationLaw::test_random_p_elements",
+            "tests/test_krylov.py::TestTransformationLaw::test_companion_value",
+            "tests/test_acceptance.py::test_criterion_04_homogeneity_and_relative_invariance",
+        ),
+        "CHANGES.md:66",
+    ),
+    Mutant(
+        "pairing-powers-without-identity",  # x^1..x^n in place of x^0..x^(n-1)
+        "krylov.py",
+        "chain([RatMatrix.identity(n)], accumulate(repeat(x), mul, initial=x))",
+        "accumulate(repeat(x), mul, initial=x)",
+        (
+            "tests/test_exactmat_oracle.py::test_pairing_matrix_matches_sympy",
+            "tests/test_krylov.py::TestDeterminantD::test_agrees_with_pairing_construction",
+            "tests/test_acceptance.py::test_criterion_02_determinant_consistency",
+        ),
+        "CHANGES.md:66",
+    ),
+    Mutant(
         "random-rows-before-unit-rows",
         "krylov.py",
         _UNIT_ROWS + _RANDOM_ROWS,
@@ -349,6 +400,17 @@ MUTANTS = [
             _UNWRITABLE + '[argv4-{"suite":"identity","n":1,"samples":1}-directory]',
         ),
         "CHANGES.md:74",
+    ),
+    Mutant(
+        "stdout-flushed-at-interpreter-exit",
+        "cli.py",
+        "        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit\n",
+        "",
+        (
+            _CLOSED_STDOUT + '[argv0-{"suite":"identity","n":1,"samples":1}-buffered]',
+            _CLOSED_STDOUT + '[argv1-{"n":2,"entries":[["1","2"],["3","4"]]}-buffered]',
+        ),
+        "CHANGES.md:77",
     ),
     Mutant(
         "rational-prefix-match",

@@ -279,19 +279,19 @@ def test_criterion_11_cli_determinism(tmp_path, monkeypatch, capsys):
     cfg = {"suite": "identity", "n": 3, "samples": 25, "seed": 13}
     a = run_suite_from_config(cfg)
     b = run_suite_from_config(cfg)
-    a.pop("timestamp")
-    b.pop("timestamp")
     assert json.dumps(a, sort_keys=True).encode() == json.dumps(b, sort_keys=True).encode()
 
     cases = [
-        ('{"n":2,"entries":[["1","2"],["3","4"]]}', "analyze_generic_2x2.json"),
-        ('{"n":2,"entries":[["0","1"],["1","1"]]}', "analyze_companion_n2.json"),
+        ("analyze", '{"n":2,"entries":[["1","2"],["3","4"]]}', "analyze_generic_2x2.json"),
+        ("analyze", '{"n":2,"entries":[["0","1"],["1","1"]]}', "analyze_companion_n2.json"),
+        ("verify", '{"suite":"identity","n":4,"samples":20,"seed":7}', "identity_n4_s20_seed7.json"),
     ]
-    for stdin_text, golden in cases:
-        target = tmp_path / golden
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
-        assert main(["analyze", "-", "--out", str(target)]) == 0
-        assert target.read_bytes() == (GOLDEN / golden).read_bytes()
+    for command, stdin_text, golden in cases:
+        for run in (1, 2):
+            target = tmp_path / f"{run}_{golden}"
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+            assert main([command, "-", "--out", str(target)]) == 0
+            assert target.read_bytes() == (GOLDEN / golden).read_bytes()
     for n in (1, 2, 3):
         target = tmp_path / f"sympoly_n{n}.json"
         assert main(["sympoly", "--n", str(n), "--out", str(target)]) == 0

@@ -1,8 +1,11 @@
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -157,8 +160,7 @@ def test_parser_built_once_carries_no_state_between_calls(monkeypatch, capsys):
             code = run_cli(argv, stdin_text, monkeypatch)
         except SystemExit as exc:  # argparse's own exit
             code = exc.code
-        out, err = capsys.readouterr()
-        return code, re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out), err
+        return (code, *capsys.readouterr())
 
     reused = [call(*c) for c in calls]
     assert build_parser() is build_parser()
@@ -195,10 +197,10 @@ class TestVerify:
         assert report["seed"] == 99
 
     def test_identity_report_golden(self, monkeypatch, capsys):
-        # the report minus its timestamp line pins every count and verdict
+        # the report pins every count and verdict
         cfg = '{"suite":"identity","n":4,"samples":20,"seed":7}'
         assert run_cli(["verify", "-"], cfg, monkeypatch) == 0
-        out = re.sub(r'\n  "timestamp": "[^"]*",', "", capsys.readouterr().out)
+        out = capsys.readouterr().out
         assert out.encode() == (GOLDEN / "identity_n4_s20_seed7.json").read_bytes()
 
     @pytest.mark.parametrize(
@@ -208,7 +210,7 @@ class TestVerify:
     def test_weak_report_golden(self, samples, seed, code, monkeypatch, capsys):
         cfg = json.dumps({"suite": "weak", "n": 2, "samples": samples, "seed": seed})
         assert run_cli(["verify", "-"], cfg, monkeypatch) == code
-        out = re.sub(r'\n  "timestamp": "[^"]*",', "", capsys.readouterr().out)
+        out = capsys.readouterr().out
         golden = GOLDEN / f"weak_n2_s{samples}_seed{seed}.json"
         assert out.encode() == golden.read_bytes()
 
@@ -230,16 +232,16 @@ class TestVerify:
     )
     def test_lemma_report_golden(self, cfg, golden, code, monkeypatch, capsys):
         assert run_cli(["verify", "-"], json.dumps({"suite": "lemma", **cfg}), monkeypatch) == code
-        out = re.sub(r'\n  "timestamp": "[^"]*",', "", capsys.readouterr().out)
+        out = capsys.readouterr().out
         assert out.encode() == (GOLDEN / golden).read_bytes()
 
-    def test_determinism_modulo_timestamp(self):
-        cfg = {"suite": "identity", "n": 3, "samples": 10, "seed": 42}
-        a = run_suite_from_config(cfg)
-        b = run_suite_from_config(cfg)
-        a.pop("timestamp")
-        b.pop("timestamp")
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    def test_two_runs_write_identical_bytes(self, monkeypatch, capsys):
+        cfg = '{"suite":"identity","n":3,"samples":10,"seed":42}'
+        outputs = []
+        for _ in range(2):
+            assert run_cli(["verify", "-"], cfg, monkeypatch) == 0
+            outputs.append(capsys.readouterr().out.encode())
+        assert outputs[0] == outputs[1]
 
     def test_lemma_suite_small(self, monkeypatch, capsys):
         cfg = '{"suite":"lemma","n":2,"samples":3,"seed":1}'
@@ -304,9 +306,7 @@ class TestVerify:
             warnings.simplefilter("error", RuntimeWarning)
             direct = run_suite_from_config(json.loads(cfg))
         report = json.loads(captured.out)  # compared as text, since NaN != NaN
-        assert json.dumps({**report, "timestamp": None}, sort_keys=True) == json.dumps(
-            {**direct, "timestamp": None}, sort_keys=True
-        )
+        assert json.dumps(report, sort_keys=True) == json.dumps(direct, sort_keys=True)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -491,6 +491,24 @@ def test_unwritable_out_exits_2_with_one_error_line(
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
     assert captured.out == ""
+
+
+# a buffered stdout fails at main's flush, an unbuffered one at a write
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, stdin_text", [(["verify", "-"], IDENTITY_N1), (["analyze", "-"], GENERIC_2X2)]
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv, stdin_text, unbuffered):
+    # a reader that stops early, as `| head -1` does; exit 1 would claim a
+    # failed suite
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affinv.cli", *argv],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(stdin_text.encode(), timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.parametrize(

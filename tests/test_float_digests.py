@@ -1,4 +1,4 @@
-"""SHA-256 digests of whole float-suite reports, timestamp dropped.
+"""SHA-256 digests of whole float-suite reports.
 
 The digests pin every float of the lemma and weak reports, witnesses
 included, so a speed-up of the float layer must reproduce each report bit
@@ -50,7 +50,6 @@ WEAK_DIGESTS = {
 
 def _digest(config: dict) -> str:
     report = run_suite_from_config(config)
-    report.pop("timestamp")
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 

@@ -3,7 +3,7 @@
 Every request of the exact-identity, analyze-mix and float-suites pools is
 rebuilt with ``perfbench/workloads.py`` and run in process through
 ``affinv.cli.main``.  For the exact pools its exit code and its output
-digest (sha256 with the ``timestamp`` line removed) must equal those
+digest (perfbench's ``output_digest``) must equal those
 captured in ``perfbench/refs/<workload>.json``, which is what the
 benchmark's correctness oracle checks byte for byte.  A float-suites report
 is judged by ``perfbench/oracle.py`` itself: the exit code, every count and
