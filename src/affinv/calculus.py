@@ -7,7 +7,9 @@ All derivative estimates use one central-difference kernel,
 (f(x+hv) - f(x-hv))/2h along the adjoint direction v = [E_ij, x], that
 writes into the caller's arrays, works on an (n, n) point and on an
 (n, n, N) batch of samples alike, and evaluates a family of fields on each
-side at once; one builder forms every shifted point x +- hv.  At a point,
+side at once; one builder forms every shifted point x +- hv.  At n = 2
+[E_22, x] = -[E_11, x], so the weak suite forms the (1, 1) differences
+and takes the (2, 2) pairings from them, exactly.  At a point,
 where x +- hv must be finite, ``lie_derivatives`` stacks all n^2
 directions into one batch, reads its + side plus 0.0 (a -0.0 entry as
 +0.0, as x + h * 0 does) and returns one table per field as a nested list
@@ -354,6 +356,19 @@ def weak_lie_derivative(
     and the psis as one family at the two shifted points of each block and
     pair.  The products u * L_ij psi and their sums run over the whole
     chunk.
+
+    At n = 2, E_11 + E_22 = I, so [E_22, x] = -[E_11, x]: only the first of
+    (1, 1) and (2, 2) in ``pairs`` is evaluated, and every later occurrence
+    of the other one is its twin, whose pairing sums are that pair's
+    negated and whose sums of squares are that pair's own.  That is the
+    value a direct evaluation gives, not an approximation.
+    _shifted_entries(x, 2, 2, h) builds, bit for bit, the points of
+    _shifted_entries(x, 1, 1, h) with the two sides swapped, as
+    h * (0.0 - e) = -(h * e) and e + (-t) = e - t; and IEEE subtraction,
+    division, products and numpy's pairwise sums all commute with a change
+    of sign.  Only the sign of a zero can differ: at a -0.0 entry, which a
+    uniform draw never yields, or in a sum that is exactly zero.  At n != 2
+    no pair has a twin.
     """
     import numpy as np
 
@@ -375,6 +390,10 @@ def weak_lie_derivative(
                 raise CalculusError(f"paired[{d}] = {ms!r} holds an index outside the psis")
             formed[list(ms), d] = True
     check_boundary_decay(psis, n, quad)
+    # at n = 2 the later of (1, 1) and (2, 2) is the twin of the first
+    # diagonal pair: its sums are filled in from that pair's after the chunks
+    diagonal = [p for p, ij in enumerate(pairs) if n == 2 and tuple(ij) in ((1, 1), (2, 2))]
+    twins = [p for p in diagonal if tuple(pairs[p]) != tuple(pairs[diagonal[0]])]
     sums = np.zeros((len(psis), len(densities), len(pairs), 2))
     for chunk_idx, start in enumerate(range(0, samples, QUAD_CHUNK), start=1):
         count = min(QUAD_CHUNK, samples - start)
@@ -389,6 +408,8 @@ def weak_lie_derivative(
         lie = np.empty((len(psis), count))
         vals, squares = np.empty(count), np.empty(count)
         for p, (i, j) in enumerate(pairs):
+            if p in twins:
+                continue
             for block in blocks:
                 plus, minus = _shifted_entries(_entries(x[..., block]), i, j, h)
                 _central_differences(psis, plus, minus, h, lie[:, block])
@@ -396,6 +417,7 @@ def weak_lie_derivative(
                 np.multiply(u_vals[d], lie[m], out=vals)
                 np.multiply(vals, vals, out=squares)
                 sums[m, d, p] += np.sum(vals), np.sum(squares)
+    sums[:, :, twins] = sums[:, :, diagonal[:1]] * (-1.0, 1.0)
     sums[~formed] = math.nan
     mean = sums[..., 0] / samples
     var = np.maximum(sums[..., 1] / samples - mean * mean, 0.0)

@@ -186,6 +186,22 @@ def cmd_sympoly(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but --help is one plain write to stdout: argparse
+    drops an OSError from its own write and exits 0 as if it had been read."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
+class _Version(argparse.Action):
+    """--version, written as _Parser writes its help."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(f"{__version__}\n")
+        parser.exit()
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves no state in it."""
@@ -202,14 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return parent
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="affinv",
         description=(
             "Krylov-row determinant analysis, exact and finite-difference "
             "verification suites, and symbolic determinant export."
         ),
     )
-    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument(
+        "--version", action=_Version, nargs=0, help="show program's version number and exit"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser(
@@ -238,12 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
-        return code
+        try:  # --help and --version write to stdout and exit in parse_args
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
     except (MatrixJSONError, SuiteConfigError, SympolyError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

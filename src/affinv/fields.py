@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from operator import mul
 from typing import Callable, Sequence
@@ -54,6 +54,11 @@ class Const(ScalarField):
 
     def __init__(self, value):
         object.__setattr__(self, "value", Fraction(value))
+
+    @cached_property
+    def float_value(self) -> float:
+        """float(value), converted once per node, at its first float evaluation."""
+        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,11 @@ class Pk(ScalarField):
         if self.k < 1:
             raise FieldError(f"pk degree {self.k} must be >= 1")
 
+    @cached_property
+    def weight(self) -> Const:
+        """The factor 1/k of tr(x^k)/k, as a constant node of its own."""
+        return Const(Fraction(1, self.k))
+
 
 def evaluate_on_entries(fields: Sequence[ScalarField], entries, lift: Callable = float) -> list:
     """The values of ``fields``, in order, over one n x n nested sequence
@@ -107,8 +117,11 @@ def evaluate_on_entries(fields: Sequence[ScalarField], entries, lift: Callable =
 
     ``lift`` converts Const values into the scalar domain: ``float`` for the
     numeric layer, identity for exact evaluation, a dual scalar for exact
-    derivatives.  Scalars only need +, * and integer **, so numpy arrays
-    broadcast through unchanged.  Arrays must hold float64: a sum or a
+    derivatives.  The float lift of a Const value, of a Pk(k) node's 1/k and
+    of the 0 and 1 that start sums and empty products is formed once per
+    node object and kept on it, with the bits ``float`` gives; every other
+    lift is applied at each evaluation.  Scalars only need +, * and
+    integer **, so numpy arrays broadcast through unchanged.  Arrays must hold float64: a sum or a
     product takes its later terms in place (+=, *=), in the dtype of its
     first result.
 
@@ -146,7 +159,12 @@ def _count_uses(node: ScalarField, uses: dict) -> None:
         _count_uses(node.base, uses)
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO, _ONE = Const(0), Const(1)
+
+
+def _lifted(const: Const, lift: Callable):
+    """lift(const.value); the float lift is the one the node keeps."""
+    return const.float_value if lift is float else lift(const.value)
 
 
 def _evaluate_node(node: ScalarField, entries, lift: Callable, memo: dict):
@@ -167,7 +185,7 @@ def _evaluate_node(node: ScalarField, entries, lift: Callable, memo: dict):
         # bit over floats, equal over exact scalars); once formed it is this
         # node's own value, which takes the later factors in place
         args = node.args
-        value = _evaluate_node(args[0], entries, lift, memo) if args else lift(_ONE)
+        value = _evaluate_node(args[0], entries, lift, memo) if args else _lifted(_ONE, lift)
         if len(args) > 1:
             value = value * _evaluate_node(args[1], entries, lift, memo)
             for a in args[2:]:
@@ -176,7 +194,7 @@ def _evaluate_node(node: ScalarField, entries, lift: Callable, memo: dict):
         # a sum keeps its lift(0) start (0.0 + -0.0 is +0.0), after which it
         # is this node's own value and takes the later terms in place
         args = node.args
-        value = lift(_ZERO)
+        value = _lifted(_ZERO, lift)
         if args:
             value = value + _evaluate_node(args[0], entries, lift, memo)
             for a in args[1:]:
@@ -187,7 +205,7 @@ def _evaluate_node(node: ScalarField, entries, lift: Callable, memo: dict):
             raise FieldError(f"var({node.i},{node.j}) out of range for n={n}")
         value = entries[node.i - 1][node.j - 1]
     elif kind is Const:
-        value = lift(node.value)
+        value = _lifted(node, lift)
     elif kind is Pk:
         # tr(x^k) reads only the diagonal of x^(k-1) x: x^(k-1) is drawn from
         # the Krylov-row chain of x, and each diagonal entry is summed as the
@@ -203,7 +221,7 @@ def _evaluate_node(node: ScalarField, entries, lift: Callable, memo: dict):
         for d in diagonal[1:]:
             value = value + d
         if k != 1:  # tr * lift(1) is tr
-            value = value * lift(Fraction(1, k))
+            value = value * _lifted(node.weight, lift)
     else:
         raise FieldError(f"unknown node {node!r}")
     if key in memo:

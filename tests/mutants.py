@@ -83,6 +83,7 @@ _UNWRITABLE = "tests/test_cli.py::test_unwritable_out_exits_2_with_one_error_lin
 _RATIONAL = "tests/test_cli.py::TestAnalyze::test_rational_beyond_ascii_p_or_p_over_q_exits_2"
 _BAD_NUMERIC = "tests/test_cli.py::TestVerify::test_bad_numeric_config_exits_2_with_one_error_line"
 _CLOSED_STDOUT = "tests/test_cli.py::test_closed_stdout_exits_141_without_a_traceback"
+_TWIN = "tests/test_calculus.py::TestWeakDerivative::test_twin_diagonal_pair_equals_its_own_pass"
 
 MUTANTS = [
     Mutant(
@@ -153,6 +154,26 @@ MUTANTS = [
             "tests/test_weak_oracle.py::test_weak_suite_pairings_lie_within_five_sigma_of_their_exact_values",
         ),
         "CHANGES.md:61",
+    ),
+    Mutant(
+        "weak-twin-not-negated",
+        "calculus.py",
+        "sums[:, :, twins] = sums[:, :, diagonal[:1]] * (-1.0, 1.0)",
+        "sums[:, :, twins] = sums[:, :, diagonal[:1]]",
+        (
+            _TWIN + "[one-chunk]",
+            _TWIN + "[twin-is-1-1]",
+            "tests/test_calculus.py::TestWeakDerivative::test_one_pass_equals_single_calls",
+        ),
+        "CHANGES.md:82",
+    ),
+    Mutant(
+        "weak-twin-at-n-3",
+        "calculus.py",
+        "if n == 2 and tuple(ij) in ((1, 1), (2, 2))",
+        "if n in (2, 3) and tuple(ij) in ((1, 1), (2, 2))",
+        ("tests/test_calculus.py::TestWeakDerivative::test_no_pair_has_a_twin_at_n_3",),
+        "CHANGES.md:82",
     ),
     Mutant(
         "lie-derivatives-without-finite-check",
@@ -276,8 +297,8 @@ MUTANTS = [
     Mutant(
         "pk-without-1/k",
         "fields.py",
-        "value = value * lift(Fraction(1, k))",
-        "value = value * lift(1)",
+        "return Const(Fraction(1, self.k))",
+        "return Const(Fraction(1))",
         (
             "tests/test_fields.py::TestExactEvaluation::test_trace_power_node",
             "tests/test_calculus.py::TestEvalField::test_p2_value",
@@ -404,13 +425,22 @@ MUTANTS = [
     Mutant(
         "stdout-flushed-at-interpreter-exit",
         "cli.py",
-        "        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit\n",
-        "",
+        "sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit",
+        "pass",
         (
             _CLOSED_STDOUT + '[argv0-{"suite":"identity","n":1,"samples":1}-buffered]',
             _CLOSED_STDOUT + '[argv1-{"n":2,"entries":[["1","2"],["3","4"]]}-buffered]',
+            _CLOSED_STDOUT + "[argv2--buffered]",
         ),
         "CHANGES.md:77",
+    ),
+    Mutant(
+        "help-write-error-dropped",  # argparse's own writer, which drops an OSError
+        "cli.py",
+        "    def print_help(self, file=None):",
+        "    def print_help_unused(self, file=None):",
+        (_CLOSED_STDOUT + "[argv3--unbuffered]",),
+        "CHANGES.md:82",
     ),
     Mutant(
         "rational-prefix-match",

@@ -475,8 +475,8 @@ class TestWeakDerivative:
     def test_one_pass_equals_single_calls(self, monkeypatch):
         # two chunks, the second one short; every (psi, density, pair)
         # estimate of the shared pass must equal its own single-psi,
-        # single-density, single-pair pass exactly, and one boundary check
-        # covers every psi
+        # single-density, single-pair pass exactly, the (2, 2) twin of
+        # (1, 1) among them, and one boundary check covers every psi
         quad = QuadratureSpec(half_width=2.0, n_samples=QUAD_CHUNK + 1_000, seed=11)
         psis = [bump_field(2, 2, prefactor=p) for p in (Var(1, 2), Pk(2), Const(1))]
         densities = [invariant_density(2), Var(1, 1), Const(1)]
@@ -495,6 +495,43 @@ class TestWeakDerivative:
                 for p, pair in enumerate(self.PAIRS):
                     e, s = weak_lie_derivative([u], [psi], [pair], quad)
                     assert (e.item(), s.item()) == (estimate[m, d, p], error[m, d, p])
+
+    @pytest.mark.parametrize(
+        "samples, pairs, paired",
+        [
+            (QUAD_CHUNK, PAIRS, None),
+            (QUAD_CHUNK + 50_001, PAIRS, None),
+            (QUAD_CHUNK, PAIRS, [[0, 2], [1], [0]]),
+            (QUAD_CHUNK, [(2, 2), (1, 1), (1, 2), (2, 1)], None),
+        ],
+        ids=["one-chunk", "two-chunks", "paired", "twin-is-1-1"],
+    )
+    def test_twin_diagonal_pair_equals_its_own_pass(self, samples, pairs, paired):
+        # at n = 2 the later of (1, 1) and (2, 2) takes the sums of the
+        # first: its estimate and error equal, byte for byte, those of a
+        # pass that forms that pair alone
+        quad = QuadratureSpec(half_width=2.0, n_samples=samples, seed=13)
+        prefactors = (Var(1, 2), Pk(2), Add([Var(1, 1), Var(2, 1)]))
+        psis = [bump_field(2, 2, prefactor=p) for p in prefactors]
+        densities = [invariant_density(2), Var(1, 1), Const(1)]
+        together = weak_lie_derivative(densities, psis, pairs, quad, paired=paired)
+        twin = max(pairs.index((1, 1)), pairs.index((2, 2)))
+        alone = weak_lie_derivative(densities, psis, [pairs[twin]], quad, paired=paired)
+        for got, want in zip(together, alone):
+            assert got[:, :, twin].tobytes() == want[:, :, 0].tobytes()
+
+    def test_no_pair_has_a_twin_at_n_3(self):
+        # E_11 + E_22 is not the identity at n = 3, so each diagonal pair
+        # of a shared pass equals its own single-pair pass
+        quad = QuadratureSpec(half_width=2.0, n_samples=20_000, seed=17)
+        psis = [bump_field(3, 2, prefactor=p) for p in (Var(1, 2), Pk(2))]
+        densities = [Var(1, 1), Const(1)]
+        pairs = [(1, 1), (2, 2), (3, 3)]
+        together = weak_lie_derivative(densities, psis, pairs, quad, n=3)
+        for p, pair in enumerate(pairs):
+            alone = weak_lie_derivative(densities, psis, [pair], quad, n=3)
+            for got, want in zip(together, alone):
+                assert got[:, :, p].tobytes() == want[:, :, 0].tobytes()
 
     def test_only_the_chosen_pairings_are_formed(self):
         # each density is paired with the psis listed for it (a repeat

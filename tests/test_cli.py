@@ -493,10 +493,17 @@ def test_unwritable_out_exits_2_with_one_error_line(
     assert captured.out == ""
 
 
-# a buffered stdout fails at main's flush, an unbuffered one at a write
+# a buffered stdout fails at main's flush, an unbuffered one at a write;
+# --help and --version write from inside argparse
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
-    "argv, stdin_text", [(["verify", "-"], IDENTITY_N1), (["analyze", "-"], GENERIC_2X2)]
+    "argv, stdin_text",
+    [
+        (["verify", "-"], IDENTITY_N1),
+        (["analyze", "-"], GENERIC_2X2),
+        (["--version"], ""),
+        (["--help"], ""),
+    ],
 )
 def test_closed_stdout_exits_141_without_a_traceback(argv, stdin_text, unbuffered):
     # a reader that stops early, as `| head -1` does; exit 1 would claim a
