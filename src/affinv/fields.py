@@ -121,9 +121,9 @@ def evaluate_on_entries(fields: Sequence[ScalarField], entries, lift: Callable =
     of the 0 and 1 that start sums and empty products is formed once per
     node object and kept on it, with the bits ``float`` gives; every other
     lift is applied at each evaluation.  Scalars only need +, * and
-    integer **, so numpy arrays broadcast through unchanged.  Arrays must hold float64: a sum or a
-    product takes its later terms in place (+=, *=), in the dtype of its
-    first result.
+    integer **, so numpy arrays broadcast through unchanged.  Arrays must
+    hold float64: a sum or a product takes its later terms in place (+=,
+    *=), in the dtype of its first result.
 
     A node object that occurs more than once in the family is evaluated
     once: one pass counts its occurrences, and a memo keyed by node identity

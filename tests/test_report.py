@@ -282,14 +282,16 @@ def test_each_constant_is_lifted_to_float_once_per_node(monkeypatch, run):
     # and of the 0 and 1 that start sums and empty products from the node,
     # which converts it at its first use: at most one float(Fraction) per
     # such node of the evaluated families (lifting at every evaluation made
-    # 1,668 conversions on this weak request and 248 on this lemma one)
-    nodes, conversions, evaluating = {id(fields._ZERO), id(fields._ONE)}, [], []
+    # 1,668 conversions on this weak request and 248 on this lemma one);
+    # ``nodes`` keeps each node alive, so that no two share an id
+    nodes = {id(node): node for node in (fields._ZERO, fields._ONE)}
+    conversions, evaluating = [], []
     evaluate = calculus.evaluate_on_entries
 
     def recording(family, entries, lift=float):
         family = list(family)
         for field in family:
-            nodes.update(id(node) for node in _nodes(field) if isinstance(node, (Const, Pk)))
+            nodes.update((id(n), n) for n in _nodes(field) if isinstance(n, (Const, Pk)))
         evaluating.append(family)
         try:
             return evaluate(family, entries, lift)
