@@ -9,9 +9,12 @@ writes into the caller's arrays, works on an (n, n) point and on an
 (n, n, N) batch of samples alike, and evaluates a family of fields on each
 side at once; one builder forms every shifted point x +- hv.  At n = 2
 [E_22, x] = -[E_11, x], so the weak suite forms the (1, 1) differences
-and takes the (2, 2) pairings from them, exactly.  At a point,
-where x +- hv must be finite, ``lie_derivatives`` stacks all n^2
-directions into one batch, reads its + side plus 0.0 (a -0.0 entry as
+and takes the (2, 2) pairings from them, exactly.  It streams each
+Monte-Carlo chunk through the cache-sized leaves of the tree by which
+numpy's pairwise sum adds the chunk, so its sums equal np.sum over the
+whole chunk bit for bit, and no product or sum is formed at chunk length.
+At a point, where x +- hv must be finite, ``lie_derivatives`` stacks all
+n^2 directions into one batch, reads its + side plus 0.0 (a -0.0 entry as
 +0.0, as x + h * 0 does) and returns one table per field as a nested list
 of Python floats.  Each point check (P-invariance, the full contraction
 identity, the reduced system) reads a table and x's float powers
@@ -120,7 +123,7 @@ class FDConfig:
 
 
 QUAD_CHUNK = 200_000  # samples per Monte-Carlo chunk
-QUAD_BLOCK = 16_384  # samples per field evaluation within a chunk
+QUAD_BLOCK = 16_384  # most samples in a leaf of a chunk's summation tree
 SHELL_FRACTION = 0.01  # boundary shell width, as a fraction of the half width
 LEAK_RATIO = 0.02  # largest shell-to-interior ratio of |psi| that counts as decayed
 
@@ -175,6 +178,20 @@ def _central_differences(
     for row, (p, m) in zip(out, sides):
         np.subtract(p, m, out=row)
         np.divide(row, 2.0 * h, out=row)
+
+
+def _pairwise_tree(leaf, x):
+    """leaf(x) over the sample (last) axis of x, summed as numpy's pairwise
+    np.sum adds a contiguous array: a range of more than QUAD_BLOCK samples
+    is split at half its length rounded down to a multiple of 8, and the
+    two halves' results are added left plus right, down to leaves of at most
+    QUAD_BLOCK samples (>= numpy's 128-sample unsplit block).  So when
+    ``leaf`` is np.sum, the result is np.sum(x) bit for bit."""
+    count = x.shape[-1]
+    if count <= QUAD_BLOCK:
+        return leaf(x)
+    half = count // 2 // 8 * 8
+    return _pairwise_tree(leaf, x[..., :half]) + _pairwise_tree(leaf, x[..., half:])
 
 
 def abs_max(values) -> float:
@@ -340,9 +357,10 @@ def weak_lie_derivative(
     entry [m, d, p] for psi = psis[m], u = densities[d] and (i, j) = pairs[p].
     ``paired[d]``, when given, lists the indices m of the psis that density d
     is paired with; only those pairings are formed, and every other entry is
-    NaN.  Raises CalculusError when ``paired`` does not list one sequence of
-    psi indices per density, when the box volume (2a)^(n^2) is zero or
-    infinite in floating point, or when x +- hv can leave the float range.
+    NaN.  Raises CalculusError when a pair (i, j) lies outside 1..n, when
+    ``paired`` does not list one sequence of psi indices per density, when
+    the box volume (2a)^(n^2) is zero or infinite in floating point, or when
+    x +- hv can leave the float range.
 
     Realizes each density u as a distribution T(psi) = integral(u psi); the
     adjoint fields are divergence free (the weak suite decides it exactly),
@@ -351,11 +369,16 @@ def weak_lie_derivative(
 
     Sampling is chunked; chunk c is drawn from default_rng([seed, c]) once
     and shared by every (psi, u, i, j), so a sharded parallel run recombines
-    to the identical result.  Fields are evaluated over QUAD_BLOCK-sample
-    blocks of a chunk, which stay in cache: the densities once per block,
-    and the psis as one family at the two shifted points of each block and
-    pair.  The products u * L_ij psi and their sums run over the whole
-    chunk.
+    to the identical result.  Each chunk is streamed through the leaves of
+    the tree by which numpy's pairwise np.sum adds it (``_pairwise_tree``):
+    halves split at half the length rounded down to a multiple of 8, down to
+    leaves of at most QUAD_BLOCK samples, which stay in cache.  A leaf
+    evaluates the densities once and the psis as one family at the two
+    shifted points of each pair, then sums the products u * L_ij psi and
+    their squares in leaf-sized buffers; each node adds its halves' sums,
+    left plus right.  So each chunk's sums equal np.sum over the whole
+    chunk bit for bit, with no array the length of the chunk but its
+    samples.
 
     At n = 2, E_11 + E_22 = I, so [E_22, x] = -[E_11, x]: only the first of
     (1, 1) and (2, 2) in ``pairs`` is evaluated, and every later occurrence
@@ -381,6 +404,9 @@ def weak_lie_derivative(
         raise CalculusError(f"quadrature box volume (2a)^{n * n} is zero or infinite")
     if not a * (1.0 + 2.0 * h) < math.inf:  # >= |x +- h[E_ij, x]|
         raise CalculusError(f"bad fd config: x +- hv overflows at h = {h:g}")
+    for i, j in pairs:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise CalculusError(f"pair ({i},{j}) out of range 1..{n}")
     formed = np.full((len(psis), len(densities)), paired is None)
     if paired is not None:
         if len(paired) != len(densities):
@@ -395,28 +421,30 @@ def weak_lie_derivative(
     diagonal = [p for p, ij in enumerate(pairs) if n == 2 and tuple(ij) in ((1, 1), (2, 2))]
     twins = [p for p in diagonal if tuple(pairs[p]) != tuple(pairs[diagonal[0]])]
     sums = np.zeros((len(psis), len(densities), len(pairs), 2))
+    evaluated = [(p, ij) for p, ij in enumerate(pairs) if p not in twins]
+    pairings = list(zip(*np.nonzero(formed)))
+
+    def leaf_sums(x: np.ndarray) -> np.ndarray:
+        # the sums of u * L_ij psi and of its square over one leaf's samples
+        entries = _entries(x)
+        u_vals = evaluate_on_entries(densities, entries)
+        lie, vals = np.empty((len(psis), x.shape[-1])), np.empty(x.shape[-1])
+        out = np.zeros(sums.shape)
+        for p, (i, j) in evaluated:
+            plus, minus = _shifted_entries(entries, i, j, h)
+            _central_differences(psis, plus, minus, h, lie)
+            for m, d in pairings:
+                np.multiply(u_vals[d], lie[m], out=vals)
+                out[m, d, p, 0] = np.sum(vals)
+                np.multiply(vals, vals, out=vals)
+                out[m, d, p, 1] = np.sum(vals)
+        return out
+
     for chunk_idx, start in enumerate(range(0, samples, QUAD_CHUNK), start=1):
         count = min(QUAD_CHUNK, samples - start)
         rng = np.random.default_rng([seed, chunk_idx])
         x = rng.uniform(-a, a, size=(n, n, count))
-        blocks = [slice(b, b + QUAD_BLOCK) for b in range(0, count, QUAD_BLOCK)]
-        u_vals = np.empty((len(densities), count))
-        for block in blocks:
-            values = evaluate_on_entries(densities, _entries(x[..., block]))
-            for u_row, u_val in zip(u_vals, values):
-                u_row[block] = u_val
-        lie = np.empty((len(psis), count))
-        vals, squares = np.empty(count), np.empty(count)
-        for p, (i, j) in enumerate(pairs):
-            if p in twins:
-                continue
-            for block in blocks:
-                plus, minus = _shifted_entries(_entries(x[..., block]), i, j, h)
-                _central_differences(psis, plus, minus, h, lie[:, block])
-            for m, d in zip(*np.nonzero(formed)):
-                np.multiply(u_vals[d], lie[m], out=vals)
-                np.multiply(vals, vals, out=squares)
-                sums[m, d, p] += np.sum(vals), np.sum(squares)
+        sums += _pairwise_tree(leaf_sums, x)
     sums[:, :, twins] = sums[:, :, diagonal[:1]] * (-1.0, 1.0)
     sums[~formed] = math.nan
     mean = sums[..., 0] / samples

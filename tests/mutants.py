@@ -84,6 +84,9 @@ _RATIONAL = "tests/test_cli.py::TestAnalyze::test_rational_beyond_ascii_p_or_p_o
 _BAD_NUMERIC = "tests/test_cli.py::TestVerify::test_bad_numeric_config_exits_2_with_one_error_line"
 _CLOSED_STDOUT = "tests/test_cli.py::test_closed_stdout_exits_141_without_a_traceback"
 _TWIN = "tests/test_calculus.py::TestWeakDerivative::test_twin_diagonal_pair_equals_its_own_pass"
+_TREE = "tests/test_calculus.py::TestWeakDerivative::test_leaf_sums_follow_numpys_pairwise_tree"
+_LEAF_LIMIT = "tests/test_calculus.py::TestWeakDerivative::test_sums_do_not_depend_on_the_leaf_limit"
+_PAIR_RANGE = "tests/test_calculus.py::TestWeakDerivative::test_pair_out_of_range_is_rejected"
 
 MUTANTS = [
     Mutant(
@@ -174,6 +177,39 @@ MUTANTS = [
         "if n in (2, 3) and tuple(ij) in ((1, 1), (2, 2))",
         ("tests/test_calculus.py::TestWeakDerivative::test_no_pair_has_a_twin_at_n_3",),
         "CHANGES.md:82",
+    ),
+    Mutant(
+        "weak-leaf-sums-folded-left",  # QUAD_BLOCK-sample blocks added in order
+        "calculus.py",
+        "    half = count // 2 // 8 * 8\n"
+        "    return _pairwise_tree(leaf, x[..., :half]) + _pairwise_tree(leaf, x[..., half:])\n",
+        "    total = leaf(x[..., :QUAD_BLOCK])\n"
+        "    for b in range(QUAD_BLOCK, count, QUAD_BLOCK):\n"
+        "        total = total + leaf(x[..., b:b + QUAD_BLOCK])\n"
+        "    return total\n",
+        (
+            _TREE + "[16385-16384]",
+            _TREE + "[200000-16384]",
+            _LEAF_LIMIT + "[whole-chunk]",
+            "tests/test_float_digests.py::test_weak_report_digest[50000-3]",
+        ),
+        "CHANGES.md:85",
+    ),
+    Mutant(
+        "weak-leaf-split-at-half",
+        "calculus.py",
+        "half = count // 2 // 8 * 8",
+        "half = count // 2",
+        (_TREE + "[50001-128]", _TREE + "[200000-128]", _LEAF_LIMIT + "[64-leaves]"),
+        "CHANGES.md:85",
+    ),
+    Mutant(
+        "weak-pair-range-unchecked",
+        "calculus.py",
+        "        if not (1 <= i <= n and 1 <= j <= n):\n",
+        "        if False:\n",
+        (_PAIR_RANGE + "[3-3]", _PAIR_RANGE + "[0-5]", _PAIR_RANGE + "[-1-1]"),
+        "CHANGES.md:85",
     ),
     Mutant(
         "lie-derivatives-without-finite-check",

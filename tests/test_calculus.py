@@ -554,6 +554,58 @@ class TestWeakDerivative:
         with pytest.raises(CalculusError, match="paired"):
             weak_lie_derivative([Const(1), Var(1, 1)], [psi], [(1, 2)], self.QUAD, paired=paired)
 
+    @pytest.mark.parametrize("i, j", [(3, 3), (0, 5), (-1, 1)])
+    def test_pair_out_of_range_is_rejected(self, i, j):
+        # at n = 2 these read -0.0 +- 0.0 or a row from the far end of x,
+        # as if a pairing had been measured; lie_derivative rejects them too
+        psi = bump_field(2, 2)
+        with pytest.raises(CalculusError, match=r"pair \(-?\d,\d\) out of range 1\.\.2"):
+            weak_lie_derivative([Var(1, 1)], [psi], [(1, 2), (i, j)], self.QUAD)
+
+    @pytest.mark.parametrize("leaf_limit", [128, calculus.QUAD_BLOCK])
+    @pytest.mark.parametrize(
+        "length", [1, 7, 8, 127, 128, 129, 16_384, 16_385, 50_001, 200_000]
+    )
+    def test_leaf_sums_follow_numpys_pairwise_tree(self, monkeypatch, length, leaf_limit):
+        # np.sum of a contiguous float64 array is numpy's pairwise sum: the
+        # leaf sums added along _pairwise_tree must give it byte for byte,
+        # for any leaf limit at or above numpy's unsplit 128-element block.
+        # A numpy whose pairwise rule differs fails here first.
+        rng = np.random.default_rng(length)
+        data = rng.standard_normal(length) * 10.0 ** rng.uniform(-8, 8, length)
+        monkeypatch.setattr(calculus, "QUAD_BLOCK", leaf_limit)
+        leaves = []
+
+        def leaf(x):
+            assert 0 < x.shape[-1] <= leaf_limit
+            leaves.append(x.shape[-1])
+            return np.sum(x)
+
+        assert calculus._pairwise_tree(leaf, data).tobytes() == np.sum(data).tobytes()
+        assert sum(leaves) == length
+
+    @pytest.mark.parametrize(
+        "samples, leaf_limit, whole_chunks",
+        [(5_001, 128, False), (200_003, QUAD_CHUNK, True)],
+        ids=["64-leaves", "whole-chunk"],
+    )
+    def test_sums_do_not_depend_on_the_leaf_limit(
+        self, monkeypatch, samples, leaf_limit, whole_chunks
+    ):
+        # every leaf limit adds as np.sum over each whole chunk: 5,001 samples
+        # are one leaf at QUAD_BLOCK and 64 at 128 (the first split at 2,496,
+        # not 2,500); at QUAD_CHUNK each chunk of 200,003 samples is one leaf,
+        # one np.sum over chunk-length arrays, the reference of the 16 leaves
+        quad = QuadratureSpec(half_width=2.0, n_samples=samples, seed=3)
+        psis = [bump_field(2, 2, prefactor=p) for p in (Const(1), Var(1, 2))]
+        densities = [invariant_density(2), Var(1, 1)]
+        default = weak_lie_derivative(densities, psis, self.PAIRS, quad)
+        monkeypatch.setattr(calculus, "QUAD_BLOCK", leaf_limit)
+        patched = weak_lie_derivative(densities, psis, self.PAIRS, quad)
+        whole, leaves = (patched, default) if whole_chunks else (default, patched)
+        for got, want in zip(leaves, whole):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_shifted_entries_equal_the_full_shift(self, n):
         # bit for bit against x +- h [E_ij, x] on the whole block, with every

@@ -5,7 +5,11 @@ included, so a speed-up of the float layer must reproduce each report bit
 for bit.  The weak sample counts straddle the 16,384-sample evaluation
 block (one less, one more) and the 200,000-sample chunk (200,003 samples
 are two chunks, the second a partial one), and one weak run holds
-exactly one block.  Two configs set ``fd.h`` or ``quadrature.half_width``
+exactly one block.  Three more set the leaves of the summation tree that
+each chunk is streamed through: 32,769 samples split into 16,384 and
+16,385, the second halved again; 250,001 end on a partial 50,001-sample
+chunk; 1,000,000 are five full chunks.  They were captured before the
+chunks were streamed by leaf.  Two configs set ``fd.h`` or ``quadrature.half_width``
 explicitly, away from or at their defaults.
 """
 
@@ -45,6 +49,9 @@ WEAK_DIGESTS = {
     (16_385, 2): "1e8710baa30def2ad4f26ed5b2618314bb120673ebfbf52b1b017c7434e1293c",
     (50_000, 3): "b22b585b02d6790d8e06c6cb2d704e50853fd9a51a28b4d229e46cc71695d81a",
     (200_003, 4): "54f9908735a563c2e191b274539649807364cb6d840020ddb2bfc3ad6d3c4e05",
+    (32_769, 7): "6234b76a89e403d8422ecc9f031c8722e3316104c5f49e981178c8af7c806fb7",
+    (250_001, 8): "b4b28207492bbc248e6ebee78c33204584c7d63bbc16460860b20976835f8047",
+    (1_000_000, 9): "d0135728ca26eb68c98e5acefe888531623c32c86757cdf5660af91958e8b6fb",
 }
 
 

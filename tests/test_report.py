@@ -1,5 +1,6 @@
 import math
 import numbers
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -147,10 +148,11 @@ def test_weak_suite_draws_each_chunk_once_for_all_test_functions(monkeypatch):
     # one 200,000-sample chunk: one boundary stream shared by the five test
     # functions and one sampling stream.  Fields are evaluated as families:
     # the test functions once on the interior and once on the shell
-    # samples, then per block of the chunk (13 of QUAD_BLOCK = 16,384
-    # samples) the densities once and the test functions at the two
-    # shifted points of three of the four pairs, (2, 2) being the twin of
-    # (1, 1) at n = 2: 2 + 13 + 13 * 3 * 2 = 93
+    # samples, then per leaf of the chunk's summation tree (halved four
+    # times to 16 leaves of 12,500 <= QUAD_BLOCK = 16,384 samples) the
+    # densities once and the test functions at the two shifted points of
+    # three of the four pairs, (2, 2) being the twin of (1, 1) at n = 2:
+    # 2 + 16 + 16 * 3 * 2 = 114
     counts = {"default_rng": 0, "evaluate_on_entries": 0, "weak_lie_derivative": 0}
 
     def counted(name, fn):
@@ -175,7 +177,21 @@ def test_weak_suite_draws_each_chunk_once_for_all_test_functions(monkeypatch):
     )
     report.run_weak_suite(200_000, 0)
     assert calculus.QUAD_BLOCK == 16_384
-    assert counts == {"default_rng": 2, "evaluate_on_entries": 93, "weak_lie_derivative": 1}
+    assert counts == {"default_rng": 2, "evaluate_on_entries": 114, "weak_lie_derivative": 1}
+
+
+def test_weak_pass_holds_no_chunk_length_temporaries():
+    # a 200,000-sample chunk is 6.4 MB of samples; every product and sum is
+    # formed per leaf of at most QUAD_BLOCK samples.  Chunk-length density
+    # values, differences, products and squares peaked at 25.2 MB.
+    report.run_weak_suite(2_000, 0)  # fills the lazy caches of numpy and Fraction
+    tracemalloc.start()
+    try:
+        report.run_weak_suite(200_000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12_000_000
 
 
 def test_lemma_suite_runs_each_check_through_its_public_routine(monkeypatch):
@@ -242,16 +258,16 @@ def _recorded(monkeypatch, module, name) -> list:
 def test_weak_suite_evaluates_each_wall_once_per_block_and_side(monkeypatch):
     # the five test functions share their four wall factors as node
     # objects: each wall is evaluated once on the interior and once on the
-    # shell samples, then once per block (13), evaluated pair (3: (2, 2)
-    # is the twin of (1, 1) at n = 2) and side (2) of the 200,000-sample
-    # chunk: 2 + 13 * 3 * 2 = 80
+    # shell samples, then once per leaf of the summation tree (16 of
+    # 12,500 samples), evaluated pair (3: (2, 2) is the twin of (1, 1) at
+    # n = 2) and side (2) of the 200,000-sample chunk: 2 + 16 * 3 * 2 = 98
     computed = _computations(monkeypatch)
     built = _recorded(monkeypatch, report, "weak_test_functions")
     report.run_weak_suite(200_000, 0)
     (psis,) = built
     walls = psis[0].args[-4:]
     assert all(a is b for psi in psis for a, b in zip(psi.args[-4:], walls))
-    assert [computed[id(w)] for w in walls] == [2 + 13 * 3 * 2] * 4
+    assert [computed[id(w)] for w in walls] == [2 + 16 * 3 * 2] * 4
 
 
 def test_lemma_suite_evaluates_each_trace_power_once_per_family_and_side(monkeypatch):
