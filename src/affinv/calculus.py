@@ -405,7 +405,7 @@ def weak_lie_derivative(
     if not a * (1.0 + 2.0 * h) < math.inf:  # >= |x +- h[E_ij, x]|
         raise CalculusError(f"bad fd config: x +- hv overflows at h = {h:g}")
     for i, j in pairs:
-        if not (1 <= i <= n and 1 <= j <= n):
+        if i not in range(1, n + 1) or j not in range(1, n + 1):  # rejects 1.5 too
             raise CalculusError(f"pair ({i},{j}) out of range 1..{n}")
     formed = np.full((len(psis), len(densities)), paired is None)
     if paired is not None:

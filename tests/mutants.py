@@ -206,10 +206,10 @@ MUTANTS = [
     Mutant(
         "weak-pair-range-unchecked",
         "calculus.py",
-        "        if not (1 <= i <= n and 1 <= j <= n):\n",
-        "        if False:\n",
-        (_PAIR_RANGE + "[3-3]", _PAIR_RANGE + "[0-5]", _PAIR_RANGE + "[-1-1]"),
-        "CHANGES.md:85",
+        "if i not in range(1, n + 1) or j not in range(1, n + 1):",
+        "if False:",
+        tuple(_PAIR_RANGE + f"[{ij}]" for ij in ("3-3", "0-5", "-1-1", "1.5-1")),
+        "CHANGES.md:83",
     ),
     Mutant(
         "lie-derivatives-without-finite-check",
