@@ -7,16 +7,21 @@ Every exact elimination runs through one fraction-free kernel, ``_eliminate``,
 which reduces integer vectors one at a time as they are drawn.  Each job scales
 its input once to an integer multiple q x and feeds the kernel:
 ``determinant`` the rows, ``_scaled_inverse`` (the integer M = s x^-1 behind
-``inverse`` and the transformation law) the rows and then the unit rows; the
-Krylov determinant D, Krylov's method (``_krylov_chain``, behind ``analyze`` and
-``min_poly``) and ``min_poly``'s power chain draw the lazy chain
-``_krylov_rows`` up to its first dependent vector.  One yes-or-no question
-skips the kernel: whether a row is cyclic, which ``_is_cyclic`` decides on a
-chain of its own content-reduced rows.  ``min_poly`` takes two routes, both
-exact eliminations: Krylov's method on one fixed probe row w, which decides
-it whenever w is cyclic for x (then mu_w = chi, and mu_w | mu_x | chi), and
-otherwise the chain of powers of q x, the only route for a non-regular x,
-which has no cyclic row.
+``inverse`` and the transformation law) the rows and then the unit rows;
+the Krylov chains and ``min_poly``'s power chain draw the lazy chain
+``_krylov_rows`` up to its first dependent vector.  The Krylov determinant
+D_w(x) = det(w, wx, ..., wx^(n-1)) lives here alone, in two routines that
+take a row w, an integer matrix xq and its scale q and return D_w of
+x = xq / q as a ``Fraction``: the bare chain ``_krylov_det``, behind
+``krylov_determinant`` and the transformation law, and Krylov's method
+``_krylov_dependence``, whose dependence columns also give the
+characteristic polynomial, behind ``analyze`` and ``min_poly``.  One
+yes-or-no question skips the kernel: whether a row is cyclic, which
+``_is_cyclic`` decides on a chain of its own content-reduced rows.
+``min_poly`` takes two routes, both exact eliminations: Krylov's method on
+one fixed probe row w, which decides it whenever w is cyclic for x (then
+mu_w = chi, and mu_w | mu_x | chi), and otherwise the chain of powers of
+q x, the only route for a non-regular x, which has no cyclic row.
 ``char_poly`` reads the traces of the first n powers of q x from the same
 chain and solves Newton's identities for det(tI - q x).
 A product multiplies the integer multiples qa a and qb b and divides once by
@@ -289,7 +294,7 @@ def _with_units(vectors: Iterable[Sequence[int]], m: int):
     The unit indices are dependence columns: ``_eliminate`` carries m more
     entries per row, which only a caller that reads the dependence pays for.
     These are ``_chain_dependence`` (for ``min_poly``'s power chain and
-    Krylov's method, ``_krylov_chain``) and ``_scaled_inverse``.  A
+    Krylov's method, ``_krylov_dependence``) and ``_scaled_inverse``.  A
     determinant reads only the pivots, and ``_det_rows`` runs without them;
     the cyclic-row test ``_is_cyclic`` runs on its own reduced chain."""
     for k, v in zip(range(m), vectors):
@@ -316,17 +321,6 @@ def _chain_dependence(vectors: Iterable[Sequence[int]], ncols: int, dim: int):
     raise AssertionError(f"more than {dim} independent vectors")  # pragma: no cover
 
 
-def _krylov_chain(w: Sequence[int], xq) -> tuple[list[int], int, list[int]]:
-    """Krylov's method on the integer row w and the integer matrix xq:
-    ``_chain_dependence`` on the chain w, w xq, w xq^2, ... of rows of length
-    n, stopped at its first dependent row w xq^m, m = deg mu_w.  Returns (the
-    pivot columns, last pivot, y) with sum y_k w xq^k = 0.  When w is cyclic
-    (m = n), sign(pivot order) * last = det(w, w xq, ..., w xq^(n-1)) and
-    sum (y_k / last) t^k = det(t - xq)."""
-    n = len(w)
-    return _chain_dependence(chain.from_iterable(_krylov_rows([w], xq)), n, n)
-
-
 def _descaled(y: Sequence[Rat], q: int) -> tuple:
     """The monic polynomial sum_i y_i / (y_m q^(m-i)) t^i, m = len(y) - 1, as
     exact scalars: from a dependence y of the chain of q x, or the reversed
@@ -345,6 +339,35 @@ def _det_rows(vectors: Iterable[Sequence[int]], n: int) -> int:
             return 0
         pivots.append(c)
     return _order_sign(pivots) * row[c]
+
+
+def _krylov_det(w: Sequence[int], xq, q: int) -> Fraction:
+    """D_w(x) = det(w, wx, ..., wx^(n-1)) for an integer row w and x = xq / q
+    with xq an integer matrix and q a nonzero integer.  The n chain rows
+    w xq^k = q^k w x^k go to ``_eliminate`` alone, with no dependence
+    columns: their determinant reads only the pivots, is 0 at the first
+    dependent row, and is divided once by q^(n(n-1)/2).  A test of D_w != 0
+    alone runs ``_is_cyclic`` instead."""
+    n = len(w)
+    rows = chain.from_iterable(_krylov_rows([w], xq))
+    return Fraction(_det_rows(islice(rows, n), n), q ** (n * (n - 1) // 2))
+
+
+def _krylov_dependence(w: Sequence[int], xq, q: int) -> tuple[Fraction, tuple | None]:
+    """Krylov's method: D_w(x) for an integer row w and x = xq / q as
+    ``_krylov_det`` gives it and, when it is nonzero, the characteristic
+    polynomial of x (else None).  ``_chain_dependence`` draws the chain w,
+    w xq, w xq^2, ... up to its first dependent row w xq^m, m = deg mu_w.
+    If m = n, w is cyclic: sign(pivot order) * last = det(w, w xq, ..., w
+    xq^(n-1)), and the dependence y, sum y_k w xq^k = 0, is det(t - xq)
+    times last, whose t^i coefficient is q^(n-i) times x's.  The rows carry
+    n + 1 dependence columns for that polynomial, so only a caller that
+    reads it runs this."""
+    n = len(w)
+    pivots, last, y = _chain_dependence(chain.from_iterable(_krylov_rows([w], xq)), n, n)
+    if len(pivots) < n:
+        return Fraction(0), None
+    return Fraction(_order_sign(pivots) * last, q ** (n * (n - 1) // 2)), _descaled(y, q)
 
 
 def _is_cyclic(w: Sequence[int], xq, cols=None) -> bool:
@@ -428,8 +451,9 @@ def min_poly(x: RatMatrix) -> tuple:
     a dependence y of q x's chain, whose t^i coefficient is q^(m-i) times
     that for x, and the monic minimal polynomial is unique.
 
-    First, Krylov's method (``_krylov_chain``) on the probe row w =
-    ``_probe_row(n)``.  If its n chain rows are independent, w is cyclic,
+    First, Krylov's method (``_krylov_dependence``) on the probe row w =
+    ``_probe_row(n)``; only whether it returns a polynomial is read, not the
+    value of D_w.  If its n chain rows are independent, w is cyclic,
     so mu_w = chi; since mu_w | mu_x | chi, x is regular and the dependence
     of w (qx)^n is its minimal polynomial.  Otherwise (always for a
     non-regular x, which has no cyclic row) the chain I, qx, (qx)^2, ... of
@@ -438,12 +462,12 @@ def min_poly(x: RatMatrix) -> tuple:
     higher one is formed."""
     n = x.n
     xq, q = _integer_multiple(x.rows)
-    pivots, _, y = _krylov_chain(_probe_row(n), xq)
-    if len(pivots) < n:
+    poly = _krylov_dependence(_probe_row(n), xq, q)[1]
+    if poly is None:
         ident = [[int(i == j) for j in range(n)] for i in range(n)]
         powers = (sum(p, []) for p in _krylov_rows(ident, xq))
-        y = _chain_dependence(powers, n * n, n)[2]
-    return _descaled(y, q)
+        poly = _descaled(_chain_dependence(powers, n * n, n)[2], q)
+    return poly
 
 
 def _scaled_inverse(x: RatMatrix) -> tuple[list[list[int]], int]:

@@ -7,10 +7,13 @@ The determinant of the rows e_n, e_n x, ..., e_n x^(n-1) is written D(x)
 throughout, matching the analysis-JSON key ``"D"``.  D is a homogeneous
 polynomial of degree n(n-1)/2 in the entries of x, transforms under
 conjugation by y in P as D(y x y^-1) = det(y)^-1 D(x), and is nonzero
-exactly when e_n is a cyclic row vector for x.  The value of D comes from
-the Bareiss kernel of ``exactmat`` (``_krylov_det``); every test of whether
-a row is cyclic, D != 0 included, runs the decision-only kernel
-``exactmat._is_cyclic`` on a content-reduced chain.  Conventions for n = 1:
+exactly when e_n is a cyclic row vector for x.  This module only asks
+``exactmat`` for D_w and the chains behind it: a value of D comes from the
+bare Bareiss chain ``_krylov_det`` and, in ``analyze``, with the
+characteristic polynomial from Krylov's method ``_krylov_dependence``; both
+take a row, the integer multiple q x and q.  Every test of whether a row is
+cyclic, D != 0 included, runs the decision-only kernel ``_is_cyclic`` on a
+content-reduced chain.  Conventions for n = 1:
 the Krylov matrix is [1], D is identically 1, every element is regular,
 and P is the trivial group.
 """
@@ -29,14 +32,12 @@ from .exactmat import (
     ExactmatError,
     RatMatrix,
     SingularMatrixError,
-    _descaled,
-    _det_rows,
     _integer_multiple,
     _is_cyclic,
-    _krylov_chain,
+    _krylov_dependence,
+    _krylov_det,
     _krylov_rows,
     _matmul,
-    _order_sign,
     _probe_row,
     _scaled_inverse,
     char_poly,
@@ -91,46 +92,13 @@ def _unit_row(n: int, k: int) -> tuple[int, ...]:
     return tuple(int(j == k) for j in range(n))
 
 
-def _krylov_det(w: Sequence[int], xq) -> int:
-    """q^(n(n-1)/2) D_w(x) = det(w, w (qx), ..., w (qx)^(n-1)) for an integer
-    row w and the integer multiple xq = q x, 0 at the first dependent row.
-    The n chain rows go to ``_eliminate`` alone, with no dependence columns:
-    the value of D reads only the pivots.  A test of D_w != 0 alone runs
-    ``_is_cyclic`` instead."""
-    n = len(w)
-    rows = chain.from_iterable(_krylov_rows([w], xq))
-    return _det_rows(islice(rows, n), n)
-
-
 def krylov_determinant(x: RatMatrix) -> Fraction:
-    """D(x), the determinant of the Krylov rows of e_n, from the bare
-    Bareiss chain ``_krylov_det``: 0 at the first dependent row e_n x^k.  It
-    carries no dependence columns; only ``analyze``, which reads the
-    characteristic polynomial from the same chain, runs
+    """D(x), the determinant of the Krylov rows of e_n, from the bare chain
+    ``_krylov_det`` on the integer multiple q x.  Only ``analyze``, which
+    reads the characteristic polynomial from the same chain, runs
     ``_krylov_dependence`` instead, and ``in_omega``, which reads only
     whether D != 0, runs ``_is_cyclic``."""
-    n = x.n
-    xq, q = _integer_multiple(x.rows)
-    return Fraction(_krylov_det(_unit_row(n, n - 1), xq), q ** (n * (n - 1) // 2))
-
-
-def _krylov_dependence(w: Sequence, x: RatMatrix) -> tuple[Fraction, tuple | None]:
-    """D_w(x) = det(w, wx, ..., wx^(n-1)) for an integer row w and, if it is
-    nonzero, the characteristic polynomial of x (else None), by Krylov's
-    method ``_krylov_chain`` on w and the integer multiple q x: it stops at
-    the first dependent row, deg mu_w; if that is row n, sign * last =
-    q^(n(n-1)/2) D_w(x) and the dependence gives det(t - qx), whose t^i
-    coefficient is q^(n-i) x's.  The rows carry n + 1 dependence columns for
-    that polynomial, so only ``analyze`` calls this, on e_n; every test that
-    needs D_w alone runs the bare ``_krylov_det``, and every test of D_w !=
-    0 alone the decision kernel ``_is_cyclic``."""
-    n = x.n
-    xq, q = _integer_multiple(x.rows)
-    pivots, last, y = _krylov_chain(w, xq)
-    if len(pivots) < n:
-        return Fraction(0), None
-    d_w = Fraction(_order_sign(pivots) * last, q ** (n * (n - 1) // 2))
-    return d_w, _descaled(y, q)
+    return _krylov_det(_unit_row(x.n, x.n - 1), *_integer_multiple(x.rows))
 
 
 def pairing_matrix(x: RatMatrix) -> RatMatrix:
@@ -197,16 +165,15 @@ def transformation_law(
     x: RatMatrix, y: PGroupElement, d: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Return (D(y x y^-1), det(y)^-1 d) for the D(x) = d that the caller
-    holds; the two are equal for y in P.  With the integer multiple q x and
-    the scaled inverse M = s y^-1 of ``_scaled_inverse``, y x y^-1 =
-    y (q x) M / (q s), and D is homogeneous of degree n(n-1)/2, so D(y x
-    y^-1) is D of the product y (q x) M, an integer matrix for an integer
-    y, divided once by (q s)^(n(n-1)/2)."""
-    n = x.n
+    holds; the two are equal for y in P.  With the integer multiples q x and
+    r y and the scaled inverse M = s y^-1 of ``_scaled_inverse``, y x y^-1 =
+    (r y) (q x) M / (r q s), so ``_krylov_det`` takes the integer product
+    (r y) (q x) M and its scale r q s."""
     xq, q = _integer_multiple(x.rows)
+    yr, r = _integer_multiple(y.matrix.rows)
     m, s = _scaled_inverse(y.matrix)
-    conjugated = RatMatrix(_matmul(_matmul(y.matrix.rows, xq), m))
-    return krylov_determinant(conjugated) / (q * s) ** (n * (n - 1) // 2), d / y.det()
+    conjugated = _matmul(_matmul(yr, xq), m)
+    return _krylov_det(_unit_row(x.n, x.n - 1), conjugated, r * q * s), d / y.det()
 
 
 def homogeneity_check(x: RatMatrix, t, d: Fraction) -> tuple[Fraction, Fraction]:
@@ -249,7 +216,7 @@ def analyze(x: RatMatrix, conjugate: bool = False, seed: int = 0) -> Analysis:
     ``find_cyclic_row`` with the seed and ``conjugate_into_omega``.  A
     non-regular x is never searched."""
     n = x.n
-    d, mp = _krylov_dependence(_unit_row(n, n - 1), x)
+    d, mp = _krylov_dependence(_unit_row(n, n - 1), *_integer_multiple(x.rows))
     if mp is None:
         mp = min_poly(x)
     g = None

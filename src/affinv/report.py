@@ -40,7 +40,6 @@ from .exactmat import (
     RatMatrix,
     SingularMatrixError,
     _krylov_rows,
-    determinant,
     format_rational,
     matrix_to_json,
 )
@@ -69,7 +68,6 @@ from .krylov import (
     transformation_law,
 )
 
-SUITE_NAMES = ("identity", "lemma", "weak")
 LEMMA_FIELDS = 20  # random invariant fields per lemma suite
 WEAK_ZERO_TOL_FLOOR = 1e-2  # smallest tolerance of a weak zero check
 WITNESS_SIGMA = 5.0  # standard errors the non-invariant density must reach
@@ -188,10 +186,9 @@ def _lemma_point(rng: random.Random, n: int) -> tuple:
     exact D keeps x at least 1 away from the hypersurface, beyond the cutoff."""
     while True:
         x = _rand_matrix(rng, n, -2, 2)
-        krylov = krylov_rows((0,) * (n - 1) + (1,), x)
-        d = determinant(krylov)
+        d = krylov_determinant(x)
         if d != 0:
-            return x, krylov, d
+            return x, krylov_rows((0,) * (n - 1) + (1,), x), d
 
 
 def run_lemma_suite(n: int, samples: int, seed: int, cfg: FDConfig = FDConfig()) -> dict:
@@ -402,9 +399,9 @@ def run_suite_from_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise SuiteConfigError("config must be a JSON object")
     suite = config.get("suite")
-    if suite not in SUITE_NAMES:
+    if not isinstance(suite, str) or suite not in _SUITE_KEYS:
         raise SuiteConfigError(
-            f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}"
+            f"unknown suite {suite!r}; expected one of {', '.join(_SUITE_KEYS)}"
         )
     n, samples, seed = _read_config(config, suite)
     try:

@@ -79,6 +79,7 @@ _EMIT_STDOUT = """\
         _dump(payload, sys.stdout)
 """
 _IS_CYCLIC = "tests/test_exactmat_oracle.py::test_is_cyclic_matches_sympy_and_the_bareiss_chain"
+_FIRST_CYCLIC = "tests/test_exactmat_oracle.py::test_find_cyclic_row_returns_the_first_cyclic_candidate"
 _UNWRITABLE = "tests/test_cli.py::test_unwritable_out_exits_2_with_one_error_line"
 _RATIONAL = "tests/test_cli.py::TestAnalyze::test_rational_beyond_ascii_p_or_p_over_q_exits_2"
 _BAD_NUMERIC = "tests/test_cli.py::TestVerify::test_bad_numeric_config_exits_2_with_one_error_line"
@@ -167,6 +168,7 @@ MUTANTS = [
             _TWIN + "[one-chunk]",
             _TWIN + "[twin-is-1-1]",
             "tests/test_calculus.py::TestWeakDerivative::test_one_pass_equals_single_calls",
+            "tests/test_weak_oracle.py::test_the_twin_pair_reads_the_opposite_sign_of_the_1_1_pair",
         ),
         "CHANGES.md:82",
     ),
@@ -251,8 +253,8 @@ MUTANTS = [
     Mutant(
         "min-poly-fallback-without-pivot",
         "exactmat.py",
-        "    if len(pivots) < n:\n        ident = ",
-        "    if not pivots:\n        ident = ",
+        "    if len(pivots) < n:\n        return Fraction(0), None",
+        "    if not pivots:\n        return Fraction(0), None",
         (
             "tests/test_exactmat_oracle.py::test_min_poly_of_non_regular_matrices_takes_the_power_chain",
             "tests/test_krylov.py::test_non_regular_work_order[extra0-0]",
@@ -266,7 +268,7 @@ MUTANTS = [
         "content = gcd(*row[:-1])",
         (
             _IS_CYCLIC + "[integer]",
-            _IS_CYCLIC + "[off_locus]",
+            _FIRST_CYCLIC + "[off_locus]",
             "tests/test_krylov.py::test_analyze_reproduces_the_recorded_digest",
         ),
         "CHANGES.md:76",
@@ -279,7 +281,7 @@ MUTANTS = [
         (
             _IS_CYCLIC + "[non_regular]",
             _IS_CYCLIC + "[off_locus]",
-            "tests/test_exactmat_oracle.py::test_find_cyclic_row_returns_the_first_cyclic_candidate[off_locus]",
+            _FIRST_CYCLIC + "[off_locus]",
         ),
         "CHANGES.md:76",
     ),
@@ -344,9 +346,9 @@ MUTANTS = [
     ),
     Mutant(
         "chain-order-sign-dropped",
-        "krylov.py",
-        "d_w = Fraction(_order_sign(pivots) * last, q ** (n * (n - 1) // 2))",
-        "d_w = Fraction(last, q ** (n * (n - 1) // 2))",
+        "exactmat.py",
+        "Fraction(_order_sign(pivots) * last, q ** (n * (n - 1) // 2))",
+        "Fraction(last, q ** (n * (n - 1) // 2))",
         (
             "tests/test_cli.py::TestAnalyze::test_golden_outputs",
             "tests/test_exactmat_oracle.py::test_krylov_dependence_matches_sympy[companion]",
@@ -357,18 +359,26 @@ MUTANTS = [
     Mutant(
         "law-divisor-without-q",
         "krylov.py",
-        "krylov_determinant(conjugated) / (q * s) ** (n * (n - 1) // 2)",
-        "krylov_determinant(conjugated) / s ** (n * (n - 1) // 2)",
+        "conjugated, r * q * s)",
+        "conjugated, r * s)",
         (
             "tests/test_exactmat_oracle.py::test_transformation_law_matches_sympy[rational]",
         ),
         "CHANGES.md:66",
     ),
     Mutant(
-        "law-exponent-n-plus-1",
+        "law-divisor-without-r",  # a rational y scaled to r y, and D not divided by r
         "krylov.py",
-        "/ (q * s) ** (n * (n - 1) // 2)",
-        "/ (q * s) ** (n * (n + 1) // 2)",
+        "conjugated, r * q * s)",
+        "conjugated, q * s)",
+        ("tests/test_krylov.py::TestTransformationLaw::test_rational_p_element",),
+        "CHANGES.md:86",
+    ),
+    Mutant(
+        "law-exponent-n-plus-1",
+        "exactmat.py",
+        "_det_rows(islice(rows, n), n), q ** (n * (n - 1) // 2)",
+        "_det_rows(islice(rows, n), n), q ** (n * (n + 1) // 2)",
         (
             "tests/test_krylov.py::TestTransformationLaw::test_by_hand",
             "tests/test_exactmat_oracle.py::test_transformation_law_matches_sympy[integer]",
@@ -379,8 +389,8 @@ MUTANTS = [
     Mutant(
         "law-conjugates-by-y-inverse",  # y^-1 x y in place of y x y^-1
         "krylov.py",
-        "_matmul(_matmul(y.matrix.rows, xq), m)",
-        "_matmul(_matmul(m, xq), y.matrix.rows)",
+        "_matmul(_matmul(yr, xq), m)",
+        "_matmul(_matmul(m, xq), yr)",
         (
             "tests/test_krylov.py::TestTransformationLaw::test_random_p_elements",
             "tests/test_krylov.py::TestTransformationLaw::test_companion_value",

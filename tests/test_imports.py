@@ -6,9 +6,10 @@ when a lemma or weak suite runs.  Every name a module imports must be used
 in that module, and every private ``_name`` defined in a module or class
 must be referenced somewhere in ``src/``, so leftovers of a refactor show
 up as failures.  The command-line module and the suites reach the
-library through public names only, and every public module-level function
-or class is used in ``src/`` or named, with its reason, in
-``UNUSED_PUBLIC``, which admits only names the benchmark's per-layer list
+library through public names only.  ``krylov`` asks ``exactmat``'s Krylov
+chains for D_w and reads none of its elimination kernels.  Every public
+module-level function or class is used in ``src/`` or named, with its
+reason, in ``UNUSED_PUBLIC``, which admits only names the benchmark's per-layer list
 measures and the replay reader to come; likewise every public method,
 property or classmethod of a class is read as an attribute in ``src/`` or
 named in ``UNUSED_MEMBERS``.  In ``calculus`` and ``report`` only the functions in
@@ -116,6 +117,19 @@ def test_cli_imports_no_private_name():
 
 def test_report_imports_no_private_calculus_name():
     assert [name for name in _private_imports("report.py") if name.startswith("calculus.")] == []
+
+
+# the elimination kernel and the rule that turns a chain of q x into D_w and
+# the characteristic polynomial (pivot-order sign, last pivot, scaling by q)
+EXACT_KERNEL = {
+    "_det_rows", "_order_sign", "_descaled", "_chain_dependence", "_eliminate", "_with_units"
+}
+
+
+def test_krylov_asks_exactmat_for_d_and_runs_no_kernel_of_its_own():
+    tree = _trees()["krylov.py"]
+    imported = {name.rpartition(".")[2] for name in _private_imports("krylov.py")}
+    assert (imported | _used_names(tree)) & EXACT_KERNEL == set()
 
 
 # public names that no module in src/ uses, each with the reason it stays;

@@ -236,6 +236,16 @@ class TestTransformationLaw:
                 conj = y.matrix * x * inverse(y.matrix)
                 assert in_omega(conj) == in_omega(x)
 
+    def test_rational_p_element(self):
+        # a p/q entry of y scales y to r y, and D's divisor by r
+        x = RatMatrix([[1, Fraction(1, 2), 3], [Fraction(-2, 3), 0, 1], [4, 5, Fraction(7, 5)]])
+        y = PGroupElement(
+            matrix=RatMatrix([[Fraction(1, 2), 3, Fraction(-1, 3)], [2, Fraction(5, 7), 1], [0, 0, 1]])
+        )
+        lhs, rhs = transformation_law(x, y, krylov_determinant(x))
+        assert lhs == rhs == Fraction(-196, 237)
+        assert lhs == krylov_determinant(y.matrix * x * inverse(y.matrix))
+
     def test_companion_value(self):
         rng = random.Random(151)
         n = 3

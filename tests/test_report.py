@@ -51,17 +51,17 @@ def test_identity_suite_computes_d_once_per_sample_and_det_once_per_p_element(
     chain, cyclic, dep = krylov._krylov_det, krylov._is_cyclic, krylov._krylov_dependence
     det, rand_p = krylov.determinant, report._rand_p_element
 
-    def counted_chain(w, xq):
-        chains.append((w, chain(w, xq)))
+    def counted_chain(w, xq, q):
+        chains.append((w, chain(w, xq, q)))
         return chains[-1][1]
 
     def counted_cyclic(w, xq, cols=None):
         chains.append((w, cyclic(w, xq, cols)))
         return chains[-1][1]
 
-    def counted_dependence(w, x):
+    def counted_dependence(w, xq, q):
         dependence.append(w)
-        return dep(w, x)
+        return dep(w, xq, q)
 
     def counted_det(x):
         det_args.append(x)

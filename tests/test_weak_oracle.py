@@ -136,3 +136,17 @@ def test_weak_suite_pairings_lie_within_five_sigma_of_their_exact_values():
     )
     for (m, d, p), exact in exact_table().items():
         assert abs(estimate[m, d, p] - float(exact)) <= 5 * error[m, d, p], (m, d, p)
+
+
+def test_the_twin_pair_reads_the_opposite_sign_of_the_1_1_pair():
+    # at n = 2 the (2, 2) pairing is filled in from the (1, 1) differences;
+    # the density x12 against x12 W is nonzero there, so a twin whose sign is
+    # not flipped lands 2 * 11.7 from its exact value.  One pass at 200,000
+    # samples (one chunk), seed 0; bound and seed fixed before the first run
+    exact = [exact_pairing(X12, X12, i, j) for i, j in ((1, 1), (2, 2))]
+    assert exact == [-WITNESS, WITNESS]
+    quad = QuadratureSpec(half_width=A, n_samples=200_000, seed=0)
+    psi = bump_field(2, A, prefactor=Var(1, 2))
+    [[estimate]], [[error]] = weak_lie_derivative([Var(1, 2)], [psi], [(1, 1), (2, 2)], quad)
+    for value, e, s in zip(exact, estimate, error):
+        assert abs(e - float(value)) <= 5 * s
